@@ -5,6 +5,27 @@ products between per-level Q rows and the current token's K row (level 0),
 scaled by 1/sqrt(E), masked to valid levels, softmaxed, and used for a
 weighted sum of V. A config flag selects the mirrored score orientation
 (Q row 0 against per-level K rows).
+
+``attend`` never projects the memory rows above level 0. With the
+projection y = m W + b split into (W_q, W_k, W_v) and (b_q, b_k, b_v), and
+m_i the memory row at level i, the literal score is
+
+    q_i . k_0 = m_i . (k_0 W_q^T) + b_q . k_0
+
+The second term is the same at every level of a position, and softmax
+ignores a per-row shift, so it is dropped: one probe k_0 W_q^T per position
+is scored against the raw rows (the swapped orientation uses q_0 W_k^T and
+drops b_k . q_0). Because the weights sum to 1 and invalid levels get
+weight exactly 0, the values fold the same way:
+
+    sum_i w_i v_i = (sum_i w_i m_i) W_v + b_v
+
+Only the level-0 rows go through ``qkv_project``, so the [B, L, D, 3E]
+projection of the whole memory is never built. The dropped bias (b_q in the
+literal orientation, b_k in the swapped one) gets an exactly zero gradient;
+no output ever depended on it. The parameters are the same as for the
+unfused chain qkv_project -> single_vector_scores -> mask_softmax ->
+weighted_sum, which ``lmn verify`` checks ``attend`` against.
 """
 
 from __future__ import annotations
@@ -19,14 +40,17 @@ from .memory import MemoryTensor
 from .tensor import (
     ShapeError,
     Tensor,
+    add,
     affine_masked,
     concat,
     einsum_pair,
     masked_fill,
+    matmul,
     narrow,
     reshape,
     scale,
     softmax_last,
+    transpose,
     uniform_init,
 )
 
@@ -135,8 +159,20 @@ def multi_bank_combine(memories: list[MemoryTensor]) -> MemoryTensor:
 
 
 def attend(mem: MemoryTensor, proj: QkvProjection, orientation: str = "literal") -> AttentionOutput:
-    """Full single-vector attention pass over a (possibly multi-bank) memory."""
-    q, k, v = qkv_project(mem, proj)
-    scores = single_vector_scores(q, k, mem.valid, orientation)
+    """Full single-vector attention pass over a (possibly multi-bank) memory,
+    with the projection folded into a per-position probe (module docstring)."""
+    e = proj.embed
+    q0, k0, _ = qkv_project(MemoryTensor(narrow(mem.data, 2, 0, 1), mem.valid[:, :1]), proj)
+    if orientation == "literal":
+        current, w_score = k0, narrow(proj.weight, 1, 0, e)
+    elif orientation == "swapped":
+        current, w_score = q0, narrow(proj.weight, 1, e, e)
+    else:
+        raise ValueError(f"unknown score orientation {orientation!r}")
+    probe = matmul(current, transpose(w_score, (1, 0)))  # [B, L, 1, E]
+    scores = single_vector_scores(mem.data, probe, mem.valid)
     weights = mask_softmax(scores, mem.valid)
-    return AttentionOutput(values=weighted_sum(weights, v), weights=weights)
+    values = matmul(weighted_sum(weights, mem.data), narrow(proj.weight, 1, 2 * e, e))
+    if proj.bias is not None:
+        values = add(values, narrow(proj.bias, 0, 2 * e, e))
+    return AttentionOutput(values=values, weights=weights)

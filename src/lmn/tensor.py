@@ -12,8 +12,8 @@ activations); anything else raises ShapeError naming both shapes.
 
 from __future__ import annotations
 
+import itertools
 import math
-import weakref
 from contextlib import contextmanager
 
 import numpy as np
@@ -34,8 +34,8 @@ class ContractError(RuntimeError):
 #
 # The benchmark harness measures "peak allocated bytes" as the peak of live
 # tensor buffers created through this engine (views excluded), not OS RSS.
-# Buffers are registered at construction and released by a GC finalizer, so
-# under CPython refcounting the counter tracks live memory deterministically.
+# Buffers are registered at construction and released by ``Tensor.__del__``,
+# so under CPython refcounting the counter tracks live memory deterministically.
 # ---------------------------------------------------------------------------
 
 class AllocCounter:
@@ -84,7 +84,7 @@ class Tensor:
     zeroing grads accumulates (documented behaviour, used for shared weights).
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "__weakref__")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_owned_bytes")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
         if isinstance(data, (np.ndarray, np.generic)):
@@ -98,9 +98,13 @@ class Tensor:
         self.grad = None
         self._parents = _parents
         self._backward = _backward
-        if data.base is None:  # owns its buffer; views are not re-counted
-            ALLOC.add(data.nbytes)
-            weakref.finalize(self, ALLOC.release, data.nbytes)
+        # owns its buffer; views are not re-counted. Kept apart from data,
+        # which checkpoint loading and astype reassign.
+        self._owned_bytes = data.nbytes if data.base is None else 0
+        ALLOC.add(self._owned_bytes)
+
+    def __del__(self):
+        ALLOC.release(self._owned_bytes)
 
     # -- introspection ------------------------------------------------------
 
@@ -360,7 +364,9 @@ def concat(tensors, axis: int) -> Tensor:
             raise ShapeError(f"concat: shapes {tensors[0].shape} and {t.shape} differ off axis {axis}")
     out = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    # plain ints: np.cumsum of a list leaves a varying number of small
+    # cached allocations that tracemalloc counts as live
+    splits = list(itertools.accumulate(sizes[:-1]))
 
     def bwd(g):
         return tuple(np.split(g, splits, axis=axis))  # views; backward adopts or adds
@@ -389,14 +395,34 @@ def index_select(a: Tensor, axis: int, indices) -> Tensor:
     if indices.ndim != 1:
         raise ShapeError(f"index_select: indices must be 1-D, got shape {indices.shape}")
     out = np.take(a.data, indices, axis=axis)
+    n = a.shape[axis]
+    rows = indices % n if n else indices  # np.take wraps negative indices
 
     def bwd(g):
-        full = np.zeros_like(a.data)
-        moved = np.moveaxis(full, axis, 0)
-        np.add.at(moved, indices, np.moveaxis(g, axis, 0))
-        return (full,)
+        return (_scatter_add(g, rows, n, axis),)
 
     return _make(out, (a,), bwd)
+
+
+def _scatter_add(g: np.ndarray, indices: np.ndarray, n: int, axis: int) -> np.ndarray:
+    """Sum the slices of g along axis into n slots, slice i into slot indices[i].
+
+    One stable sort groups equal indices into runs; np.add.reduceat sums each
+    run and one fancy assignment writes the distinct slots, so the work is
+    vectorized per slot rather than looped per element. indices must lie in
+    [0, n).
+    """
+    shape = list(g.shape)
+    shape[axis] = n
+    full = np.zeros(shape, dtype=g.dtype)
+    if indices.size:
+        order = np.argsort(indices, kind="stable")
+        ordered = indices[order]
+        starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+        idx = [slice(None)] * g.ndim
+        idx[axis] = ordered[starts]
+        full[tuple(idx)] = np.add.reduceat(np.take(g, order, axis=axis), starts, axis=axis)
+    return full
 
 
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
@@ -407,9 +433,7 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     out = weight.data[ids.reshape(-1)].reshape(*ids.shape, weight.shape[1])
 
     def bwd(g):
-        gw = np.zeros_like(weight.data)
-        np.add.at(gw, ids.reshape(-1), g.reshape(-1, weight.shape[1]))
-        return (gw,)
+        return (_scatter_add(g.reshape(-1, weight.shape[1]), ids.reshape(-1), weight.shape[0], 0),)
 
     return _make(out, (weight,), bwd)
 

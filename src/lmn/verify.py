@@ -2,15 +2,25 @@
 
 Runs the library's correctness properties on random weights: dual-mode
 equivalence for every variant, finite-difference gradient checks, prefix
-causality, attention mask/softmax behaviour, slot-count oracles against
-brute-force prefix decomposition, and the expander width arithmetic.
+causality, attention mask/softmax behaviour, the folded attention against
+the unfused projection chain, slot-count oracles against brute-force prefix
+decomposition, and the expander width arithmetic.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .attention import attend
+from .attention import (
+    ORIENTATIONS,
+    QkvProjection,
+    attend,
+    mask_softmax,
+    multi_bank_combine,
+    qkv_project,
+    single_vector_scores,
+    weighted_sum,
+)
 from .bench import baseline_score_mac_closed_form, lmn_score_mac_closed_form
 from .counters import COUNTER
 from .memory import parallel_memory, sequential_memory, valid_mask
@@ -124,8 +134,6 @@ def check_attention_masking(quick: bool):
     rng = make_rng(31)
     summs = model.blocks[0].summarizers
     x = Tensor(rng.standard_normal((2, L, E)).astype(np.float32))
-    from .attention import multi_bank_combine
-
     with no_grad():
         mem = multi_bank_combine([parallel_memory(x, s) for s in summs])
         out = attend(mem, model.blocks[0].qkv)
@@ -134,6 +142,34 @@ def check_attention_masking(quick: bool):
     zeros_exact = bool(np.all(w[~np.broadcast_to(mem.valid[None], w.shape)] == 0.0))
     ok = bool(np.all(np.abs(sums - 1.0) <= 1e-6) and zeros_exact)
     return ok, f"weight sums in [{sums.min():.8f}, {sums.max():.8f}], invalid levels exactly zero: {zeros_exact}"
+
+
+def unfused_attend(mem, proj: QkvProjection, orientation: str = "literal"):
+    """The attention chain with every memory row projected, as (values, weights):
+    the reference that the folded ``attend`` must match."""
+    q, k, v = qkv_project(mem, proj)
+    weights = mask_softmax(single_vector_scores(q, k, mem.valid, orientation), mem.valid)
+    return weighted_sum(weights, v), weights
+
+
+def check_attention_fold(quick: bool):
+    L, E = 13, 8  # odd L: the pyramid is padded
+    rng = make_rng(37)
+    summs = [LinearSummarizer.init(rng, E) for _ in range(2)]
+    x = Tensor(rng.standard_normal((2, L, E)).astype(np.float32))
+    with no_grad():
+        mem = multi_bank_combine([parallel_memory(x, s) for s in summs])
+    gap_w = gap_v = 0.0
+    for orientation in ORIENTATIONS:
+        for bias in (True, False):
+            proj = QkvProjection.init(rng, E, bias=bias)
+            with no_grad():
+                out = attend(mem, proj, orientation)
+                ref_v, ref_w = unfused_attend(mem, proj, orientation)
+            gap_w = max(gap_w, float(np.abs(out.weights.data - ref_w.data).max()))
+            gap_v = max(gap_v, float(np.abs(out.values.data - ref_v.data).max()))
+    ok = gap_w <= 1e-5 and gap_v <= 1e-4
+    return ok, f"folded vs unfused attention: weight gap {gap_w:.2e}, value gap {gap_v:.2e}"
 
 
 def check_slot_counts(quick: bool):
@@ -201,6 +237,7 @@ CHECKS = [
     ("gradients", check_gradients),
     ("causality", check_causality),
     ("attention-masking", check_attention_masking),
+    ("attention-fold", check_attention_fold),
     ("slot-counts", check_slot_counts),
     ("expander-widths", check_expander_widths),
     ("score-mac-counters", check_counters),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lmn.attention import (
+    ORIENTATIONS,
     QkvProjection,
     attend,
     mask_softmax,
@@ -16,7 +17,8 @@ from lmn.attention import (
 from lmn.counters import COUNTER
 from lmn.memory import MemoryTensor, parallel_memory, valid_mask
 from lmn.summarizers import LinearSummarizer
-from lmn.tensor import ShapeError, Tensor, make_rng, no_grad
+from lmn.tensor import ShapeError, Tensor, grad_check, make_rng, mul, no_grad, sum_axis
+from lmn.verify import unfused_attend
 
 from conftest import naive_single_vector_attention
 
@@ -232,3 +234,54 @@ def test_score_mac_counter_counts_valid_levels_only():
     COUNTER.reset()
     single_vector_scores(q, k, mem.valid)
     assert COUNTER.score_macs == e * int(mem.valid.sum())
+
+
+def two_bank_memory(L=13, e=4, seed=70, dtype=np.float32):
+    rng = make_rng(seed)
+    banks = [LinearSummarizer.init(rng, e) for _ in range(2)]
+    x = Tensor(rng.standard_normal((2, L, e)).astype(np.float32))
+    with no_grad():
+        mem = multi_bank_combine([parallel_memory(x, s) for s in banks])
+    return MemoryTensor(Tensor(mem.data.data.astype(dtype)), mem.valid)
+
+
+@pytest.mark.parametrize("orientation", ORIENTATIONS)
+@pytest.mark.parametrize("bias", [True, False])
+def test_attend_equals_unfused_chain(orientation, bias):
+    mem = two_bank_memory()
+    proj = QkvProjection.init(make_rng(71), 4, bias=bias)
+    out = attend(mem, proj, orientation)
+    ref_v, ref_w = unfused_attend(mem, proj, orientation)
+    assert np.abs(out.weights.data - ref_w.data).max() <= 1e-5
+    assert np.abs(out.values.data - ref_v.data).max() <= 1e-4
+
+
+def test_attend_rejects_unknown_orientation():
+    with pytest.raises(ValueError):
+        attend(random_memory(), QkvProjection.init(make_rng(72), 4), "sideways")
+
+
+def attend_loss(mem, proj, orientation, seed=73):
+    target = make_rng(seed).standard_normal((mem.data.shape[0], mem.data.shape[1], proj.embed))
+    return sum_axis(mul(attend(mem, proj, orientation).values, Tensor(target)))
+
+
+@pytest.mark.parametrize("orientation", ORIENTATIONS)
+def test_attend_float64_gradients(orientation):
+    mem = two_bank_memory(L=13, e=3, seed=74, dtype=np.float64)
+    mem.data.requires_grad = True
+    proj = QkvProjection.init(make_rng(75), 3, dtype=np.float64)
+    params = [proj.weight, proj.bias, mem.data]
+    err = grad_check(lambda _: attend_loss(mem, proj, orientation), params, eps=1e-5)
+    assert err <= 1e-4
+
+
+@pytest.mark.parametrize("orientation, dropped", [("literal", 0), ("swapped", 1)])
+def test_dropped_bias_gets_exactly_zero_gradient(orientation, dropped):
+    # b_q (literal) or b_k (swapped) only shifts every score of a position alike
+    mem = two_bank_memory(seed=76)
+    proj = QkvProjection.init(make_rng(77), 4)
+    attend_loss(mem, proj, orientation).backward()
+    e = proj.embed
+    assert np.all(proj.bias.grad[dropped * e:(dropped + 1) * e] == 0.0)
+    assert np.all(proj.bias.grad[2 * e:] != 0.0)

@@ -1,6 +1,9 @@
 """Tensor engine: forward values against naive oracles, gradients against
 central finite differences, and the documented contracts."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -86,6 +89,27 @@ def test_concat_then_split_is_identity():
     back_a = narrow(cat, 1, 0, 3).data
     back_b = narrow(cat, 1, 3, 5).data
     assert np.array_equal(back_a, a) and np.array_equal(back_b, b)
+
+
+def test_concat_leaves_the_same_traced_memory_every_time():
+    """tracemalloc peaks (lmn bench, perfbench) repeat only if the ops leave
+    no history-dependent allocations behind; np.cumsum of a list did."""
+    a, b = t(np.ones((1, 2))), t(np.ones((1, 3)))
+
+    def left_after_loop():
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with no_grad():
+                for _ in range(2000):
+                    concat([a, b], axis=1)
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    concat([a, b], axis=1)
+    left = [left_after_loop() for _ in range(3)]
+    assert left[0] == left[1] == left[2], left
 
 
 def test_backward_linear_function():
@@ -290,6 +314,44 @@ def test_alloc_counter_tracks_live_tensors():
     assert ALLOC.peak_bytes >= base + 4096
     del big
     assert ALLOC.live_bytes == base
+
+
+def one_hot(indices, n):
+    m = np.zeros((len(indices), n))
+    m[np.arange(len(indices)), np.asarray(indices, dtype=np.int64) % n] = 1.0
+    return m
+
+
+SCATTER_CASES = {
+    "unsorted": [3, 0, 4, 1],
+    "repeated": [2, 4, 2, 0, 4, 4, 2],
+    "empty": [],
+}
+INDEX_SELECT_CASES = {**SCATTER_CASES, "negative": [-1, 4, 0, -5, 1]}  # np.take wraps these
+
+
+@pytest.mark.parametrize("case", INDEX_SELECT_CASES)
+def test_index_select_backward_matches_one_hot_oracle(case):
+    indices = INDEX_SELECT_CASES[case]
+    rng = make_rng(21)
+    a = Tensor(rng.standard_normal((3, 5, 2)), requires_grad=True)
+    out = index_select(a, 1, np.array(indices, dtype=np.int64))
+    g = rng.standard_normal(out.shape)
+    sum_axis(mul(out, Tensor(g))).backward()
+    expect = np.einsum("bie,in->bne", g, one_hot(indices, 5))
+    assert np.allclose(a.grad, expect, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", SCATTER_CASES)
+def test_embedding_backward_matches_one_hot_oracle(case):
+    ids = np.array(SCATTER_CASES[case], dtype=np.int64)
+    rng = make_rng(22)
+    w = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+    out = embedding(w, ids.reshape(1, -1))
+    g = rng.standard_normal(out.shape)
+    sum_axis(mul(out, Tensor(g))).backward()
+    expect = one_hot(ids, 5).T @ g.reshape(-1, 3)
+    assert np.allclose(w.grad, expect, atol=1e-12)
 
 
 def test_embedding_out_of_range_errors():
