@@ -18,15 +18,14 @@ from .memory import (
     parallel_memory,
     push_token,
     sequential_memory,
+    slot_widths,
     snapshot,
-    summarize_table,
 )
 from .summarizers import (
     DsConvSummarizer,
     ExpanderSummarizer,
     LinearSummarizer,
-    build_expanded_memory,
-    expanded_slot_widths,
+    build_memory,
 )
 from .attention import AttentionOutput, QkvProjection, attend, multi_bank_combine
 from .model import ModelConfig, build_model, load_checkpoint, param_count, save_checkpoint
@@ -38,9 +37,9 @@ __all__ = [
     "Tensor", "grad_check", "make_rng", "no_grad",
     "CapacityError", "MemoryTensor", "Pyramid", "SlotState",
     "build_pyramid", "gather_memory", "parallel_memory", "push_token",
-    "sequential_memory", "snapshot", "summarize_table",
+    "sequential_memory", "slot_widths", "snapshot",
     "DsConvSummarizer", "ExpanderSummarizer", "LinearSummarizer",
-    "build_expanded_memory", "expanded_slot_widths",
+    "build_memory",
     "AttentionOutput", "QkvProjection", "attend", "multi_bank_combine",
     "ModelConfig", "build_model", "load_checkpoint", "param_count", "save_checkpoint",
     "Dataset", "Vocab", "build_vocab", "sample_batch",

@@ -71,12 +71,6 @@ class QkvProjection:
         b = uniform_init(rng, (3 * embed,), fan_in=embed, dtype=dtype) if bias else None
         return cls(w, b)
 
-    def params(self) -> dict:
-        out = {"weight": self.weight}
-        if self.bias is not None:
-            out["bias"] = self.bias
-        return out
-
 
 @dataclass
 class AttentionOutput:

@@ -61,14 +61,21 @@ def parse_config_file(path) -> dict:
     return out
 
 
+_BOOLS = {"True": True, "true": True, "1": True, "yes": True,
+          "False": False, "false": False, "0": False, "no": False}
+
+
 def _coerce(fields_map, name, value):
     kind = fields_map[name]
-    if kind == "int":
-        return int(value)
-    if kind == "float":
-        return float(value)
-    if kind == "bool":
-        return value in ("True", "true", "1", "yes")
+    try:
+        if kind == "int":
+            return int(value)
+        if kind == "float":
+            return float(value)
+        if kind == "bool":
+            return _BOOLS[value]
+    except (KeyError, ValueError):
+        raise CliError(f"bad value {value!r} for {kind} key {name!r}") from None
     return value
 
 

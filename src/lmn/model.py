@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .attention import QkvProjection, attend, multi_bank_combine
+from .attention import ORIENTATIONS, QkvProjection, attend, multi_bank_combine
 from .counters import COUNTER
 from .memory import (
     CapacityError,
@@ -29,7 +29,6 @@ from .summarizers import (
     DsConvSummarizer,
     ExpanderSummarizer,
     LinearSummarizer,
-    ExpanderSlotState,
     build_memory,
     push_token_expanded,
     snapshot_expanded,
@@ -53,6 +52,7 @@ from .tensor import (
 )
 
 VARIANTS = ("logmem", "tiny-logmem", "expsum", "baseline-attn")
+SUMMARIZERS = ("linear", "dsconv")
 CKPT_MAGIC = b"LMNCKPT"
 CKPT_VERSION = 1
 
@@ -69,15 +69,17 @@ class ModelConfig:
     n_blocks: int = 1
     n_heads: int = 4
     seed: int = 0
-    summarizer: str = "linear"          # linear | dsconv (bank summarizer form)
+    summarizer: str = "linear"          # one of SUMMARIZERS (bank summarizer form)
     summarizer_bias: bool = True
     qkv_bias: bool = True
     score_orientation: str = "literal"  # literal | swapped
     tie_embeddings: bool = False
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
+        for name, allowed in (("variant", VARIANTS), ("summarizer", SUMMARIZERS),
+                              ("score_orientation", ORIENTATIONS)):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}, expected one of {allowed}")
         for name in ("vocab_size", "embed", "max_seq_len", "banks", "expansion", "n_blocks"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
@@ -144,15 +146,13 @@ def param_schema(cfg: ModelConfig) -> list[tuple[str, tuple, str, int]]:
                     entries.append((f"{b}.weight", (2 * e, e), "uniform", 2 * e))
                     if cfg.summarizer_bias:
                         entries.append((f"{b}.bias", (e,), "uniform", 2 * e))
-                elif cfg.summarizer == "dsconv":
+                else:
                     entries += [
                         (f"{b}.depthwise", (e, 2), "uniform", 2),
                         (f"{b}.pointwise", (e, e), "uniform", e),
                     ]
                     if cfg.summarizer_bias:
                         entries.append((f"{b}.bias", (e,), "uniform", e))
-                else:
-                    raise ValueError(f"unknown summarizer {cfg.summarizer!r}")
         elif cfg.variant == "expsum":
             b = f"{p}.bank0"
             entries += [
@@ -247,34 +247,27 @@ class LmnBlock:
         return x
 
     def fresh_states(self):
-        if self.cfg.variant == "expsum":
-            return [ExpanderSlotState.fresh(self.cfg.n_levels, self.cfg.expansion)
-                    for _ in self.summarizers]
-        return [SlotState.fresh(self.cfg.n_levels) for _ in self.summarizers]
+        return [SlotState.fresh(self.cfg.n_levels, s.k) for s in self.summarizers]
 
     def step(self, x: Tensor, states) -> Tensor:
         """One position: x [1, 1, E]; snapshots, attends, then pushes."""
+        # the expander's named entry points into the shared tree
+        if self.cfg.variant == "expsum":
+            take, push = snapshot_expanded, push_token_expanded
+        else:
+            take, push = snapshot, push_token
         n = layer_norm(x, *self.ln1)
         n_flat = reshape(n, (1, self.cfg.embed))
-        rows, valids = [], []
+        mems = []
         for s in states:
-            if isinstance(s, ExpanderSlotState):
-                row, valid = snapshot_expanded(s, n_flat)
-            else:
-                row, valid = snapshot(s, n_flat)
-            rows.append(row)
-            valids.append(valid)
-        mems = [MemoryTensor(reshape(r, (1, 1, r.shape[0], self.cfg.embed)), v[None, :])
-                for r, v in zip(rows, valids)]
+            row, valid = take(s, n_flat)
+            mems.append(MemoryTensor(reshape(row, (1, 1, row.shape[0], self.cfg.embed)), valid[None, :]))
         mem = multi_bank_combine(mems)
         att = attend(mem, self.qkv, self.cfg.score_orientation)
         x = add(x, add(matmul(att.values, self.out_w), self.out_b))
         x = add(x, self.ffn(layer_norm(x, *self.ln2)))
         for s, summ in zip(states, self.summarizers):
-            if isinstance(s, ExpanderSlotState):
-                push_token_expanded(s, n_flat, summ)
-            else:
-                push_token(s, n_flat, summ)
+            push(s, n_flat, summ)
         return x
 
 

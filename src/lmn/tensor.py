@@ -450,10 +450,6 @@ def sum_axis(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _make(np.asarray(out, dtype=a.dtype), (a,), bwd)
 
 
-def mean_all(a: Tensor) -> Tensor:
-    return scale(sum_axis(a), 1.0 / a.size)
-
-
 def einsum_pair(spec: str, a: Tensor, b: Tensor) -> Tensor:
     """Two-operand einsum with autodiff.
 
@@ -671,10 +667,6 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int, dtype=DEFAULT_DTY
 
 def zeros(shape, dtype=DEFAULT_DTYPE, requires_grad: bool = False) -> Tensor:
     return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
-
-
-def ones(shape, dtype=DEFAULT_DTYPE, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(shape, dtype=dtype), requires_grad=requires_grad)
 
 
 def grad_check(f, params, eps: float = 1e-3) -> float:

@@ -23,15 +23,9 @@ from .attention import (
 )
 from .bench import baseline_score_mac_closed_form, lmn_score_mac_closed_form
 from .counters import COUNTER
-from .memory import parallel_memory, sequential_memory, valid_mask
+from .memory import parallel_memory, slot_widths, valid_mask
 from .model import ModelConfig, build_model, loss as loss_fn
-from .summarizers import (
-    LinearSummarizer,
-    build_expanded_memory,
-    ExpanderSummarizer,
-    expanded_slot_widths,
-    expanded_valid_mask,
-)
+from .summarizers import DsConvSummarizer, ExpanderSummarizer, LinearSummarizer, build_memory
 from .tensor import Tensor, grad_check, make_rng, no_grad
 
 
@@ -76,16 +70,23 @@ def check_mode_equivalence(quick: bool):
     return worst <= 1e-4, f"max |parallel - sequential| logit gap = {worst:.2e}"
 
 
+def _tree_gap(summarizers, L: int, E: int, rng) -> float:
+    """Largest |parallel - sequential| memory entry over the given summarizers."""
+    gap = 0.0
+    for summ in summarizers:
+        x = Tensor(rng.standard_normal((2, L, E)).astype(np.float32))
+        with no_grad():
+            par = build_memory(x, summ, "parallel").data.numpy()
+            seq = build_memory(x, summ, "sequential").data.numpy()
+        gap = max(gap, float(np.abs(par - seq).max()))
+    return gap
+
+
 def check_memory_equivalence(quick: bool):
     L, E = (32, 8) if quick else (64, 16)
     rng = make_rng(3)
-    summ = LinearSummarizer.init(rng, E)
-    x = Tensor(rng.standard_normal((2, L, E)).astype(np.float32))
-    with no_grad():
-        par = parallel_memory(x, summ).data.numpy()
-        seq = sequential_memory(x, summ).data.numpy()
-    gap = float(np.abs(par - seq).max())
-    return gap <= 1e-5, f"max memory gap = {gap:.2e}"
+    gap = _tree_gap([LinearSummarizer.init(rng, E), DsConvSummarizer.init(rng, E)], L, E, rng)
+    return gap <= 1e-5, f"max memory gap (linear, dsconv) = {gap:.2e}"
 
 
 def check_gradients(quick: bool):
@@ -188,12 +189,12 @@ def check_slot_counts(quick: bool):
 def check_expander_widths(quick: bool):
     ok = True
     for S, k in ((4, 1), (13, 1), (6, 2), (5, 0)):
-        widths = expanded_slot_widths(S, k)
+        widths = slot_widths(S, k)
         ok = ok and widths == [1 + level * k for level in range(S)]
         ok = ok and sum(widths) == S + k * S * (S - 1) // 2
     n = 256 if quick else 1024
-    mask = expanded_valid_mask(n, 13, 1)
-    widths = expanded_slot_widths(13, 1)
+    mask = valid_mask(n, 13, 1)
+    widths = slot_widths(13, 1)
     for t in range(n):
         expect = 1 + sum(widths[level] for level, _ in prefix_decomposition(t))
         ok = ok and mask[t].sum() == expect
@@ -203,13 +204,8 @@ def check_expander_widths(quick: bool):
 def check_expanded_equivalence(quick: bool):
     L, E = (16, 8) if quick else (32, 8)
     rng = make_rng(41)
-    es = ExpanderSummarizer.init(rng, E, k=1)
-    x = Tensor(rng.standard_normal((2, L, E)).astype(np.float32))
-    with no_grad():
-        par = build_expanded_memory(x, es, "parallel").data.numpy()
-        seq = build_expanded_memory(x, es, "sequential").data.numpy()
-    gap = float(np.abs(par - seq).max())
-    return gap <= 1e-5, f"expander memory gap = {gap:.2e}"
+    gap = _tree_gap([ExpanderSummarizer.init(rng, E, k=k) for k in (1, 2)], L, E, rng)
+    return gap <= 1e-5, f"expander memory gap (k=1, k=2) = {gap:.2e}"
 
 
 def check_counters(quick: bool):

@@ -117,6 +117,18 @@ def test_config_file_unknown_key_rejected(tmp_path):
         parse_config_file(p)
 
 
+@pytest.mark.parametrize("line", ["model.summarizer=dscnv", "model.score_orientation=sideways",
+                                  "model.summarizer_bias=flase", "model.embed=abc"])
+def test_bad_config_value_exits_2_with_one_line(tmp_path, capsys, line):
+    p = tmp_path / "cfg.txt"
+    p.write_text(line + "\n")
+    assert main(["verify", "--quick", "--config", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert "ALL PASS" not in captured.out
+    assert captured.err.startswith("error: ") and len(captured.err.strip().splitlines()) == 1
+    assert "Traceback" not in captured.err
+
+
 def test_config_file_parsing_and_override(tmp_path, corpus_file, capsys):
     p = tmp_path / "cfg.txt"
     p.write_text("# comment\nmodel.variant=logmem\nmodel.embed=8\nmodel.banks=1\n"

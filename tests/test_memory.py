@@ -15,10 +15,9 @@ from lmn.memory import (
     push_token,
     sequential_memory,
     snapshot,
-    summarize_table,
     valid_mask,
 )
-from lmn.summarizers import LinearSummarizer
+from lmn.summarizers import DsConvSummarizer, ExpanderSummarizer, LinearSummarizer
 from lmn.tensor import Tensor, make_rng, no_grad
 
 from conftest import linear_merge_fn, prefix_blocks, tree_summary
@@ -37,24 +36,6 @@ def identity_summarizer(e, which="older"):
     else:
         w[e:] = block
     return LinearSummarizer(Tensor(w))
-
-
-@pytest.mark.parametrize("prev,expected", [(3, (4, 0b111)), (0, (1, 0b001)), (5, (6, 0b011))])
-def test_summarize_table(prev, expected):
-    assert summarize_table(prev) == expected
-
-
-def test_summarize_table_merge_count_matches_bitmask():
-    # popcount(mask) - 1 merges per push: cross-check against the carry chain
-    e = 4
-    summ = make_summ(e)
-    state = SlotState.fresh(5)
-    rng = make_rng(1)
-    for t in range(31):
-        _, mask = summarize_table(t)
-        before = COUNTER.summarizer_ops
-        push_token(state, Tensor(rng.standard_normal((1, e)).astype(np.float32)), summ)
-        assert COUNTER.summarizer_ops - before == bin(mask).count("1") - 1
 
 
 def test_push_token_first_three_examples():
@@ -202,9 +183,9 @@ def test_gather_closed_form_indices():
     x = rng.standard_normal((1, 8, e)).astype(np.float32)
     p = build_pyramid(Tensor(x), summ)
     mem = gather_memory(p, 8)
-    assert np.array_equal(mem.data.data[0, 5, 3], p.levels[2].data[0, 0])
-    assert np.array_equal(mem.data.data[0, 5, 1], p.levels[0].data[0, 4])
-    assert np.array_equal(mem.data.data[0, 6, 2], p.levels[1].data[0, 2])
+    assert np.array_equal(mem.data.data[0, 5, 3], p.levels[2].data[0, 0, 0])
+    assert np.array_equal(mem.data.data[0, 5, 1], p.levels[0].data[0, 4, 0])
+    assert np.array_equal(mem.data.data[0, 6, 2], p.levels[1].data[0, 2, 0])
 
 
 def test_parallel_equals_sequential_random():
@@ -300,3 +281,38 @@ def test_identity_summarizers_expose_merge_order():
     with no_grad():
         mem2 = sequential_memory(Tensor(x), newer)
     assert np.allclose(mem2.data.data[0, 4, 3], x[0, 3], atol=1e-6)
+
+
+SUMMARIZERS = {
+    "linear": lambda rng, e: LinearSummarizer.init(rng, e),
+    "dsconv": lambda rng, e: DsConvSummarizer.init(rng, e),
+    "expander-k1": lambda rng, e: ExpanderSummarizer.init(rng, e, k=1),
+    "expander-k2": lambda rng, e: ExpanderSummarizer.init(rng, e, k=2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUMMARIZERS))
+def test_one_block_tree_for_every_summarizer(name):
+    # the same carry chain, snapshot, mask, pyramid and gather for every k
+    b, L, e = 2, 13, 4
+    rng = make_rng(18)
+    summ = SUMMARIZERS[name](rng, e)
+    x = Tensor(rng.standard_normal((b, L, e)).astype(np.float32))
+    S = levels_for(L)
+    with no_grad():
+        par = parallel_memory(x, summ)
+        seq = sequential_memory(x, summ)
+        p = build_pyramid(x, summ)
+    assert np.array_equal(par.valid, seq.valid)
+    assert np.array_equal(par.valid, valid_mask(L, S, summ.k))
+    assert np.abs(par.data.data - seq.data.data).max() <= 1e-5
+    assert [lvl.shape for lvl in p.levels] == [(b, 16 >> level, 1 + level * summ.k, e)
+                                               for level in range(S + 1)]
+    state = SlotState.fresh(S, summ.k)
+    with no_grad():
+        for t in range(L):
+            xt = Tensor(x.data[0, t:t + 1])
+            row, valid = snapshot(state, xt)
+            assert row.shape == (par.valid.shape[1], e)
+            assert np.array_equal(valid, par.valid[t])
+            push_token(state, xt, summ)

@@ -191,6 +191,23 @@ def test_baseline_tiny_gradient_check():
     assert grad_check(f, params, eps=1e-4) <= 1e-4
 
 
+@pytest.mark.parametrize("kw", [dict(variant="expsum", expansion=1),
+                                dict(variant="logmem", banks=2, summarizer="dsconv")],
+                         ids=["expsum-k1", "logmem-dsconv"])
+def test_tree_variant_gradient_check(kw):
+    cfg = ModelConfig(vocab_size=7, embed=4, max_seq_len=8, n_blocks=1, seed=5, **kw)
+    model = build_model(cfg).astype(np.float64)
+    rng = make_rng(9)
+    tokens = rng.integers(0, 7, size=(1, 7))  # L=7: the pyramid is padded
+    targets = rng.integers(0, 7, size=(1, 7))
+    params = [model.params[n] for n in model.param_vector_names()]
+
+    def f(_):
+        return loss_fn(model.forward(tokens, mode="parallel"), targets)
+
+    assert grad_check(f, params, eps=1e-4) <= 1e-4
+
+
 # Table 1 comparison configs (documented in the README): 4 pre-norm blocks,
 # context 512, unbiased bank summarizers, biased qkv on the tree variants.
 TABLE1 = dict(embed=32, vocab_size=65, max_seq_len=512, n_blocks=4, summarizer_bias=False)

@@ -4,18 +4,14 @@ its widened-slot memory discipline."""
 import numpy as np
 import pytest
 
-from lmn.memory import CapacityError
+from lmn.memory import CapacityError, SlotState, push_token, snapshot
 from lmn.summarizers import (
     DsConvSummarizer,
-    ExpanderSlotState,
     ExpanderSummarizer,
     LinearSummarizer,
-    build_expanded_memory,
-    expanded_slot_offsets,
+    build_memory,
     expanded_slot_widths,
     expanded_valid_mask,
-    push_token_expanded,
-    snapshot_expanded,
 )
 from lmn.tensor import Tensor, make_rng, no_grad
 
@@ -64,7 +60,7 @@ def test_dsconv_and_linear_agree_under_constructed_weights():
     a = Tensor(rng.standard_normal((1, e)).astype(np.float32))
     b = Tensor(rng.standard_normal((1, e)).astype(np.float32))
     assert np.allclose(ds.merge_pair(a, b).data, lin.merge_pair(a, b).data, atol=1e-5)
-    x = Tensor(rng.standard_normal((2, 8, e)).astype(np.float32))
+    x = Tensor(rng.standard_normal((2, 8, 1, e)).astype(np.float32))
     assert np.allclose(ds.merge_level(x).data, lin.merge_level(x).data, atol=1e-5)
 
 
@@ -112,10 +108,10 @@ def test_expand_merge_width_mismatch_errors():
 def test_expander_block_widths_follow_formula():
     e = 4
     es = ExpanderSummarizer.init(make_rng(5), e, k=1)
-    state = ExpanderSlotState.fresh(4, 1)
+    state = SlotState.fresh(4, 1)
     rng = make_rng(6)
     for _ in range(12):
-        push_token_expanded(state, Tensor(rng.standard_normal((1, e)).astype(np.float32)), es)
+        push_token(state, Tensor(rng.standard_normal((1, e)).astype(np.float32)), es)
     for level in range(4):
         if state.occupied(level):
             assert state.slots[level].shape == (1 + level, e)
@@ -125,15 +121,15 @@ def test_snapshot_expanded_valid_rows():
     e = 4
     es = ExpanderSummarizer.init(make_rng(7), e, k=1)
     rng = make_rng(8)
-    state = ExpanderSlotState.fresh(3, 1)
+    state = SlotState.fresh(3, 1)
     for _ in range(5):
-        push_token_expanded(state, Tensor(rng.standard_normal((1, e)).astype(np.float32)), es)
-    row, valid = snapshot_expanded(state, Tensor(rng.standard_normal((1, e)).astype(np.float32)))
+        push_token(state, Tensor(rng.standard_normal((1, e)).astype(np.float32)), es)
+    row, valid = snapshot(state, Tensor(rng.standard_normal((1, e)).astype(np.float32)))
     # t=5 = 101b with widths 1+l: 1 (current) + w0 + w2 = 5 valid rows
     assert valid.sum() == 5
     assert row.shape == (1 + 1 + 2 + 3, e)
-    state0 = ExpanderSlotState.fresh(3, 1)
-    _, valid0 = snapshot_expanded(state0, Tensor(np.zeros((1, e), dtype=np.float32)))
+    state0 = SlotState.fresh(3, 1)
+    _, valid0 = snapshot(state0, Tensor(np.zeros((1, e), dtype=np.float32)))
     assert valid0.sum() == 1
 
 
@@ -146,23 +142,13 @@ def test_expanded_valid_counts_match_oracle():
         assert mask[t].sum() == expect
 
 
-def test_expanded_offsets_partition_the_rows():
-    S, k = 5, 2
-    widths = expanded_slot_widths(S, k)
-    offsets = expanded_slot_offsets(S, k)
-    assert offsets[0] == 1
-    for level in range(1, S):
-        assert offsets[level] == offsets[level - 1] + widths[level - 1]
-    assert offsets[-1] + widths[-1] == 1 + sum(widths)
-
-
 def test_expanded_parallel_equals_sequential():
     e, L = 8, 32
     es = ExpanderSummarizer.init(make_rng(9), e, k=1)
     x = Tensor(make_rng(10).standard_normal((2, L, e)).astype(np.float32))
     with no_grad():
-        par = build_expanded_memory(x, es, "parallel")
-        seq = build_expanded_memory(x, es, "sequential")
+        par = build_memory(x, es, "parallel")
+        seq = build_memory(x, es, "sequential")
     assert np.array_equal(par.valid, seq.valid)
     assert np.abs(par.data.data - seq.data.data).max() <= 1e-5
 
@@ -172,8 +158,8 @@ def test_expanded_parallel_equals_sequential_k2_ragged():
     es = ExpanderSummarizer.init(make_rng(11), e, k=2)
     x = Tensor(make_rng(12).standard_normal((1, L, e)).astype(np.float32))
     with no_grad():
-        par = build_expanded_memory(x, es, "parallel")
-        seq = build_expanded_memory(x, es, "sequential")
+        par = build_memory(x, es, "parallel")
+        seq = build_memory(x, es, "sequential")
     assert np.abs(par.data.data - seq.data.data).max() <= 1e-5
 
 
@@ -198,4 +184,4 @@ def test_expanded_capacity_error():
     es = ExpanderSummarizer.init(make_rng(14), e, k=1)
     x = Tensor(np.zeros((1, 9, e), dtype=np.float32))
     with pytest.raises(CapacityError):
-        build_expanded_memory(x, es, "sequential", n_levels=3)
+        build_memory(x, es, "sequential", n_levels=3)
