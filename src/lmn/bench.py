@@ -1,54 +1,30 @@
 """Scaling harness: wall time, peak allocation, and counted operations.
 
-Forward timing uses a monotonic clock, one warm-up run, and the median of
-R >= 3 reps. "Peak bytes" is the engine's live-tensor allocation counter
-bracketing the call: the peak of bytes newly allocated during the run
-(recurrent state plus activations; pre-existing weights excluded), a
-deterministic stand-in for device memory. Sequential rows measure recurrent
-stepping (slot state or KV cache as the only carried state); parallel rows
-measure the one-shot forward. Out-of-memory becomes a failure row, not a
-crash.
+Forward timing uses a monotonic clock and the median of R >= 3 reps, run
+with glibc malloc at its defaults. One warm-up run before the reps is also
+the counted run and the memory pass: it runs under ``tracemalloc``, which
+sees every numpy buffer, and "peak bytes" is its traced peak above the
+traced bytes at its start (recurrent state plus activations; pre-existing
+weights excluded). The timed reps run untraced. Sequential rows measure
+recurrent stepping (slot state or KV cache as the only carried state);
+parallel rows measure the one-shot forward. A ``MemoryError`` becomes a
+failure row, not a crash; a forward that the operating system kills ends
+the sweep, leaving the rows already written in the CSV.
 """
 
 from __future__ import annotations
 
 import csv
-import ctypes
-import ctypes.util
 import math
 import time
+import tracemalloc
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .counters import COUNTER, OpCounter
+from .counters import COUNTER
 from .model import ModelConfig, build_model
-from .tensor import ALLOC, make_rng, no_grad
-
-_M_MMAP_THRESHOLD = -3
-_libc = None
-
-
-def _reset_allocator():
-    """Put glibc malloc into a canonical state so measurements do not depend
-    on the allocation history of the process.
-
-    Freeing a very large block makes glibc raise its mmap threshold
-    dynamically, after which 8-32 MB numpy buffers come from the brk heap
-    instead of fresh mmaps, and retained warm arena pages speed up small
-    allocations; both make medians depend on what ran earlier. Pinning the
-    threshold disables the sliding behaviour and malloc_trim releases the
-    retained pages.
-    """
-    global _libc
-    if _libc is None:
-        try:
-            _libc = ctypes.CDLL(ctypes.util.find_library("c") or "libc.so.6")
-            _libc.mallopt(_M_MMAP_THRESHOLD, 128 * 1024)
-        except (OSError, AttributeError):
-            _libc = False  # non-glibc platform: accept the default behaviour
-    if _libc:
-        _libc.malloc_trim(0)
+from .tensor import make_rng, no_grad
 
 CSV_COLUMNS = ["variant", "mode", "L", "reps", "median_seconds", "peak_bytes",
                "score_macs", "summarizer_ops", "status"]
@@ -97,6 +73,22 @@ def _run_stepping(model, tokens):
             model.step(state, int(tok))
 
 
+def _traced_peak(runner, args) -> int:
+    """Run once under tracemalloc; return the peak traced bytes above the
+    traced bytes at the start. Stops tracing only if it started it."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        runner(*args)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
 def time_forward(model, L: int, mode: str, reps: int = 3, seed: int = 0) -> BenchRecord:
     """Median wall time over reps (after one warm-up) for one forward pass.
 
@@ -105,27 +97,20 @@ def time_forward(model, L: int, mode: str, reps: int = 3, seed: int = 0) -> Benc
     """
     if reps < 3:
         raise ValueError("reps must be >= 3")
-    _reset_allocator()
     rng = make_rng(seed)
     tokens = rng.integers(0, model.config.vocab_size, size=(1, L))
     runner = _run_stepping if mode == "sequential" else _run_forward
     args = (model, tokens) if mode == "sequential" else (model, tokens, mode)
     try:
         COUNTER.reset()
-        runner(*args)  # warm-up; also the counted run (counts repeat per run)
+        # warm-up, counted run (counts repeat per run) and memory pass at once
+        peak = _traced_peak(runner, args)
         counts = COUNTER.snapshot()
         times = []
-        peak = 0
         for _ in range(reps):
-            COUNTER.reset()
-            start_live = ALLOC.live_bytes
-            ALLOC.reset_peak()
             t0 = time.monotonic()
             runner(*args)
             times.append(time.monotonic() - t0)
-            # bytes newly live during the call: state + activations, without
-            # whatever the process already held (weights, other fixtures)
-            peak = max(peak, ALLOC.peak_bytes - start_live)
         return BenchRecord(model.config.variant, mode, L, reps,
                            float(np.median(times)), peak,
                            counts["score_macs"], counts["summarizer_ops"])

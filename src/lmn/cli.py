@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import struct
 import sys
 from dataclasses import fields
 
@@ -181,7 +182,10 @@ def _cfg_dict(cfg) -> dict:
 def _load_artifacts(args):
     if not args.checkpoint or not os.path.exists(args.checkpoint):
         raise CliError(f"checkpoint not found: {args.checkpoint}")
-    model = load_checkpoint(args.checkpoint)
+    try:
+        model = load_checkpoint(args.checkpoint)
+    except (ValueError, struct.error) as exc:  # UnicodeDecodeError is a ValueError
+        raise CliError(f"bad checkpoint {args.checkpoint}: {exc}") from None
     vocab = None
     if args.vocab:
         if not os.path.exists(args.vocab):
@@ -195,6 +199,10 @@ def _load_artifacts(args):
 
 
 def cmd_generate(args) -> int:
+    if args.n_new < 0:
+        raise CliError(f"--n-new must be >= 0, got {args.n_new}")
+    if not args.argmax and not args.temperature > 0:
+        raise CliError(f"--temperature must be > 0 without --argmax, got {args.temperature}")
     model, vocab = _load_artifacts(args)
     if vocab is None:
         raise CliError("generate requires --vocab")

@@ -510,6 +510,8 @@ def config_from_text(text: str) -> ModelConfig:
         if kinds[key] == "int":
             kwargs[key] = int(value)
         elif kinds[key] == "bool":
+            if value not in ("True", "False"):
+                raise ValueError(f"bad bool {value!r} for config key {key!r} in checkpoint")
             kwargs[key] = value == "True"
         else:
             kwargs[key] = value

@@ -29,34 +29,6 @@ class ContractError(RuntimeError):
     """An op was called outside its contract (e.g. backward on a non-scalar)."""
 
 
-# ---------------------------------------------------------------------------
-# Allocation accounting.
-#
-# The benchmark harness measures "peak allocated bytes" as the peak of live
-# tensor buffers created through this engine (views excluded), not OS RSS.
-# Buffers are registered at construction and released by ``Tensor.__del__``,
-# so under CPython refcounting the counter tracks live memory deterministically.
-# ---------------------------------------------------------------------------
-
-class AllocCounter:
-    def __init__(self):
-        self.live_bytes = 0
-        self.peak_bytes = 0
-
-    def add(self, nbytes: int):
-        self.live_bytes += nbytes
-        if self.live_bytes > self.peak_bytes:
-            self.peak_bytes = self.live_bytes
-
-    def release(self, nbytes: int):
-        self.live_bytes -= nbytes
-
-    def reset_peak(self):
-        self.peak_bytes = self.live_bytes
-
-
-ALLOC = AllocCounter()
-
 _grad_enabled = True
 
 
@@ -72,10 +44,6 @@ def no_grad():
         _grad_enabled = prev
 
 
-def is_grad_enabled() -> bool:
-    return _grad_enabled
-
-
 class Tensor:
     """N-dimensional float array, optionally recorded on the autodiff tape.
 
@@ -84,7 +52,7 @@ class Tensor:
     zeroing grads accumulates (documented behaviour, used for shared weights).
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_owned_bytes")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
         if isinstance(data, (np.ndarray, np.generic)):
@@ -98,13 +66,6 @@ class Tensor:
         self.grad = None
         self._parents = _parents
         self._backward = _backward
-        # owns its buffer; views are not re-counted. Kept apart from data,
-        # which checkpoint loading and astype reassign.
-        self._owned_bytes = data.nbytes if data.base is None else 0
-        ALLOC.add(self._owned_bytes)
-
-    def __del__(self):
-        ALLOC.release(self._owned_bytes)
 
     # -- introspection ------------------------------------------------------
 
@@ -129,9 +90,6 @@ class Tensor:
 
     def numpy(self) -> np.ndarray:
         return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
 
     def astype(self, dtype) -> "Tensor":
         return Tensor(self.data.astype(dtype), requires_grad=self.requires_grad)

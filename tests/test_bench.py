@@ -2,6 +2,7 @@
 output, and slope fitting."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,26 @@ def test_time_forward_oom_becomes_failure_row(monkeypatch):
     rec = time_forward(model, 16, "parallel")
     assert rec.status == "failed"
     assert np.isnan(rec.median_seconds)
+
+
+@pytest.mark.parametrize("oom", [False, True])
+@pytest.mark.parametrize("tracing_before", [False, True])
+def test_time_forward_restores_tracing_state(monkeypatch, tracing_before, oom):
+    model = bench_model("logmem", 16, embed=8)
+    if oom:
+        def boom(*a, **k):
+            raise MemoryError("simulated")
+
+        monkeypatch.setattr(model, "forward", boom)
+    if tracing_before:
+        tracemalloc.start()
+    try:
+        rec = time_forward(model, 16, "parallel")
+        assert rec.status == ("failed" if oom else "ok")
+        assert tracemalloc.is_tracing() == tracing_before
+    finally:
+        if tracing_before:
+            tracemalloc.stop()
 
 
 def test_loglog_slope_recovers_exponent():

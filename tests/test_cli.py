@@ -75,6 +75,40 @@ def test_generate_beyond_capacity_exit_4(trained):
     assert code == 4
 
 
+def _bad_checkpoints(trained):
+    good = open(os.path.join(trained, "model_final.ckpt"), "rb").read()
+    assert b"summarizer_bias=True\n" in good
+    return {
+        "half-length": good[: len(good) // 2],
+        "garbage": b"LMNCKPT" + b"\xff" * 64,
+        "bad-bool": good.replace(b"summarizer_bias=True\n", b"summarizer_bias=Ture\n", 1),
+    }
+
+
+def _assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["half-length", "garbage", "bad-bool"])
+def test_bad_checkpoint_exits_2_with_one_line(trained, tmp_path, capsys, kind):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(_bad_checkpoints(trained)[kind])
+    code = main(["generate", "--checkpoint", str(path),
+                 "--vocab", os.path.join(trained, "vocab.txt"), "--n-new", "5"])
+    assert code == 2
+    _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("flags", [["--temperature", "0"], ["--n-new", "-3"]])
+def test_generate_bad_flags_exit_2(trained, capsys, flags):
+    code = main(["generate", "--checkpoint", os.path.join(trained, "model_final.ckpt"),
+                 "--vocab", os.path.join(trained, "vocab.txt"), "--prompt", "K", *flags])
+    assert code == 2
+    _assert_one_error_line(capsys)
+
+
 def test_eval_subcommand(trained, corpus_file, capsys):
     code = main(["eval", "--checkpoint", os.path.join(trained, "model_final.ckpt"),
                  "--vocab", os.path.join(trained, "vocab.txt"),

@@ -8,6 +8,7 @@ from lmn.memory import CapacityError
 from lmn.model import (
     ModelConfig,
     build_model,
+    config_from_text,
     generate,
     load_checkpoint,
     loss as loss_fn,
@@ -307,6 +308,13 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b"not a checkpoint")
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", ["flase", "true", "1", ""])
+def test_checkpoint_config_rejects_bad_bool(value):
+    assert config_from_text("summarizer_bias=False\nqkv_bias=True\n").qkv_bias is True
+    with pytest.raises(ValueError, match=f"{value!r}.*'qkv_bias'"):
+        config_from_text(f"summarizer_bias=False\nqkv_bias={value}\n")
 
 
 def test_tied_embeddings_drop_unembed_matrix():

@@ -9,7 +9,6 @@ import pytest
 
 from lmn import tensor as T
 from lmn.tensor import (
-    ALLOC,
     ContractError,
     ShapeError,
     Tensor,
@@ -304,16 +303,6 @@ def test_conv_transpose_shape_and_values():
     # stride-1 kernel-3 over length 2: overlap counts are 1,2,2,1
     assert out.size == 2 + 3 - 1
     assert np.allclose(out, [1.0, 2.0, 2.0, 1.0])
-
-
-def test_alloc_counter_tracks_live_tensors():
-    ALLOC.reset_peak()
-    base = ALLOC.live_bytes
-    big = Tensor(np.zeros(1024, dtype=np.float32))
-    assert ALLOC.live_bytes == base + 4096
-    assert ALLOC.peak_bytes >= base + 4096
-    del big
-    assert ALLOC.live_bytes == base
 
 
 def one_hot(indices, n):
