@@ -11,16 +11,17 @@ from __future__ import annotations
 
 import argparse
 import os
-import struct
 import sys
 from dataclasses import fields
+
+import numpy as np
 
 from .bench import sweep
 from .data import Dataset, Vocab, load_corpus
 from .memory import CapacityError
 from .model import ModelConfig, build_model, generate, load_checkpoint, param_count
 from .tensor import make_rng
-from .training import TrainConfig, evaluate, train
+from .training import DivergenceError, TrainConfig, evaluate, train
 from .verify import run_verify
 
 EXIT_OK = 0
@@ -150,7 +151,11 @@ def cmd_train(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     ds.vocab.save(os.path.join(args.out, "vocab.txt"))
     model = build_model(model_cfg)
-    report = train(model, ds, train_cfg, out_dir=args.out, log=print)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported below, once
+            report = train(model, ds, train_cfg, out_dir=args.out, log=print)
+    except DivergenceError as exc:
+        raise CliError(f"training diverged: {exc}") from None
     print(f"final: train {report.final_train:.4f}, val {report.final_val:.4f} "
           f"(best val {report.best_val:.4f})")
     return EXIT_OK
@@ -184,7 +189,7 @@ def _load_artifacts(args):
         raise CliError(f"checkpoint not found: {args.checkpoint}")
     try:
         model = load_checkpoint(args.checkpoint)
-    except (ValueError, struct.error) as exc:  # UnicodeDecodeError is a ValueError
+    except ValueError as exc:  # UnicodeDecodeError is a ValueError
         raise CliError(f"bad checkpoint {args.checkpoint}: {exc}") from None
     vocab = None
     if args.vocab:

@@ -18,12 +18,14 @@ validity mask; invalid rows are exactly zero.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .counters import COUNTER
-from .tensor import Tensor, concat, index_select, masked_fill, narrow, reshape, zeros
+from .tensor import (ContractError, Tensor, concat, index_select, masked_fill, narrow,
+                     records_grad, reshape, zeros)
 
 
 class CapacityError(RuntimeError):
@@ -53,68 +55,89 @@ def slot_widths(n_levels: int, k: int = 0) -> list[int]:
 
 @dataclass
 class SlotState:
-    """Binary-counter memory state: one optional block per level.
+    """Binary-counter memory state of one stream, held in one row buffer.
 
-    slots[l] is a [1 + l*k, E] tensor when occupied (bit l of consumed set)
-    else None. Single-owner mutable; the recurrent state during generation.
+    ``rows`` is a [D + w_S, E] array, allocated at first use with the dtype of
+    the token it is given. Row 0 holds the current token and level l owns
+    rows ``bounds[l]``, in snapshot order; level S, the tree root that the
+    final push of a full sequence writes, lies past the D rows a snapshot
+    reads. Level l is occupied iff bit l of ``consumed`` is set, and the rows
+    of an empty level are zero. Single-owner and mutable: the recurrent state
+    during generation. Inference-only: the rows are plain arrays, so no
+    gradient flows through them.
     """
 
-    slots: list
-    consumed: int
     n_levels: int
-    k: int
+    bounds: list           # (first row, end row) of each level, the root included
+    row_level: np.ndarray  # [D] level of each snapshot row (row 0: the current token)
+    consumed: int = 0
+    rows: np.ndarray | None = None
 
     @classmethod
     def fresh(cls, n_levels: int, k: int = 0) -> "SlotState":
-        # one extra entry: the final push of a full sequence writes the tree
-        # root at level S, which snapshots never read
-        return cls(slots=[None] * (n_levels + 1), consumed=0, n_levels=n_levels, k=k)
+        widths = slot_widths(n_levels + 1, k)  # the last is the root's
+        ends = list(itertools.accumulate(widths, initial=1))
+        row_level = [0] + [level for level, w in enumerate(widths[:-1]) for _ in range(w)]
+        return cls(n_levels, list(zip(ends[:-1], ends[1:])), np.array(row_level, dtype=np.int64))
 
     def occupied(self, level: int) -> bool:
         return (self.consumed >> level) & 1 == 1
+
+    @property
+    def slots(self) -> list:
+        """Each level's block as a [w_l, E] Tensor viewing the rows, or None when empty."""
+        return [Tensor(self.rows[lo:hi]) if self.occupied(level) else None
+                for level, (lo, hi) in enumerate(self.bounds)]
+
+    def _buffer(self, x: Tensor) -> np.ndarray:
+        if self.rows is None:
+            self.rows = np.zeros((self.bounds[-1][1], x.shape[-1]), dtype=x.dtype)
+        return self.rows
+
+
+def _check_step(state: SlotState, x: Tensor, what: str) -> None:
+    if state.consumed >= (1 << state.n_levels):
+        raise CapacityError(f"{what}: slot state full after {state.consumed} tokens "
+                            f"({state.n_levels} levels)")
+    if records_grad(x):
+        raise ContractError(f"{what}: the slot state is inference-only and would cut "
+                            "the gradient; run it under no_grad()")
 
 
 def push_token(state: SlotState, x: Tensor, summarizer) -> SlotState:
     """Push one [1, E] node through the carry chain, mutating the state.
 
     Merges always take the older block first; the final carry lands in the
-    first empty level.
+    first empty level, and each merged level's rows are zeroed.
     """
-    if state.consumed >= (1 << state.n_levels):
-        raise CapacityError(f"slot state full after {state.consumed} tokens ({state.n_levels} levels)")
+    _check_step(state, x, "push_token")
+    rows = state._buffer(x)
     carry = x
     level = 0
     while state.occupied(level):
-        carry = summarizer.merge_pair(state.slots[level], carry)
+        lo, hi = state.bounds[level]
+        carry = summarizer.merge_pair(Tensor(rows[lo:hi]), carry)
         COUNTER.summarizer_ops += 1
-        state.slots[level] = None
+        rows[lo:hi] = 0.0
         level += 1
-    state.slots[level] = carry
+    lo, hi = state.bounds[level]
+    rows[lo:hi] = carry.data
     state.consumed += 1
     return state
 
 
 def snapshot(state: SlotState, x_current: Tensor) -> tuple[Tensor, np.ndarray]:
-    """Assemble the [D, E] memory row seen by position t = state.consumed.
+    """The [D, E] memory row seen by position t = state.consumed, and its [D] mask.
 
-    Row 0 is the current token ([1, E]); then each level's block, or zeros.
+    One copy of the row buffer with row 0 set to the current token; empty
+    levels are already zero.
     """
-    if state.consumed >= (1 << state.n_levels):
-        raise CapacityError(f"no position {state.consumed} in a {state.n_levels}-level memory")
-    e = x_current.shape[-1]
-    widths = slot_widths(state.n_levels, state.k)
-    rows = [x_current]
-    valid = np.zeros(1 + sum(widths), dtype=bool)
+    _check_step(state, x_current, "snapshot")
+    rows = state._buffer(x_current)
+    rows[:1] = x_current.data
+    valid = ((state.consumed >> state.row_level) & 1).astype(bool)
     valid[0] = True
-    col = 1
-    for level, w in enumerate(widths):
-        if state.occupied(level):
-            rows.append(state.slots[level])
-            valid[col:col + w] = True
-        else:
-            rows.append(zeros((w, e), dtype=x_current.dtype))
-        col += w
-    return concat(rows, axis=0), valid
+    return Tensor(rows[:valid.size].copy()), valid
 
 
 @dataclass
@@ -139,32 +162,24 @@ def valid_mask(L: int, n_levels: int, k: int = 0) -> np.ndarray:
 
 
 def sequential_memory(x: Tensor, summarizer, n_levels: int | None = None) -> MemoryTensor:
-    """Iterative construction: snapshot position t, then push x_t."""
+    """Iterative construction: snapshot position t, then push x_t (inference-only)."""
     b, L, e = x.shape
     if n_levels is None:
         n_levels = levels_for(L)
     if L > (1 << n_levels):
         raise CapacityError(f"sequence length {L} exceeds capacity 2^{n_levels}")
+    if records_grad(x):
+        raise ContractError("sequential memory is inference-only and would cut the "
+                            "gradient; run it under no_grad()")
     valid = valid_mask(L, n_levels, summarizer.k)
-    per_batch = []
+    data = np.empty((b, L, valid.shape[1], e), dtype=x.dtype)
     for bi in range(b):
         state = SlotState.fresh(n_levels, summarizer.k)
-        rows = []
         for t in range(L):
-            xt = narrow_position(x, bi, t)
-            row, _ = snapshot(state, xt)
-            rows.append(reshape(row, (1, 1, valid.shape[1], e)))
+            xt = Tensor(x.data[bi, t:t + 1])
+            data[bi, t] = snapshot(state, xt)[0].data
             push_token(state, xt, summarizer)
-        per_batch.append(concat(rows, axis=1))
-    data = concat(per_batch, axis=0) if b > 1 else per_batch[0]
-    return MemoryTensor(data=data, valid=valid)
-
-
-def narrow_position(x: Tensor, batch_index: int, t: int) -> Tensor:
-    """One [1, E] position of a [B, L, E] tensor (tape-recorded)."""
-    row = narrow(x, 0, batch_index, 1)
-    row = narrow(row, 1, t, 1)
-    return reshape(row, (1, x.shape[2]))
+    return MemoryTensor(data=Tensor(data), valid=valid)
 
 
 @dataclass

@@ -250,7 +250,7 @@ class LmnBlock:
         return [SlotState.fresh(self.cfg.n_levels, s.k) for s in self.summarizers]
 
     def step(self, x: Tensor, states) -> Tensor:
-        """One position: x [1, 1, E]; snapshots, attends, then pushes."""
+        """One position: x [1, 1, E]; snapshots, attends, then pushes (inference-only)."""
         # the expander's named entry points into the shared tree
         if self.cfg.variant == "expsum":
             take, push = snapshot_expanded, push_token_expanded
@@ -373,7 +373,11 @@ class LmnModel(_ModelBase):
         return [blk.fresh_states() for blk in self.blocks]
 
     def step(self, state, token: int) -> Tensor:
-        """Sequential inference for one token; returns next-token logits [V]."""
+        """Sequential inference for one token; returns next-token logits [V].
+
+        Inference-only, like every sequential path: the slot state keeps no
+        tape, so under grad recording this raises ContractError.
+        """
         x = embedding(self.embed_w, np.array([[token]], dtype=np.int64))
         for blk, st in zip(self.blocks, state):
             x = blk.step(x, st)
@@ -538,31 +542,53 @@ def save_checkpoint(path, model) -> None:
 
 
 def load_checkpoint(path):
+    """Read a save_checkpoint file back into a model.
+
+    Every name, rank and shape is checked against the model schema, and
+    every length against the bytes left in the file, before anything is
+    read by it: a damaged file raises ValueError and never asks for a read
+    larger than the file.
+    """
     with open(path, "rb") as f:
-        if f.read(len(CKPT_MAGIC)) != CKPT_MAGIC:
-            raise ValueError(f"not a checkpoint file: {path}")
-        version = struct.unpack("<I", f.read(4))[0]
-        if version != CKPT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        cfg_len = struct.unpack("<I", f.read(4))[0]
-        cfg = config_from_text(f.read(cfg_len).decode("utf-8"))
-        model = build_model(cfg)
-        seen = set()
-        while True:
-            head = f.read(4)
-            if not head:
-                break
-            name = f.read(struct.unpack("<I", head)[0]).decode("utf-8")
-            rank = struct.unpack("<I", f.read(4))[0]
-            shape = struct.unpack(f"<{rank}I", f.read(4 * rank))
-            data = np.frombuffer(f.read(4 * int(np.prod(shape))), dtype="<f4").reshape(shape)
-            if name not in model.params:
-                raise ValueError(f"checkpoint tensor {name!r} not in model schema")
-            if model.params[name].data.shape != shape:
-                raise ValueError(f"checkpoint tensor {name!r} shape {shape} mismatch")
-            model.params[name].data = data.astype(np.float32)
-            seen.add(name)
-        missing = set(model.params) - seen
-        if missing:
-            raise ValueError(f"checkpoint missing tensors: {sorted(missing)}")
+        blob = f.read()
+    pos = 0
+
+    def take(n: int, what: str) -> bytes:
+        nonlocal pos
+        if n > len(blob) - pos:
+            raise ValueError(f"checkpoint truncated: {what} needs {n} bytes, {len(blob) - pos} left")
+        pos += n
+        return blob[pos - n:pos]
+
+    def u32(what: str) -> int:
+        return struct.unpack("<I", take(4, what))[0]
+
+    if blob[:len(CKPT_MAGIC)] != CKPT_MAGIC:
+        raise ValueError(f"not a checkpoint file: {path}")
+    pos = len(CKPT_MAGIC)
+    version = u32("the version")
+    if version != CKPT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version}")
+    cfg = config_from_text(take(u32("the config length"), "the config").decode("utf-8"))
+    model = build_model(cfg)
+    seen = set()
+    while pos < len(blob):
+        name = take(u32("a tensor name length"), "a tensor name").decode("utf-8")
+        if name not in model.params:
+            raise ValueError(f"checkpoint tensor {name!r} not in model schema")
+        if name in seen:
+            raise ValueError(f"checkpoint tensor {name!r} appears twice")
+        expected = model.params[name].data.shape
+        rank = u32(f"the rank of {name!r}")
+        if rank != len(expected):
+            raise ValueError(f"checkpoint tensor {name!r} rank {rank}, schema rank {len(expected)}")
+        shape = struct.unpack(f"<{rank}I", take(4 * rank, f"the shape of {name!r}"))
+        if shape != expected:
+            raise ValueError(f"checkpoint tensor {name!r} shape {shape} mismatch")
+        raw = take(4 * int(np.prod(shape)), f"the data of {name!r}")
+        model.params[name].data = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
+        seen.add(name)
+    missing = set(model.params) - seen
+    if missing:
+        raise ValueError(f"checkpoint missing tensors: {sorted(missing)}")
     return model

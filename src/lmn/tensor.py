@@ -44,6 +44,21 @@ def no_grad():
         _grad_enabled = prev
 
 
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
+
+def _float_array(data) -> np.ndarray:
+    if isinstance(data, (np.ndarray, np.generic)):
+        data = np.asarray(data)  # 0-d ops return numpy scalars; keep their dtype
+        return data if data.dtype in _FLOAT_DTYPES else data.astype(DEFAULT_DTYPE)
+    return np.asarray(data, dtype=DEFAULT_DTYPE)
+
+
+def records_grad(t: "Tensor") -> bool:
+    """Whether an op taking t would be recorded on the tape right now."""
+    return _grad_enabled and t.requires_grad
+
+
 class Tensor:
     """N-dimensional float array, optionally recorded on the autodiff tape.
 
@@ -55,12 +70,8 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
-        if isinstance(data, (np.ndarray, np.generic)):
-            data = np.asarray(data)  # 0-d ops return numpy scalars; keep their dtype
-            if data.dtype not in (np.float32, np.float64):
-                data = data.astype(DEFAULT_DTYPE)
-        else:
-            data = np.asarray(data, dtype=DEFAULT_DTYPE)
+        if type(data) is not np.ndarray or data.dtype not in _FLOAT_DTYPES:
+            data = _float_array(data)
         self.data = data
         self.requires_grad = requires_grad
         self.grad = None
@@ -191,20 +202,15 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
     return grad
 
 
-def _check_broadcast(a: Tensor, b: Tensor, opname: str):
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeError(f"{opname}: shapes {a.shape} and {b.shape} do not align") from None
-
-
 # ---------------------------------------------------------------------------
 # Elementwise ops
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "add")
-    out = a.data + b.data
+    try:
+        out = a.data + b.data
+    except ValueError:  # numpy's own broadcast error
+        raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not align") from None
 
     def bwd(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
@@ -213,8 +219,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "sub")
-    out = a.data - b.data
+    try:
+        out = a.data - b.data
+    except ValueError:  # numpy's own broadcast error
+        raise ShapeError(f"sub: shapes {a.shape} and {b.shape} do not align") from None
 
     def bwd(g):
         return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
@@ -223,8 +231,10 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "mul")
-    out = a.data * b.data
+    try:
+        out = a.data * b.data
+    except ValueError:  # numpy's own broadcast error
+        raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not align") from None
 
     def bwd(g):
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
@@ -313,14 +323,11 @@ def transpose(a: Tensor, axes) -> Tensor:
 
 
 def concat(tensors, axis: int) -> Tensor:
-    base = list(tensors[0].shape)
-    for t in tensors[1:]:
-        other = list(t.shape)
-        if len(other) != len(base) or any(
-            i != axis % len(base) and other[i] != base[i] for i in range(len(base))
-        ):
-            raise ShapeError(f"concat: shapes {tensors[0].shape} and {t.shape} differ off axis {axis}")
-    out = np.concatenate([t.data for t in tensors], axis=axis)
+    try:
+        out = np.concatenate([t.data for t in tensors], axis=axis)
+    except ValueError:  # numpy's own shape error
+        shapes = ", ".join(str(t.shape) for t in tensors)
+        raise ShapeError(f"concat: shapes {shapes} differ off axis {axis}") from None
     sizes = [t.shape[axis] for t in tensors]
     # plain ints: np.cumsum of a list leaves a varying number of small
     # cached allocations that tracemalloc counts as live
@@ -413,14 +420,24 @@ def einsum_pair(spec: str, a: Tensor, b: Tensor) -> Tensor:
 
     Requires every index to appear at most once per operand (no within-operand
     traces), which makes each gradient another einsum with permuted specs.
+
+    Runs numpy's plain einsum loop, without ``optimize=True``, whose path
+    planner ran on every call. Measured with one BLAS thread on a 2-CPU Xeon,
+    float32, planner on -> off: at one-token stepping shapes ([1, 1, 22, 32]
+    memory rows) every spec took 22-31 us -> 3-5 us; at prefill shapes
+    (B=1, L=3000, D=26, E=32) 2.1-2.3 ms -> 0.7-1.5 ms. At the training shape
+    (B=16, L=256, D=18) the backward's outer product "bld,ble->blde" took
+    2.4 -> 1.2 ms while the four contractions took 0.09-0.19 ms more each,
+    so the six einsums of one attention pass, forward and backward, took
+    7.9 -> 6.1 ms.
     """
     ins, out_spec = spec.split("->")
     a_spec, b_spec = ins.split(",")
-    out = np.einsum(spec, a.data, b.data, optimize=True)
+    out = np.einsum(spec, a.data, b.data)
 
     def bwd(g):
-        ga = np.einsum(f"{out_spec},{b_spec}->{a_spec}", g, b.data, optimize=True)
-        gb = np.einsum(f"{a_spec},{out_spec}->{b_spec}", a.data, g, optimize=True)
+        ga = np.einsum(f"{out_spec},{b_spec}->{a_spec}", g, b.data)
+        gb = np.einsum(f"{a_spec},{out_spec}->{b_spec}", a.data, g)
         return ga, gb
 
     return _make(out, (a, b), bwd)
@@ -491,15 +508,16 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     """Normalize over the last axis, then apply per-feature gain and bias."""
     if gain.shape != (a.shape[-1],) or bias.shape != (a.shape[-1],):
         raise ShapeError(f"layer_norm: params {gain.shape}/{bias.shape} vs features {a.shape[-1:]}")
-    mu = a.data.mean(axis=-1, keepdims=True)
-    var = a.data.var(axis=-1, keepdims=True)
+    # sum / n is what ndarray.mean computes, without its Python-level wrapper
+    n = a.shape[-1]
+    centred = a.data - a.data.sum(axis=-1, keepdims=True) / n
+    var = (centred * centred).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + a.dtype.type(eps))
-    xhat = (a.data - mu) * inv
+    xhat = centred * inv
     out = xhat * gain.data + bias.data
 
     def bwd(g):
         gg = g * gain.data
-        n = a.shape[-1]
         dx = inv * (gg - gg.mean(axis=-1, keepdims=True) - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
         dgain = (g * xhat).reshape(-1, n).sum(axis=0)
         dbias = g.reshape(-1, n).sum(axis=0)

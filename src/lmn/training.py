@@ -41,10 +41,22 @@ class TrainConfig:
         for name in ("batch_size", "block_size", "max_iters", "eval_iters", "eval_interval"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1)")
+        if not self.eps > 0:
+            raise ValueError("eps must be positive")
+        for name in ("weight_decay", "grad_clip"):  # grad_clip 0 turns clipping off
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative")
         if self.lr_schedule not in ("constant", "cosine"):
             raise ValueError(f"unknown lr_schedule {self.lr_schedule!r}")
+
+
+class DivergenceError(RuntimeError):
+    """Training produced a non-finite loss or gradient norm."""
 
 
 class AdamW:
@@ -152,18 +164,23 @@ def train(model, ds: Dataset, cfg: TrainConfig, out_dir: str | None = None,
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
 
+    last_norm = float("nan")  # grad norm of the last step that updated the weights
     for step in range(1, cfg.max_iters + 1):
         x, y = sample_batch(ds, "train", cfg.batch_size, cfg.block_size, rng)
         model.zero_grad()
         step_loss = loss_fn(model.forward(x, mode="parallel"), y)
         value = step_loss.item()
         if not math.isfinite(value):
-            norm = clip_grad_norm(model.params, 0.0)
-            raise RuntimeError(
+            raise DivergenceError(
                 f"non-finite loss {value} at step {step} (lr={lr_at(cfg, step):.3g}, "
-                f"grad_norm={norm:.3g})")
+                f"last grad_norm={last_norm:.3g})")
         step_loss.backward()
-        clip_grad_norm(model.params, cfg.grad_clip)
+        norm = clip_grad_norm(model.params, cfg.grad_clip)
+        if not math.isfinite(norm):  # stop before AdamW writes it into the weights
+            raise DivergenceError(
+                f"non-finite grad_norm {norm} at step {step} (lr={lr_at(cfg, step):.3g}, "
+                f"loss={value:.4g})")
+        last_norm = norm
         opt.step(lr_at(cfg, step))
 
         if step % cfg.eval_interval == 0 or step == cfg.max_iters:

@@ -1,7 +1,8 @@
 """Self-contained invariant suite behind the `verify` subcommand.
 
 Runs the library's correctness properties on random weights: dual-mode
-equivalence for every variant, finite-difference gradient checks, prefix
+equivalence for every variant, one-token stepping against the parallel
+forward, finite-difference gradient checks, prefix
 causality, attention mask/softmax behaviour, the folded attention against
 the unfused projection chain, slot-count oracles against brute-force prefix
 decomposition, and the expander width arithmetic.
@@ -68,6 +69,21 @@ def check_mode_equivalence(quick: bool):
             seq = model.forward(tokens, mode="sequential").data
         worst = max(worst, float(np.abs(par - seq).max()))
     return worst <= 1e-4, f"max |parallel - sequential| logit gap = {worst:.2e}"
+
+
+def check_stepping_equivalence(quick: bool):
+    L, E = (21, 8) if quick else (45, 16)  # odd L: the parallel pyramid is padded
+    worst = 0.0
+    rng = make_rng(43)
+    for cfg in _variant_configs(E, L):
+        model = build_model(cfg)
+        tokens = rng.integers(0, cfg.vocab_size, size=(1, L))
+        with no_grad():
+            par = model.forward(tokens, mode="parallel").data[0]
+            state = model.start_state()
+            stepped = np.stack([model.step(state, int(t)).data for t in tokens[0]])
+        worst = max(worst, float(np.abs(par - stepped).max()))
+    return worst <= 1e-4, f"max |parallel - model.step| logit gap = {worst:.2e} at L={L}"
 
 
 def _tree_gap(summarizers, L: int, E: int, rng) -> float:
@@ -228,6 +244,7 @@ def check_counters(quick: bool):
 
 CHECKS = [
     ("mode-equivalence", check_mode_equivalence),
+    ("stepping-equivalence", check_stepping_equivalence),
     ("memory-equivalence", check_memory_equivalence),
     ("expander-equivalence", check_expanded_equivalence),
     ("gradients", check_gradients),

@@ -1,6 +1,7 @@
 """CLI contracts: subcommands, config handling, exit codes, artifacts."""
 
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -78,20 +79,31 @@ def test_generate_beyond_capacity_exit_4(trained):
 def _bad_checkpoints(trained):
     good = open(os.path.join(trained, "model_final.ckpt"), "rb").read()
     assert b"summarizer_bias=True\n" in good
+    # the first tensor's header: u32 name length, name, u32 rank, u32 extents
+    name_at = 7 + 4 + 4 + struct.unpack_from("<I", good, 11)[0]
+    rank_at = name_at + 4 + struct.unpack_from("<I", good, name_at)[0]
+    assert good[name_at + 4:rank_at] == b"embed.weight"
+    assert struct.unpack_from("<I", good, rank_at)[0] == 2
     return {
         "half-length": good[: len(good) // 2],
         "garbage": b"LMNCKPT" + b"\xff" * 64,
         "bad-bool": good.replace(b"summarizer_bias=True\n", b"summarizer_bias=Ture\n", 1),
+        # sized reads of 4 GiB and 14.4 GB if the fields were trusted
+        "huge-rank": good[:rank_at] + struct.pack("<I", 1 << 30) + good[rank_at + 4:],
+        "huge-shape": good[:rank_at + 4] + struct.pack("<2I", 60000, 60000) + good[rank_at + 12:],
     }
 
 
 def _assert_one_error_line(capsys):
-    err = capsys.readouterr().err
+    _assert_one_error_line_in(capsys.readouterr().err)
+
+
+def _assert_one_error_line_in(err):
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1, err
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("kind", ["half-length", "garbage", "bad-bool"])
+@pytest.mark.parametrize("kind", ["half-length", "garbage", "bad-bool", "huge-rank", "huge-shape"])
 def test_bad_checkpoint_exits_2_with_one_line(trained, tmp_path, capsys, kind):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(_bad_checkpoints(trained)[kind])
@@ -152,7 +164,9 @@ def test_config_file_unknown_key_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("line", ["model.summarizer=dscnv", "model.score_orientation=sideways",
-                                  "model.summarizer_bias=flase", "model.embed=abc"])
+                                  "model.summarizer_bias=flase", "model.embed=abc",
+                                  "train.grad_clip=-1", "train.beta2=1.0", "train.beta1=2",
+                                  "train.eps=-1", "train.weight_decay=-0.1"])
 def test_bad_config_value_exits_2_with_one_line(tmp_path, capsys, line):
     p = tmp_path / "cfg.txt"
     p.write_text(line + "\n")
@@ -161,6 +175,19 @@ def test_bad_config_value_exits_2_with_one_line(tmp_path, capsys, line):
     assert "ALL PASS" not in captured.out
     assert captured.err.startswith("error: ") and len(captured.err.strip().splitlines()) == 1
     assert "Traceback" not in captured.err
+
+
+def test_train_divergence_exits_2_with_one_line(tmp_path, corpus_file, capsys):
+    p = tmp_path / "cfg.txt"
+    p.write_text("train.learning_rate=1e30\n")
+    code = main(["train", "--config", str(p), "--corpus", corpus_file, "--out", str(tmp_path / "out"),
+                 "--embed", "8", "--banks", "1", "--max-iters", "5", "--block-size", "32",
+                 "--max-seq-len", "32", "--seed", "0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    _assert_one_error_line_in(err)
+    # the norm of the step that blew the weights up, not 0 from cleared grads
+    assert "non-finite loss" in err and "grad_norm=0)" not in err
 
 
 def test_config_file_parsing_and_override(tmp_path, corpus_file, capsys):

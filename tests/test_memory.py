@@ -316,3 +316,26 @@ def test_one_block_tree_for_every_summarizer(name):
             assert row.shape == (par.valid.shape[1], e)
             assert np.array_equal(valid, par.valid[t])
             push_token(state, xt, summ)
+
+
+@pytest.mark.parametrize("name", ["linear", "expander-k1"])
+def test_snapshot_and_state_share_no_memory(name):
+    # a snapshot is a copy: the carry chain that zeroes and rewrites the
+    # rows it was taken from leaves it alone, and so does a later write
+    # to the pushed token
+    e = 3
+    rng = make_rng(19)
+    summ = SUMMARIZERS[name](rng, e)
+    state = SlotState.fresh(3, summ.k)
+    with no_grad():
+        for _ in range(3):
+            push_token(state, Tensor(rng.standard_normal((1, e)).astype(np.float32)), summ)
+        x = Tensor(rng.standard_normal((1, e)).astype(np.float32))
+        row, valid = snapshot(state, x)
+        kept_row, kept_valid = row.data.copy(), valid.copy()
+        push_token(state, x, summ)  # t = 3 -> 4: merges levels 0 and 1 into level 2
+        assert np.array_equal(row.data, kept_row) and np.array_equal(valid, kept_valid)
+        after, _ = snapshot(state, x)
+        x.data[:] = 7.0
+        again, _ = snapshot(state, Tensor(after.data[:1].copy()))
+    assert np.array_equal(again.data, after.data)

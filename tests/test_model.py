@@ -16,7 +16,7 @@ from lmn.model import (
     param_schema,
     save_checkpoint,
 )
-from lmn.tensor import grad_check, make_rng, no_grad
+from lmn.tensor import ContractError, grad_check, make_rng, no_grad
 
 from conftest import naive_softmax
 
@@ -113,16 +113,36 @@ def test_forward_rejects_bad_tokens():
         model.forward(np.zeros((1, cfg.max_seq_len + 1), dtype=np.int64))
 
 
-@pytest.mark.parametrize("name,kw", VARIANT_CONFIGS)
+@pytest.mark.parametrize("name,kw", VARIANT_CONFIGS + [
+    ("dsconv", dict(variant="logmem", banks=2, summarizer="dsconv")),
+    ("swapped", dict(variant="logmem", banks=2, score_orientation="swapped")),
+    ("float64", dict(variant="logmem", banks=2, dtype=np.float64)),
+])
 def test_generation_matches_teacher_forcing(name, kw):
+    kw = dict(kw)
+    dtype = kw.pop("dtype", np.float32)
     cfg = small_cfg(kw, max_seq_len=32)
-    model = build_model(cfg)
-    tokens = make_rng(4).integers(0, cfg.vocab_size, size=(1, 20))
+    model = build_model(cfg).astype(dtype)
+    # to full capacity: the 32nd push carries through every level into the root
+    tokens = make_rng(4).integers(0, cfg.vocab_size, size=(1, 32))
     with no_grad():
         tf = model.forward(tokens, mode="parallel").data[0]
         state = model.start_state()
         stepped = np.stack([model.step(state, int(t)).data for t in tokens[0]])
-    assert np.abs(tf - stepped).max() <= 1e-4
+        with pytest.raises(CapacityError):
+            model.step(state, int(tokens[0, 0]))
+    assert stepped.dtype == dtype
+    assert np.abs(tf - stepped).max() <= (1e-10 if dtype == np.float64 else 1e-4)
+
+
+def test_sequential_mode_with_grad_on_raises():
+    # the slot state keeps no tape, so a recorded sequential pass would lose its gradient
+    model = build_model(small_cfg(dict(variant="logmem")))
+    tokens = make_rng(5).integers(0, 29, size=(1, 8))
+    with pytest.raises(ContractError):
+        model.forward(tokens, mode="sequential")
+    with pytest.raises(ContractError):
+        model.step(model.start_state(), int(tokens[0, 0]))
 
 
 def test_generation_deterministic_and_argmax():

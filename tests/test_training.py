@@ -9,7 +9,7 @@ import pytest
 from lmn.data import Dataset
 from lmn.model import ModelConfig, build_model, loss as loss_fn
 from lmn.tensor import Tensor, make_rng, no_grad
-from lmn.training import AdamW, TrainConfig, clip_grad_norm, evaluate, train
+from lmn.training import AdamW, DivergenceError, TrainConfig, clip_grad_norm, evaluate, train
 
 
 def tiny_setup(corpus_text, variant="logmem", seed=0, **cfg_kw):
@@ -124,3 +124,23 @@ def test_cosine_schedule_decays():
     assert lr_at(tc, 0) == pytest.approx(1e-3)
     assert lr_at(tc, 50) == pytest.approx(5e-4)
     assert lr_at(tc, 100) == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("field,value", [("beta1", 2.0), ("beta1", -0.1), ("beta2", 1.0),
+                                         ("eps", 0.0), ("eps", -1.0), ("weight_decay", -0.1),
+                                         ("grad_clip", -1.0), ("learning_rate", float("nan"))])
+def test_train_config_rejects_out_of_range_optimizer_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
+
+
+def test_non_finite_grad_norm_stops_before_the_update(corpus_text, monkeypatch):
+    import lmn.training
+    ds, model = tiny_setup(corpus_text)
+    before = {k: p.data.copy() for k, p in model.params.items()}
+    monkeypatch.setattr(lmn.training, "clip_grad_norm", lambda params, max_norm: float("inf"))
+    tc = TrainConfig(batch_size=2, block_size=32, max_iters=3, eval_iters=1, eval_interval=3, seed=0)
+    with pytest.raises(DivergenceError, match="non-finite grad_norm inf at step 1"):
+        train(model, ds, tc)
+    for k, p in model.params.items():
+        assert np.array_equal(p.data, before[k]), k
