@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import time
 import tracemalloc
 from dataclasses import dataclass, fields
@@ -119,6 +120,16 @@ def time_forward(model, L: int, mode: str, reps: int = 3, seed: int = 0) -> Benc
                            status="failed")
 
 
+def environment_lines() -> list[str]:
+    """CSV comment lines naming what the timings depend on: the numpy
+    version, its BLAS build, the BLAS thread settings and the CPU count."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    env = {"numpy": np.__version__, "blas": blas.get("name", "unknown"),
+           **{var: os.environ.get(var, "unset") for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+           "cpu_count": os.cpu_count()}
+    return [f"# {key}={value}" for key, value in env.items()]
+
+
 def loglog_slope(lengths, seconds) -> float:
     """Least-squares slope of log(time) against log(L)."""
     xs = np.log(np.asarray(lengths, dtype=np.float64))
@@ -130,9 +141,11 @@ def sweep(lengths, variants, out_path, modes=("parallel", "sequential"),
           reps: int = 3, embed: int = 32, banks: int = 2, seed: int = 0,
           log=None) -> list[BenchRecord]:
     """Cross product of lengths x variants x modes; CSV rows appended as each
-    measurement lands, slope fits in a comment footer."""
+    measurement lands, the environment in a comment header and slope fits in
+    a comment footer."""
     records = []
     with open(out_path, "w", newline="") as f:
+        f.writelines(line + "\n" for line in environment_lines())
         w = csv.writer(f)
         w.writerow(CSV_COLUMNS)
         f.flush()

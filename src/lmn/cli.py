@@ -195,7 +195,10 @@ def _load_artifacts(args):
     if args.vocab:
         if not os.path.exists(args.vocab):
             raise CliError(f"vocab sidecar not found: {args.vocab}")
-        vocab = Vocab.load(args.vocab)
+        try:
+            vocab = Vocab.load(args.vocab)
+        except ValueError as exc:
+            raise CliError(f"bad vocab sidecar {args.vocab}: {exc}") from None
         if len(vocab) != model.config.vocab_size:
             raise CliError(
                 f"vocab size {len(vocab)} does not match checkpoint vocab "

@@ -13,6 +13,9 @@ class Vocab:
     def __init__(self, chars: list[str]):
         if not chars:
             raise ValueError("empty vocabulary")
+        if len(set(chars)) != len(chars):
+            dup = next(c for i, c in enumerate(chars) if c in chars[:i])
+            raise ValueError(f"character {dup!r} appears twice in the vocabulary")
         self.chars = list(chars)
         self.stoi = {c: i for i, c in enumerate(self.chars)}
         self.itos = {i: c for i, c in enumerate(self.chars)}
@@ -36,8 +39,18 @@ class Vocab:
 
     @classmethod
     def load(cls, path) -> "Vocab":
-        with open(path, "rb") as f:
-            return cls(list(f.read().decode("utf-8")))
+        """Read a sidecar; ValueError if it is unreadable, not UTF-8, empty or
+        repeats a character."""
+        try:
+            with open(path, "rb") as f:
+                raw = f.read()
+        except OSError as exc:
+            raise ValueError(f"cannot read vocabulary: {exc.strerror}") from None
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"vocabulary is not UTF-8 (byte {exc.start})") from None
+        return cls(list(text))
 
 
 def build_vocab(text: str) -> Vocab:

@@ -10,7 +10,9 @@ older first, into one width-(w+k) block, either one pair at a time
 Sequential mode runs a binary counter: slot l is occupied iff bit l of the
 consumed count is set, and pushing a token triggers the carry chain of
 merges. Parallel mode builds the full pyramid of pair summaries bottom-up,
-then gathers each position's slot contents with closed-form block indices.
+flattens its levels into one row table that ends in a single zero row, and
+reads every position's memory from it with one gather: a closed-form [L, D]
+table of row indices, in which each empty slot points at the zero row.
 Both produce a [B, L, D, E] memory (row 0 = current token, then the w_l
 rows of each slot in level order, D = 1 + sum_l w_l) with an [L, D]
 validity mask; invalid rows are exactly zero.
@@ -24,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counters import COUNTER
-from .tensor import (ContractError, Tensor, concat, index_select, masked_fill, narrow,
-                     records_grad, reshape, zeros)
+from .tensor import ContractError, Tensor, concat, index_select, records_grad, reshape, zeros
 
 
 class CapacityError(RuntimeError):
@@ -209,27 +210,33 @@ def build_pyramid(x: Tensor, summarizer, n_levels: int | None = None) -> Pyramid
 
 
 def gather_memory(p: Pyramid, L: int) -> MemoryTensor:
-    """Assemble per-position rows from the pyramid.
+    """Assemble per-position rows from the pyramid in one gather.
 
-    For level l with bit l of t set, the contributing block is
-    levels[l][2 * (t >> (l+1))]: the lone level-l block in the greedy binary
-    decomposition of the prefix [0, t). Blocks always lie inside the real
-    prefix, so pyramid padding never leaks in.
+    Levels 0..S-1 are flattened to [B, n_l * w_l, E] and joined, with one
+    zero row appended, into a single row table. For level l with bit l of t
+    set, the contributing block is levels[l][2 * (t >> (l+1))]: the lone
+    level-l block in the greedy binary decomposition of the prefix [0, t),
+    so its row j sits at off_l + 2 * (t >> (l+1)) * w_l + j, where off_l is
+    the level's first row in the table. Every other slot row reads the zero
+    row, so invalid rows are exactly zero with no masking pass and get no
+    gradient. Blocks always lie inside the real prefix, so pyramid padding
+    never leaks in.
     """
     n_levels = len(p.levels) - 1
+    b, _, _, e = p.levels[0].shape
     t = np.arange(L, dtype=np.int64)
     mask = valid_mask(L, n_levels, p.k)
-    level0 = p.levels[0]
-    parts = [level0 if level0.shape[1] == L else narrow(level0, 1, 0, L)]
-    col = 1
+    flat, cols, off = [], [t[:, None]], 0
     for level in range(n_levels):
-        w = p.levels[level].shape[2]
-        picked = index_select(p.levels[level], 1, 2 * (t >> (level + 1)))  # [B, L, w, E]
-        # rebinding frees the unmasked copy before the next level is picked
-        picked = masked_fill(picked, ~mask[None, :, col:col + w, None], 0.0)
-        parts.append(picked)
-        col += w
-    return MemoryTensor(data=concat(parts, axis=2), valid=mask)
+        _, n, w, _ = p.levels[level].shape
+        flat.append(reshape(p.levels[level], (b, n * w, e)))
+        cols.append((off + 2 * (t >> (level + 1)) * w)[:, None] + np.arange(w))
+        off += n * w
+    flat.append(zeros((b, 1, e), dtype=p.levels[0].dtype))
+    table = np.concatenate(cols, axis=1)  # [L, D] row of the flattened pyramid
+    table[~mask] = off  # the zero row
+    data = index_select(concat(flat, axis=1), 1, table.reshape(-1))
+    return MemoryTensor(data=reshape(data, (b, L, mask.shape[1], e)), valid=mask)
 
 
 def parallel_memory(x: Tensor, summarizer, n_levels: int | None = None) -> MemoryTensor:

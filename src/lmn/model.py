@@ -385,15 +385,16 @@ class LmnModel(_ModelBase):
 
 
 class _BaselineState:
-    """KV cache per block; buffers are preallocated and mutated in place
-    (inference-only, exempt from the immutable-after-recording rule)."""
+    """KV cache per block in the model's dtype; buffers are preallocated and
+    mutated in place (inference-only, exempt from the immutable-after-recording
+    rule)."""
 
-    def __init__(self, cfg: ModelConfig):
+    def __init__(self, cfg: ModelConfig, dtype):
         e = cfg.embed
         self.t = 0
-        self.k = [Tensor(np.zeros((cfg.max_seq_len, e), dtype=np.float32))
+        self.k = [Tensor(np.zeros((cfg.max_seq_len, e), dtype=dtype))
                   for _ in range(cfg.n_blocks)]
-        self.v = [Tensor(np.zeros((cfg.max_seq_len, e), dtype=np.float32))
+        self.v = [Tensor(np.zeros((cfg.max_seq_len, e), dtype=dtype))
                   for _ in range(cfg.n_blocks)]
 
 
@@ -413,7 +414,7 @@ class BaselineModel(_ModelBase):
         return self._unembed(x)
 
     def start_state(self):
-        return _BaselineState(self.config)
+        return _BaselineState(self.config, self.embed_w.dtype)
 
     def step(self, state: _BaselineState, token: int) -> Tensor:
         cfg = self.config

@@ -2,6 +2,7 @@
 output, and slope fitting."""
 
 import csv
+import os
 import tracemalloc
 
 import numpy as np
@@ -129,12 +130,21 @@ def test_sweep_writes_csv_with_footer(tmp_path):
     records = sweep([8, 16], ["logmem"], out, modes=("parallel",), reps=3, embed=8)
     assert len(records) == 2
     lines = out.read_text().splitlines()
-    header = lines[0].split(",")
+    env = dict(line[2:].split("=", 1) for line in lines[:5])
+    assert list(env) == ["numpy", "blas", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "cpu_count"]
+    assert env["numpy"] == np.__version__ and env["cpu_count"] == str(os.cpu_count())
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        assert env[var] == os.environ.get(var, "unset")
+    assert env["blas"]
+    header = lines[5].split(",")
     assert header == ["variant", "mode", "L", "reps", "median_seconds", "peak_bytes",
                       "score_macs", "summarizer_ops", "status"]
     with open(out) as f:
         rows = [r for r in csv.reader(f) if r and not r[0].startswith("#")]
     assert len(rows) == 3
+    for row, rec in zip(rows[1:], records):
+        assert row == [str(v) for v in rec.row()]
+        assert int(row[2]) == rec.L and float(row[4]) > 0 and row[-1] == "ok"
     assert any(line.startswith("# slope variant=logmem mode=parallel") for line in lines)
 
 

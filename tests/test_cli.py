@@ -113,6 +113,21 @@ def test_bad_checkpoint_exits_2_with_one_line(trained, tmp_path, capsys, kind):
     _assert_one_error_line(capsys)
 
 
+@pytest.mark.parametrize("kind,exit_code", [("empty", 2), ("not-utf8", 2), ("directory", 2),
+                                            ("duplicate", 2), ("size-mismatch", 3)])
+def test_bad_vocab_exits_with_one_line(trained, tmp_path, capsys, kind, exit_code):
+    path = tmp_path / "vocab.txt"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes({"empty": b"", "not-utf8": b"ab\xff", "duplicate": b"aab",
+                          "size-mismatch": b"abc"}[kind])
+    code = main(["generate", "--checkpoint", os.path.join(trained, "model_final.ckpt"),
+                 "--vocab", str(path), "--prompt", "a", "--n-new", "5"])
+    assert code == exit_code
+    _assert_one_error_line(capsys)
+
+
 @pytest.mark.parametrize("flags", [["--temperature", "0"], ["--n-new", "-3"]])
 def test_generate_bad_flags_exit_2(trained, capsys, flags):
     code = main(["generate", "--checkpoint", os.path.join(trained, "model_final.ckpt"),

@@ -1,6 +1,8 @@
 """Memory construction: carry chain, snapshots, pyramid, gather, and the
 sequential/parallel equivalence that everything else leans on."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -176,16 +178,30 @@ def test_pyramid_pairing_definition():
 
 
 def test_gather_closed_form_indices():
-    # t=5 pulls levels[2][0] and levels[0][4]; t=6 pulls levels[1][2]
-    e = 2
-    summ = make_summ(e, seed=12)
-    rng = make_rng(7)
-    x = rng.standard_normal((1, 8, e)).astype(np.float32)
-    p = build_pyramid(Tensor(x), summ)
-    mem = gather_memory(p, 8)
-    assert np.array_equal(mem.data.data[0, 5, 3], p.levels[2].data[0, 0, 0])
-    assert np.array_equal(mem.data.data[0, 5, 1], p.levels[0].data[0, 4, 0])
-    assert np.array_equal(mem.data.data[0, 6, 2], p.levels[1].data[0, 2, 0])
+    # t=5 pulls levels[2][0] and levels[0][4]; t=6 pulls levels[1][2]: every
+    # (t, level, row) against levels[l][2 * (t >> (l+1))], invalid rows exactly 0,
+    # at B=2, a power-of-two and an odd (padded) L, one-row and widening blocks
+    e, b = 3, 2
+    for k, L in itertools.product((0, 2), (8, 13)):
+        summ = make_summ(e, seed=12) if k == 0 else ExpanderSummarizer.init(make_rng(12), e, k)
+        x = make_rng(7).standard_normal((b, L, e)).astype(np.float32)
+        p = build_pyramid(Tensor(x), summ)
+        mem = gather_memory(p, L)
+        assert mem.data.shape == (b, L, mem.valid.shape[1], e)
+        assert np.array_equal(mem.data.data[:, :, 0], x)
+        for t in range(L):
+            col = 1
+            for level in range(len(p.levels) - 1):
+                w = 1 + level * k
+                got = mem.data.data[:, t, col:col + w]
+                if (t >> level) & 1:
+                    assert mem.valid[t, col:col + w].all()
+                    assert np.array_equal(got, p.levels[level].data[:, 2 * (t >> (level + 1))])
+                else:
+                    assert not mem.valid[t, col:col + w].any()
+                    assert np.array_equal(got, np.zeros_like(got))
+                col += w
+            assert col == mem.valid.shape[1]
 
 
 def test_parallel_equals_sequential_random():

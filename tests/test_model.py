@@ -117,6 +117,7 @@ def test_forward_rejects_bad_tokens():
     ("dsconv", dict(variant="logmem", banks=2, summarizer="dsconv")),
     ("swapped", dict(variant="logmem", banks=2, score_orientation="swapped")),
     ("float64", dict(variant="logmem", banks=2, dtype=np.float64)),
+    ("baseline-float64", dict(variant="baseline-attn", n_heads=2, dtype=np.float64)),
 ])
 def test_generation_matches_teacher_forcing(name, kw):
     kw = dict(kw)
@@ -213,8 +214,9 @@ def test_baseline_tiny_gradient_check():
 
 
 @pytest.mark.parametrize("kw", [dict(variant="expsum", expansion=1),
-                                dict(variant="logmem", banks=2, summarizer="dsconv")],
-                         ids=["expsum-k1", "logmem-dsconv"])
+                                dict(variant="logmem", banks=2, summarizer="dsconv"),
+                                dict(variant="logmem", banks=2)],
+                         ids=["expsum-k1", "logmem-dsconv", "logmem-linear"])
 def test_tree_variant_gradient_check(kw):
     cfg = ModelConfig(vocab_size=7, embed=4, max_seq_len=8, n_blocks=1, seed=5, **kw)
     model = build_model(cfg).astype(np.float64)
