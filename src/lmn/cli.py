@@ -211,6 +211,8 @@ def cmd_generate(args) -> int:
         raise CliError(f"--n-new must be >= 0, got {args.n_new}")
     if not args.argmax and not args.temperature > 0:
         raise CliError(f"--temperature must be > 0 without --argmax, got {args.temperature}")
+    if args.seed < 0:
+        raise CliError(f"--seed must be >= 0, got {args.seed}")
     model, vocab = _load_artifacts(args)
     if vocab is None:
         raise CliError("generate requires --vocab")
@@ -223,7 +225,7 @@ def cmd_generate(args) -> int:
         raise CliError(str(exc), EXIT_MISMATCH) from None
     if prompt_ids.size == 0:
         prompt_ids = vocab.encode("\n")
-    rng = make_rng(args.seed if args.seed is not None else 0)
+    rng = make_rng(args.seed)
     try:
         out = generate(model, prompt_ids, args.n_new, temperature=args.temperature,
                        rng=rng, argmax=args.argmax)
@@ -299,8 +301,11 @@ def make_parser() -> argparse.ArgumentParser:
     common(p_eval, train_flags=True, artifact_flags=True)
     p_eval.set_defaults(fn=cmd_eval)
 
+    # generate takes its model config from the checkpoint, so no config flag applies
     p_gen = sub.add_parser("generate", help="sample text from a checkpoint")
-    common(p_gen, artifact_flags=True)
+    p_gen.add_argument("--checkpoint", default=None)
+    p_gen.add_argument("--vocab", default=None)
+    p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--prompt", default="\n")
     p_gen.add_argument("--n-new", dest="n_new", type=int, default=200)
     p_gen.add_argument("--temperature", type=float, default=1.0)

@@ -5,7 +5,10 @@ pre-norm feed-forward + residual, final norm, unembed). LMN variants build
 per-bank tree memories and apply single-vector attention over memory
 levels; no positional table exists, position is carried by each token's
 merge path. The baseline is a standard decoder with a learned positional
-embedding and causal self-attention.
+embedding and causal self-attention. Each family has one block body for
+both modes: an LMN block's step reads its slot state through the same
+combine-attend-residual tail as its forward, and the baseline steps by
+running its block's forward with a per-block KV cache.
 """
 
 from __future__ import annotations
@@ -80,9 +83,11 @@ class ModelConfig:
                               ("score_orientation", ORIENTATIONS)):
             if getattr(self, name) not in allowed:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}, expected one of {allowed}")
-        for name in ("vocab_size", "embed", "max_seq_len", "banks", "expansion", "n_blocks"):
+        for name in ("vocab_size", "embed", "max_seq_len", "banks", "expansion", "n_blocks", "n_heads"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.variant == "tiny-logmem":
             self.ffn_mult = 1  # reduced-parameter feed-forward form
         if self.variant == "expsum":
@@ -225,26 +230,35 @@ def _make_summarizer(cfg: ModelConfig, params: dict, prefix: str):
                             params.get(f"{prefix}.bias"))
 
 
-class LmnBlock:
+class _Block:
+    """What both block families share: the two pre-norms, the output
+    projection and the feed-forward branch."""
+
     def __init__(self, cfg: ModelConfig, params: dict, index: int):
         p = f"block{index}"
         self.cfg = cfg
         self.ln1 = (params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"])
-        self.qkv = QkvProjection(params[f"{p}.qkv.weight"], params.get(f"{p}.qkv.bias"))
         self.out_w = params[f"{p}.attn_out.weight"]
         self.out_b = params[f"{p}.attn_out.bias"]
         self.ln2 = (params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"])
         self.ffn = _FeedForward(params, p, cfg.ffn_mult)
+
+    def _residuals(self, x: Tensor, values: Tensor) -> Tensor:
+        """Out-projection residual, then the feed-forward residual."""
+        x = add(x, add(matmul(values, self.out_w), self.out_b))
+        return add(x, self.ffn(layer_norm(x, *self.ln2)))
+
+
+class LmnBlock(_Block):
+    def __init__(self, cfg: ModelConfig, params: dict, index: int):
+        super().__init__(cfg, params, index)
+        p = f"block{index}"
+        self.qkv = QkvProjection(params[f"{p}.qkv.weight"], params.get(f"{p}.qkv.bias"))
         self.summarizers = [_make_summarizer(cfg, params, f"{p}.bank{j}") for j in range(cfg.banks)]
 
-    def forward(self, x: Tensor, mode: str, n_levels: int) -> Tensor:
+    def forward(self, x: Tensor, mode: str) -> Tensor:
         n = layer_norm(x, *self.ln1)
-        mems = [build_memory(n, s, mode, n_levels) for s in self.summarizers]
-        mem = multi_bank_combine(mems)
-        att = attend(mem, self.qkv, self.cfg.score_orientation)
-        x = add(x, add(matmul(att.values, self.out_w), self.out_b))
-        x = add(x, self.ffn(layer_norm(x, *self.ln2)))
-        return x
+        return self._read(x, [build_memory(n, s, mode) for s in self.summarizers])
 
     def fresh_states(self):
         return [SlotState.fresh(self.cfg.n_levels, s.k) for s in self.summarizers]
@@ -262,53 +276,57 @@ class LmnBlock:
         for s in states:
             row, valid = take(s, n_flat)
             mems.append(MemoryTensor(reshape(row, (1, 1, row.shape[0], self.cfg.embed)), valid[None, :]))
-        mem = multi_bank_combine(mems)
-        att = attend(mem, self.qkv, self.cfg.score_orientation)
-        x = add(x, add(matmul(att.values, self.out_w), self.out_b))
-        x = add(x, self.ffn(layer_norm(x, *self.ln2)))
+        x = self._read(x, mems)
         for s, summ in zip(states, self.summarizers):
             push(s, n_flat, summ)
         return x
 
+    def _read(self, x: Tensor, mems) -> Tensor:
+        """The tail both modes share: combine the banks, attend, then the residuals."""
+        att = attend(multi_bank_combine(mems), self.qkv, self.cfg.score_orientation)
+        return self._residuals(x, att.values)
 
-class BaselineBlock:
+
+class BaselineBlock(_Block):
     def __init__(self, cfg: ModelConfig, params: dict, index: int):
-        p = f"block{index}"
-        self.cfg = cfg
-        self.ln1 = (params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"])
-        self.qkv_w = params[f"{p}.qkv.weight"]
-        self.out_w = params[f"{p}.attn_out.weight"]
-        self.out_b = params[f"{p}.attn_out.bias"]
-        self.ln2 = (params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"])
-        self.ffn = _FeedForward(params, p, cfg.ffn_mult)
+        super().__init__(cfg, params, index)
+        self.qkv_w = params[f"block{index}.qkv.weight"]
 
-    def attention(self, n: Tensor):
-        """Causal multi-head self-attention; returns (values, weights)."""
+    def attention(self, n: Tensor, cache=None, t: int = 0):
+        """Causal multi-head self-attention of positions t..t+L-1; returns (values, weights).
+
+        With one stream's (K, V) cache of [max_seq_len, E] buffers, the new
+        keys and values are written at rows t..t+L-1 and the queries attend
+        over rows 0..t+L-1; the cache keeps no tape.
+        """
         b, L, e = n.shape
         h = self.cfg.n_heads
         d = e // h
+        T = t + L
         qkv = matmul(n, self.qkv_w)
-        q = narrow(qkv, 2, 0, e)
-        k = narrow(qkv, 2, e, e)
-        v = narrow(qkv, 2, 2 * e, e)
-        q = transpose(reshape(q, (b, L, h, d)), (0, 2, 1, 3))
-        k = transpose(reshape(k, (b, L, h, d)), (0, 2, 1, 3))
-        v = transpose(reshape(v, (b, L, h, d)), (0, 2, 1, 3))
-        att = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(d))
-        future = np.triu(np.ones((L, L), dtype=bool), k=1)
-        att = masked_fill(att, future[None, None, :, :], -np.inf)
+        q = transpose(reshape(narrow(qkv, 2, 0, e), (b, L, h, d)), (0, 2, 1, 3))
+        if cache is None:
+            k, v = narrow(qkv, 2, e, e), narrow(qkv, 2, 2 * e, e)
+        else:
+            K, V = cache
+            K.data[t:T] = qkv.data[0, :, e:2 * e]
+            V.data[t:T] = qkv.data[0, :, 2 * e:]
+            k, v = Tensor(K.data[None, :T]), Tensor(V.data[None, :T])  # views, zero-copy
+        kt = transpose(reshape(k, (b, T, h, d)), (0, 2, 3, 1))  # [b, h, d, T]
+        v = transpose(reshape(v, (b, T, h, d)), (0, 2, 1, 3))
+        att = scale(matmul(q, kt), 1.0 / np.sqrt(d))
+        if L > 1:  # a lone newest query sees every row: skip the mask's cost per step
+            future = np.triu(np.ones((L, T), dtype=bool), k=t + 1)
+            att = masked_fill(att, future[None, None, :, :], -np.inf)
         att = softmax_last(att)
-        COUNTER.score_macs += e * L * (L + 1) // 2  # per batch item, causal terms only
+        COUNTER.score_macs += e * (L * t + L * (L + 1) // 2)  # per batch item, causal terms only
         y = matmul(att, v)
         y = reshape(transpose(y, (0, 2, 1, 3)), (b, L, e))
         return y, att
 
-    def forward(self, x: Tensor) -> Tensor:
-        n = layer_norm(x, *self.ln1)
-        y, _ = self.attention(n)
-        x = add(x, add(matmul(y, self.out_w), self.out_b))
-        x = add(x, self.ffn(layer_norm(x, *self.ln2)))
-        return x
+    def forward(self, x: Tensor, cache=None, t: int = 0) -> Tensor:
+        y, _ = self.attention(layer_norm(x, *self.ln1), cache, t)
+        return self._residuals(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +381,9 @@ class LmnModel(_ModelBase):
 
     def forward(self, tokens: np.ndarray, mode: str = "parallel") -> Tensor:
         tokens = self._check_tokens(tokens)
-        n_levels = levels_for(tokens.shape[1])
         x = embedding(self.embed_w, tokens)  # no positional table: path-through encoding
         for blk in self.blocks:
-            x = blk.forward(x, mode, n_levels)
+            x = blk.forward(x, mode)
         return self._unembed(x)
 
     def start_state(self):
@@ -417,35 +434,15 @@ class BaselineModel(_ModelBase):
         return _BaselineState(self.config, self.embed_w.dtype)
 
     def step(self, state: _BaselineState, token: int) -> Tensor:
-        cfg = self.config
-        if state.t >= cfg.max_seq_len:
-            raise CapacityError(f"KV cache full after {state.t} tokens")
-        e, h = cfg.embed, cfg.n_heads
-        d = e // h
         t = state.t
+        if t >= self.config.max_seq_len:
+            raise CapacityError(f"KV cache full after {t} tokens")
         x = add(embedding(self.embed_w, np.array([[token]], dtype=np.int64)),
                 narrow(self.pos_w, 0, t, 1))
-        for bi, blk in enumerate(self.blocks):
-            n = layer_norm(x, *blk.ln1)
-            qkv = matmul(n, blk.qkv_w)  # [1, 1, 3E]
-            q = narrow(qkv, 2, 0, e)
-            k = narrow(qkv, 2, e, e)
-            v = narrow(qkv, 2, 2 * e, e)
-            state.k[bi].data[t] = k.data.reshape(e)
-            state.v[bi].data[t] = v.data.reshape(e)
-            K = Tensor(state.k[bi].data[:t + 1])  # view, zero-copy
-            V = Tensor(state.v[bi].data[:t + 1])
-            qh = transpose(reshape(q, (1, h, d)), (1, 0, 2))        # [h, 1, d]
-            kh = transpose(reshape(K, (t + 1, h, d)), (1, 0, 2))    # [h, T, d]
-            vh = transpose(reshape(V, (t + 1, h, d)), (1, 0, 2))
-            att = scale(matmul(qh, transpose(kh, (0, 2, 1))), 1.0 / np.sqrt(d))
-            att = softmax_last(att)
-            COUNTER.score_macs += e * (t + 1)
-            y = reshape(transpose(matmul(att, vh), (1, 0, 2)), (1, 1, e))
-            x = add(x, add(matmul(y, blk.out_w), blk.out_b))
-            x = add(x, blk.ffn(layer_norm(x, *blk.ln2)))
+        for blk, K, V in zip(self.blocks, state.k, state.v):
+            x = blk.forward(x, (K, V), t)
         state.t += 1
-        return reshape(self._unembed(x), (cfg.vocab_size,))
+        return reshape(self._unembed(x), (self.config.vocab_size,))
 
 
 def build_model(cfg: ModelConfig, dtype=np.float32):

@@ -41,6 +41,8 @@ class TrainConfig:
         for name in ("batch_size", "block_size", "max_iters", "eval_iters", "eval_interval"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
         for name in ("beta1", "beta2"):

@@ -64,14 +64,18 @@ def test_expsum_counter_bounded_by_width_formula():
 
 def test_sequential_stepping_counters_match_closed_form():
     L = 32
-    model = bench_model("logmem", L, embed=8, banks=2)
-    tokens = make_rng(1).integers(0, 65, size=(1, L))
-    COUNTER.reset()
-    state = model.start_state()
-    with no_grad():
-        for t in tokens[0]:
-            model.step(state, int(t))
-    assert COUNTER.score_macs == lmn_score_mac_closed_form(L, 8, 2)
+    for variant, closed in (
+        ("logmem", lmn_score_mac_closed_form(L, 8, 2)),
+        ("baseline-attn", baseline_score_mac_closed_form(L, 8)),
+    ):
+        model = bench_model(variant, L, embed=8, banks=2)
+        tokens = make_rng(1).integers(0, 65, size=(1, L))
+        COUNTER.reset()
+        state = model.start_state()
+        with no_grad():
+            for t in tokens[0]:
+                model.step(state, int(t))
+        assert COUNTER.score_macs == closed, variant
 
 
 def test_time_forward_produces_record():

@@ -128,12 +128,22 @@ def test_bad_vocab_exits_with_one_line(trained, tmp_path, capsys, kind, exit_cod
     _assert_one_error_line(capsys)
 
 
-@pytest.mark.parametrize("flags", [["--temperature", "0"], ["--n-new", "-3"]])
+@pytest.mark.parametrize("flags", [["--temperature", "0"], ["--n-new", "-3"], ["--seed", "-1"]])
 def test_generate_bad_flags_exit_2(trained, capsys, flags):
     code = main(["generate", "--checkpoint", os.path.join(trained, "model_final.ckpt"),
                  "--vocab", os.path.join(trained, "vocab.txt"), "--prompt", "K", *flags])
     assert code == 2
     _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("flags", [["--variant", "expsum"], ["--config", "cfg.txt"]])
+def test_generate_rejects_config_flags(trained, capsys, flags):
+    # the model config comes from the checkpoint: a config flag would be silently ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--checkpoint", os.path.join(trained, "model_final.ckpt"),
+              "--vocab", os.path.join(trained, "vocab.txt"), "--prompt", "K", *flags])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
 
 
 def test_eval_subcommand(trained, corpus_file, capsys):
@@ -181,7 +191,9 @@ def test_config_file_unknown_key_rejected(tmp_path):
 @pytest.mark.parametrize("line", ["model.summarizer=dscnv", "model.score_orientation=sideways",
                                   "model.summarizer_bias=flase", "model.embed=abc",
                                   "train.grad_clip=-1", "train.beta2=1.0", "train.beta1=2",
-                                  "train.eps=-1", "train.weight_decay=-0.1"])
+                                  "train.eps=-1", "train.weight_decay=-0.1",
+                                  "model.n_heads=0", "model.n_heads=-4", "model.seed=-1",
+                                  "train.seed=-1"])
 def test_bad_config_value_exits_2_with_one_line(tmp_path, capsys, line):
     p = tmp_path / "cfg.txt"
     p.write_text(line + "\n")

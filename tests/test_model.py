@@ -118,6 +118,9 @@ def test_forward_rejects_bad_tokens():
     ("swapped", dict(variant="logmem", banks=2, score_orientation="swapped")),
     ("float64", dict(variant="logmem", banks=2, dtype=np.float64)),
     ("baseline-float64", dict(variant="baseline-attn", n_heads=2, dtype=np.float64)),
+    ("logmem-2block", dict(variant="logmem", banks=2, n_blocks=2)),
+    ("baseline", dict(variant="baseline-attn", n_heads=4)),
+    ("baseline-2block", dict(variant="baseline-attn", n_heads=4, n_blocks=2)),
 ])
 def test_generation_matches_teacher_forcing(name, kw):
     kw = dict(kw)
@@ -165,17 +168,6 @@ def test_generation_capacity_error():
     model = build_model(cfg)
     with pytest.raises(CapacityError):
         generate(model, [0, 1], 20, argmax=True)
-
-
-def test_baseline_generation_matches_teacher_forcing():
-    cfg = small_cfg(dict(variant="baseline-attn", n_heads=4), max_seq_len=32)
-    model = build_model(cfg)
-    tokens = make_rng(6).integers(0, cfg.vocab_size, size=(1, 16))
-    with no_grad():
-        tf = model.forward(tokens).data[0]
-        state = model.start_state()
-        stepped = np.stack([model.step(state, int(t)).data for t in tokens[0]])
-    assert np.abs(tf - stepped).max() <= 1e-4
 
 
 def test_baseline_causality_and_weight_rows():

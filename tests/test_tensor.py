@@ -269,7 +269,7 @@ def test_no_grad_suppresses_tape():
 def test_scale_and_neg():
     x = t([1.0, -2.0])
     assert np.allclose(scale(x, 2.5).data, [2.5, -5.0])
-    assert np.allclose((-x).data, [-1.0, 2.0])
+    assert np.allclose(scale(x, -1.0).data, [-1.0, 2.0])
 
 
 def test_broadcast_bias_add():
