@@ -90,6 +90,19 @@ def _traced_peak(runner, args) -> int:
             tracemalloc.stop()
 
 
+def _forward_pass(model, L: int, mode: str, seed: int):
+    """The runner and its arguments for one forward pass over L seeded random tokens."""
+    tokens = make_rng(seed).integers(0, model.config.vocab_size, size=(1, L))
+    if mode == "sequential":
+        return _run_stepping, (model, tokens)
+    return _run_forward, (model, tokens, mode)
+
+
+def peak_bytes(model, L: int, mode: str, seed: int = 0) -> int:
+    """The peak that time_forward records, from one traced pass and no timed reps."""
+    return _traced_peak(*_forward_pass(model, L, mode, seed))
+
+
 def time_forward(model, L: int, mode: str, reps: int = 3, seed: int = 0) -> BenchRecord:
     """Median wall time over reps (after one warm-up) for one forward pass.
 
@@ -98,10 +111,7 @@ def time_forward(model, L: int, mode: str, reps: int = 3, seed: int = 0) -> Benc
     """
     if reps < 3:
         raise ValueError("reps must be >= 3")
-    rng = make_rng(seed)
-    tokens = rng.integers(0, model.config.vocab_size, size=(1, L))
-    runner = _run_stepping if mode == "sequential" else _run_forward
-    args = (model, tokens) if mode == "sequential" else (model, tokens, mode)
+    runner, args = _forward_pass(model, L, mode, seed)
     try:
         COUNTER.reset()
         # warm-up, counted run (counts repeat per run) and memory pass at once

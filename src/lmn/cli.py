@@ -96,22 +96,14 @@ def build_configs(args) -> tuple[ModelConfig, TrainConfig, dict]:
             train_kw[name] = _coerce(tf, name, value)
         else:
             bench_kw[name] = value
-    flag_model = {
-        "variant": args.variant, "embed": args.embed, "banks": args.banks,
-        "expansion": args.expansion, "seed": args.seed,
-        "score_orientation": args.score_orientation,
-        "max_seq_len": getattr(args, "max_seq_len", None),
-        "n_blocks": getattr(args, "n_blocks", None),
-    }
-    for name, value in flag_model.items():
-        if value is not None:
-            model_kw[name] = value
-    if args.seed is not None:
-        train_kw["seed"] = args.seed
-    if getattr(args, "max_iters", None) is not None:
-        train_kw["max_iters"] = args.max_iters
-    if getattr(args, "block_size", None) is not None:
-        train_kw["block_size"] = args.block_size
+    # a subcommand registers only the flags it uses
+    for name in ("variant", "embed", "banks", "expansion", "seed", "score_orientation",
+                 "max_seq_len", "n_blocks"):
+        if getattr(args, name, None) is not None:
+            model_kw[name] = getattr(args, name)
+    for name in ("seed", "max_iters", "block_size"):
+        if getattr(args, name, None) is not None:
+            train_kw[name] = getattr(args, name)
     try:
         model_cfg = ModelConfig(**model_kw)
         train_cfg = TrainConfig(**train_kw)
@@ -259,8 +251,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    model_cfg, _, _ = build_configs(args)
-    echo_config(model_cfg, None, {"quick": args.quick})
+    build_configs(args)  # the suite runs fixed shapes; a bad config file still exits 2
+    print("# effective config")
+    print(f"quick={args.quick}")
     ok = run_verify(quick=args.quick, log=print)
     print("verify: ALL PASS" if ok else "verify: FAILURES")
     return EXIT_OK if ok else EXIT_VERIFY
@@ -271,7 +264,8 @@ def make_parser() -> argparse.ArgumentParser:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, train_flags=False, artifact_flags=False):
+    def common(p):
+        """Flags of the subcommands that build their model from the config: train and bench."""
         p.add_argument("--config", help="key-value config file")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None)
@@ -285,23 +279,24 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", choices=["parallel", "sequential"], default=None)
         p.add_argument("--score-orientation", dest="score_orientation",
                        choices=["literal", "swapped"], default=None)
-        if train_flags:
-            p.add_argument("--corpus", default=None)
-            p.add_argument("--max-iters", dest="max_iters", type=int, default=None)
-            p.add_argument("--block-size", dest="block_size", type=int, default=None)
-        if artifact_flags:
-            p.add_argument("--checkpoint", default=None)
-            p.add_argument("--vocab", default=None)
 
     p_train = sub.add_parser("train", help="train a model on a corpus")
-    common(p_train, train_flags=True)
+    common(p_train)
+    p_train.add_argument("--corpus", default=None)
+    p_train.add_argument("--max-iters", dest="max_iters", type=int, default=None)
+    p_train.add_argument("--block-size", dest="block_size", type=int, default=None)
     p_train.set_defaults(fn=cmd_train)
 
+    # eval and generate run the checkpoint's model, so no model flag applies
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a corpus")
-    common(p_eval, train_flags=True, artifact_flags=True)
+    p_eval.add_argument("--checkpoint", default=None)
+    p_eval.add_argument("--vocab", default=None)
+    p_eval.add_argument("--corpus", default=None)
+    p_eval.add_argument("--config", help="key-value config file")
+    p_eval.add_argument("--seed", type=int, default=None)
+    p_eval.add_argument("--block-size", dest="block_size", type=int, default=None)
     p_eval.set_defaults(fn=cmd_eval)
 
-    # generate takes its model config from the checkpoint, so no config flag applies
     p_gen = sub.add_parser("generate", help="sample text from a checkpoint")
     p_gen.add_argument("--checkpoint", default=None)
     p_gen.add_argument("--vocab", default=None)
@@ -318,8 +313,9 @@ def make_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--variants", default=None, help="comma-separated variants")
     p_bench.set_defaults(fn=cmd_bench)
 
+    # verify runs a fixed suite of shapes and seeds
     p_verify = sub.add_parser("verify", help="run the invariant suite")
-    common(p_verify)
+    p_verify.add_argument("--config", help="key-value config file")
     p_verify.add_argument("--quick", action="store_true", help="reduced shapes, < 60 s")
     p_verify.set_defaults(fn=cmd_verify)
     return ap

@@ -2,8 +2,14 @@
 
 Every forward op records a node on a dynamic tape (parent links plus a
 backward closure); ``backward`` replays the tape in reverse topological
-order. Compute precision is float32 by default; passing float64 arrays
-through the same ops gives a 64-bit mode used for tight gradient checks.
+order and frees each node once its closure has returned. Compute precision
+is float32 by default; passing float64 arrays through the same ops gives a
+64-bit mode used for tight gradient checks.
+
+The closure contract: a backward closure returns, per parent, its incoming
+gradient, a view of it, or an array it allocated for that call, and keeps
+no reference to what it returns. ``backward`` relies on this to sum a
+node's later gradient contributions in place into a fresh array.
 
 Shapes follow numpy row-major conventions. Broadcasting is supported only
 with numpy's trailing-axis alignment (bias vectors against batched
@@ -63,8 +69,8 @@ class Tensor:
     """N-dimensional float array, optionally recorded on the autodiff tape.
 
     Data is immutable once the tensor participates in recorded ops; only the
-    ``grad`` buffer is written after the fact. Calling backward twice without
-    zeroing grads accumulates (documented behaviour, used for shared weights).
+    ``grad`` buffer is written after the fact. Grads accumulate across
+    separate graphs until ``zero_grad``, and a graph runs backward once.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
@@ -112,21 +118,33 @@ class Tensor:
 
     def backward(self):
         """Reverse-mode pass from this scalar; populates grads of every
-        requires_grad tensor on the tape that feeds it."""
+        requires_grad leaf on the tape that feeds it.
+
+        Each non-leaf node is spent as soon as its closure has returned: its
+        grad, closure and parent links are dropped, so intermediate gradients
+        and saved arrays are freed as the pass moves on. A spent node raises
+        ContractError if a later pass reaches it.
+        """
         if self.data.size != 1:
             raise ContractError(f"backward requires a scalar loss, got shape {self.data.shape}")
         order = _topo_order(self)
         self.grad = np.ones_like(self.data)
-        # First contribution to a node is adopted without copying (it may be
-        # a view of the child's grad, which is dead by then); the second
-        # switches to an owned buffer. Leaves copy immediately since their
-        # grads outlive the pass.
+        # A node's first contribution is adopted without copying. A second is
+        # summed in place into the first only when that array is fresh: not a
+        # view, not the closure's own incoming gradient (which other nodes may
+        # still hold) and not handed to another parent. Otherwise the sum goes
+        # to a new buffer. Leaves copy at once since their grads outlive the pass.
         borrowed = set()
-        for node in reversed(order):
-            if node._backward is None or node.grad is None:
+        for i in range(len(order) - 1, -1, -1):
+            node = order[i]
+            order[i] = None
+            incoming = node.grad
+            if node._backward is None or incoming is None:
                 continue
-            grads = node._backward(node.grad)
-            for parent, g in zip(node._parents, grads):
+            grads = node._backward(incoming)
+            parents = node._parents
+            node.grad, node._backward, node._parents = None, _spent, ()
+            for parent, g in zip(parents, grads):
                 if g is None or not parent.requires_grad:
                     continue
                 if parent.grad is None:
@@ -134,12 +152,18 @@ class Tensor:
                         parent.grad = g.copy()  # leaves must own their buffers
                     else:
                         parent.grad = g
-                        borrowed.add(id(parent))
+                        if g.base is not None or g is incoming or sum(h is g for h in grads) > 1:
+                            borrowed.add(id(parent))
                 elif id(parent) in borrowed:
                     parent.grad = parent.grad + g
                     borrowed.discard(id(parent))
                 else:
                     parent.grad += g
+
+
+def _spent(g):
+    raise ContractError("backward reached a node of a graph that has already run backward; "
+                        "run the forward again")
 
 
 def _topo_order(root: Tensor):
@@ -192,18 +216,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-
-    return _make(out, (a, b), bwd)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        out = a.data - b.data
-    except ValueError:  # numpy's own broadcast error
-        raise ShapeError(f"sub: shapes {a.shape} and {b.shape} do not align") from None
-
-    def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
 
     return _make(out, (a, b), bwd)
 
@@ -471,9 +483,9 @@ def masked_fill(a: Tensor, mask: np.ndarray, value: float) -> Tensor:
 
 def softmax_last(a: Tensor) -> Tensor:
     """Softmax along the last axis; -inf entries map to exact zeros."""
-    m = np.max(a.data, axis=-1, keepdims=True)
-    e = np.exp(a.data - m)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = a.data - np.max(a.data, axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def bwd(g):
         dot = np.sum(g * y, axis=-1, keepdims=True)

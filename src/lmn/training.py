@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,21 +132,28 @@ def evaluate(model, ds: Dataset, cfg: TrainConfig) -> tuple[float, float]:
     return out[0], out[1]
 
 
+STEP_COLUMNS = ("step", "loss", "grad_norm", "lr", "step_s", "tok_s")
+
+
 @dataclass
 class TrainReport:
     curve: list = field(default_factory=list)  # rows of (step, train_loss, val_loss)
+    steps: list = field(default_factory=list)  # one row of STEP_COLUMNS per training step
     final_train: float = float("nan")
     final_val: float = float("nan")
     best_val: float = float("inf")
     checkpoint: str | None = None
     best_checkpoint: str | None = None
 
-    def write_csv(self, path):
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["step", "train_loss", "val_loss"])
-            for row in self.curve:
-                w.writerow(row)
+    def write_csv(self, out_dir):
+        """train_report.csv holds the eval curve, train_steps.csv the per-step telemetry."""
+        for name, header, rows in (
+                ("train_report.csv", ("step", "train_loss", "val_loss"), self.curve),
+                ("train_steps.csv", STEP_COLUMNS, self.steps)):
+            with open(os.path.join(out_dir, name), "w", newline="") as f:
+                w = csv.writer(f)
+                w.writerow(header)
+                w.writerows(rows)
 
 
 def train(model, ds: Dataset, cfg: TrainConfig, out_dir: str | None = None,
@@ -153,9 +161,10 @@ def train(model, ds: Dataset, cfg: TrainConfig, out_dir: str | None = None,
     """Run the training loop; returns the loss curve and final/best losses.
 
     Per step: sample batch, parallel-mode forward, cross-entropy, backward,
-    clip, Adam update. Every eval_interval steps both splits are evaluated
-    with frozen parameters. Checkpoints are written at the end and whenever
-    the val loss improves (when out_dir is given).
+    clip, Adam update; the step's loss, grad norm (before clipping), learning
+    rate, seconds and tokens/s go to report.steps. Every eval_interval steps
+    both splits are evaluated with frozen parameters. Checkpoints are written
+    at the end and whenever the val loss improves (when out_dir is given).
     """
     if cfg.block_size > model.config.max_seq_len:
         raise ValueError(
@@ -168,6 +177,7 @@ def train(model, ds: Dataset, cfg: TrainConfig, out_dir: str | None = None,
 
     last_norm = float("nan")  # grad norm of the last step that updated the weights
     for step in range(1, cfg.max_iters + 1):
+        start = time.perf_counter()
         x, y = sample_batch(ds, "train", cfg.batch_size, cfg.block_size, rng)
         model.zero_grad()
         step_loss = loss_fn(model.forward(x, mode="parallel"), y)
@@ -183,7 +193,10 @@ def train(model, ds: Dataset, cfg: TrainConfig, out_dir: str | None = None,
                 f"non-finite grad_norm {norm} at step {step} (lr={lr_at(cfg, step):.3g}, "
                 f"loss={value:.4g})")
         last_norm = norm
-        opt.step(lr_at(cfg, step))
+        lr = lr_at(cfg, step)
+        opt.step(lr)
+        seconds = time.perf_counter() - start
+        report.steps.append((step, value, norm, lr, seconds, x.size / seconds))
 
         if step % cfg.eval_interval == 0 or step == cfg.max_iters:
             tr, va = evaluate(model, ds, cfg)
@@ -200,5 +213,5 @@ def train(model, ds: Dataset, cfg: TrainConfig, out_dir: str | None = None,
     if out_dir:
         report.checkpoint = os.path.join(out_dir, "model_final.ckpt")
         save_checkpoint(report.checkpoint, model)
-        report.write_csv(os.path.join(out_dir, "train_report.csv"))
+        report.write_csv(out_dir)
     return report

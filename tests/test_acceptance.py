@@ -8,7 +8,9 @@ reduced training comparison well under two hours (about fifteen minutes).
 """
 
 import math
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -19,8 +21,8 @@ from lmn.bench import (
     bench_model,
     lmn_score_mac_closed_form,
     loglog_slope,
+    peak_bytes,
     sweep,
-    time_forward,
 )
 from lmn.corpus import generate_corpus
 from lmn.counters import COUNTER
@@ -254,8 +256,7 @@ def test_criterion_07_scaling_trends(tmp_path):
     for variant in ("logmem", "baseline-attn"):
         for L in (1024, 16384):
             model = bench_model(variant, L, embed=32, banks=2)
-            rec = time_forward(model, L, "sequential", reps=3)
-            peaks[(variant, L)] = rec.peak_bytes
+            peaks[(variant, L)] = peak_bytes(model, L, "sequential")
             del model
     lmn_ratio = peaks[("logmem", 16384)] / peaks[("logmem", 1024)]
     base_ratio = peaks[("baseline-attn", 16384)] / peaks[("baseline-attn", 1024)]
@@ -269,22 +270,30 @@ def test_criterion_07_scaling_trends(tmp_path):
            f"baseline {base_ratio:.1f}x (>=8); total {elapsed:.0f}s")
 
 
-def test_criterion_08_training_table_ordering():
+def _criterion_08_final_val(ds, variant, kw, seed):
+    cfg = ModelConfig(variant=variant, vocab_size=len(ds.vocab), embed=32,
+                      max_seq_len=256, n_blocks=1, seed=seed, **kw)
+    tc = TrainConfig(batch_size=16, block_size=256, max_iters=2000,
+                     learning_rate=1e-3, eval_iters=40, eval_interval=500,
+                     seed=seed)
+    return train(build_model(cfg), ds, tc).final_val
+
+
+def test_criterion_08_training_table_ordering(monkeypatch):
     t0 = time.monotonic()
     text = generate_corpus(1_100_000, seed=1337)
     ds = Dataset.from_text(text)
     assert len(ds.vocab) == 65
     seed = 7
-    finals = {}
-    for variant, kw in (("logmem", dict(banks=2, summarizer_bias=False)),
-                        ("baseline-attn", dict(n_heads=4))):
-        cfg = ModelConfig(variant=variant, vocab_size=len(ds.vocab), embed=32,
-                          max_seq_len=256, n_blocks=1, seed=seed, **kw)
-        tc = TrainConfig(batch_size=16, block_size=256, max_iters=2000,
-                         learning_rate=1e-3, eval_iters=40, eval_interval=500,
-                         seed=seed)
-        model = build_model(cfg)
-        finals[variant] = train(model, ds, tc).final_val
+    # The two runs share nothing, so each trains in its own process with one
+    # BLAS thread; the pair takes the time of the slower run, not the sum.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    with ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("spawn")) as pool:
+        runs = {variant: pool.submit(_criterion_08_final_val, ds, variant, kw, seed)
+                for variant, kw in (("logmem", dict(banks=2, summarizer_bias=False)),
+                                    ("baseline-attn", dict(n_heads=4)))}
+        finals = {variant: run.result() for variant, run in runs.items()}
     bound = math.log(len(ds.vocab)) - 1.0
     assert finals["logmem"] < finals["baseline-attn"], finals
     assert finals["logmem"] < bound and finals["baseline-attn"] < bound

@@ -15,6 +15,7 @@ from lmn.bench import (
     compression_factor,
     lmn_score_mac_closed_form,
     loglog_slope,
+    peak_bytes,
     sweep,
     time_forward,
 )
@@ -155,17 +156,17 @@ def test_sweep_writes_csv_with_footer(tmp_path):
 def test_sequential_peak_scales_with_kv_cache_for_baseline():
     small = bench_model("baseline-attn", 128, embed=32)
     big = bench_model("baseline-attn", 2048, embed=32)
-    rec_small = time_forward(small, 128, "sequential", reps=3)
-    rec_big = time_forward(big, 2048, "sequential", reps=3)
-    assert rec_big.peak_bytes / rec_small.peak_bytes >= 4.0
+    peak_small = peak_bytes(small, 128, "sequential")
+    peak_big = peak_bytes(big, 2048, "sequential")
+    assert peak_big / peak_small >= 4.0
 
 
 def test_lmn_sequential_peak_nearly_length_independent():
     small = bench_model("logmem", 128, embed=32, banks=1)
     big = bench_model("logmem", 2048, embed=32, banks=1)
-    rec_small = time_forward(small, 128, "sequential", reps=3)
-    rec_big = time_forward(big, 2048, "sequential", reps=3)
-    assert rec_big.peak_bytes / rec_small.peak_bytes < 2.0
+    peak_small = peak_bytes(small, 128, "sequential")
+    peak_big = peak_bytes(big, 2048, "sequential")
+    assert peak_big / peak_small < 2.0
 
 
 def test_record_row_round_trip():

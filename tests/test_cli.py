@@ -30,7 +30,8 @@ def trained(tmp_path_factory, corpus_file):
 
 
 def test_train_smoke_writes_artifacts(trained):
-    for name in ("model_final.ckpt", "model_best.ckpt", "vocab.txt", "train_report.csv"):
+    for name in ("model_final.ckpt", "model_best.ckpt", "vocab.txt", "train_report.csv",
+                 "train_steps.csv"):
         assert os.path.exists(os.path.join(trained, name)), name
 
 
@@ -152,6 +153,28 @@ def test_eval_subcommand(trained, corpus_file, capsys):
                  "--corpus", corpus_file, "--seed", "3"])
     assert code == 0
     assert "val_loss=" in capsys.readouterr().out
+
+
+# model flags as train registers them; eval and verify never build a model from flags
+MODEL_FLAGS = [["--variant", "expsum"], ["--embed", "64"], ["--banks", "1"], ["--expansion", "2"],
+               ["--n-blocks", "2"], ["--max-seq-len", "64"], ["--mode", "sequential"],
+               ["--score-orientation", "swapped"]]
+
+
+@pytest.mark.parametrize("flags", MODEL_FLAGS, ids=[f[0] for f in MODEL_FLAGS])
+def test_eval_rejects_model_flags(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--checkpoint", "model.ckpt", "--corpus", "plays.txt", *flags])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", MODEL_FLAGS, ids=[f[0] for f in MODEL_FLAGS])
+def test_verify_rejects_model_flags(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--quick", *flags])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
 
 
 def test_verify_quick_exit_0():

@@ -2,6 +2,7 @@
 central finite differences, and the documented contracts."""
 
 import gc
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -34,10 +35,12 @@ from lmn.tensor import (
     reshape,
     scale,
     softmax_last,
-    sub,
     sum_axis,
     transpose,
 )
+
+from lmn.model import ModelConfig, build_model
+from lmn.model import loss as model_loss
 
 from conftest import fd_grad, naive_matmul
 
@@ -132,6 +135,145 @@ def test_backward_accumulates_for_shared_parameter():
     assert np.allclose(w.grad, [5.0])
 
 
+def _two_block_model(variant="logmem", dtype=np.float64, embed=8, batch=2, length=13):
+    cfg = ModelConfig(variant=variant, vocab_size=11, embed=embed, max_seq_len=32, banks=2,
+                      n_blocks=2, seed=4)
+    rng = make_rng(9)
+    x, y = rng.integers(0, 11, size=(2, batch, length))
+    return build_model(cfg, dtype=dtype), x, y
+
+
+def test_backward_frees_the_tape_and_keeps_parameter_grads():
+    model, x, y = _two_block_model()
+    loss = model_loss(model.forward(x), y)
+    reached = [n for n in T._topo_order(loss) if n._backward is not None]
+    assert len(reached) > 100
+    loss.backward()
+    for n in reached:
+        assert n.grad is None and n._parents == ()
+        with pytest.raises(ContractError):
+            n._backward(np.zeros_like(n.data))
+    for name, p in model.params.items():
+        assert p.grad is not None and p.grad.shape == p.shape and np.isfinite(p.grad).all(), name
+
+
+def test_a_graph_runs_backward_once_and_grads_accumulate_across_graphs():
+    model, x, y = _two_block_model()
+    logits = model.forward(x)
+    loss = model_loss(logits, y)
+    loss.backward()
+    with pytest.raises(ContractError):
+        loss.backward()
+    with pytest.raises(ContractError):  # a second loss through the spent logits
+        model_loss(logits, y[:, ::-1]).backward()
+
+    w = t([2.0], rg=True)
+    for _ in range(2):
+        sum_axis(mul(w, w)).backward()
+    assert np.allclose(w.grad, [8.0])
+
+
+def _op(f, first, second, flip):
+    return f(second, first) if flip else f(first, second)
+
+
+def _aliasing_loss(params, creation, flips):
+    """u feeds a, b and d; c = a + b hands one array to both a and b, and a
+    hands that same array (its incoming gradient, or with flips[5] a view of
+    it) to u alone. A second sum into u in place would then overwrite the
+    gradient b or d still holds. flips[:5] swap the operands of a, b, d, c, s."""
+    x, bias, w, v = params
+    u = mul(x, x)
+    build = {"a": lambda: reshape(u, u.shape) if flips[5] else _op(add, u, bias, flips[0]),
+             "b": lambda: _op(mul, u, w, flips[1]), "d": lambda: _op(mul, u, v, flips[2])}
+    made = {name: build[name]() for name in creation}
+    c = _op(add, made["a"], made["b"], flips[3])
+    s = _op(add, c, made["d"], flips[4])
+    return sum_axis(mul(s, s))
+
+
+def _pair_add(a, b):
+    """a + b whose backward hands one array it allocated to both parents."""
+    def bwd(g):
+        h = g.copy()
+        return h, h
+
+    return T._make(a.data + b.data, (a, b), bwd)
+
+
+def _pair_loss(params, creation, flips):
+    """c = u + b, with b = u * w, hands one fresh array to both u and b, and
+    d = b * v adds into b's gradient; were u and b both to own that array,
+    d's contribution would land in u's gradient too."""
+    x, _, w, v = params
+    u = mul(x, x)
+    b = _op(mul, u, w, flips[0])
+    build = {"c": lambda: _op(_pair_add, u, b, flips[1]), "d": lambda: _op(mul, b, v, flips[2])}
+    made = {name: build[name]() for name in creation}
+    s = _op(add, made["c"], made["d"], flips[3])
+    return sum_axis(mul(s, s))
+
+
+def test_in_place_sums_never_write_a_shared_gradient():
+    rng = make_rng(31)
+    params = [Tensor(rng.standard_normal(shape), requires_grad=True)
+              for shape in ((3, 4), (4,), (3, 4), (3, 4))]
+    graphs = [(_aliasing_loss, creation, flips) for creation in itertools.permutations("abd")
+              for flips in itertools.product((False, True), repeat=6)]
+    graphs += [(_pair_loss, creation, flips) for creation in itertools.permutations("cd")
+               for flips in itertools.product((False, True), repeat=4)]
+    wrong = []
+    for build, creation, flips in graphs:
+        err = grad_check(lambda p: build(p, creation, flips), params, eps=1e-5)
+        if not err <= 1e-4:
+            wrong.append((build.__name__, creation, flips, err))
+    assert not wrong, wrong
+
+
+def _replayed_grads(loss, params):
+    """Leaf grads by a replay that keeps every node and never sums in place."""
+    grads = {id(loss): np.ones_like(loss.data)}
+    for node in reversed(T._topo_order(loss)):
+        g = grads.get(id(node))
+        if node._backward is None or g is None:
+            continue
+        for parent, pg in zip(node._parents, node._backward(g)):
+            if pg is not None and parent.requires_grad:
+                grads[id(parent)] = grads[id(parent)] + pg if id(parent) in grads else pg
+    return [grads.get(id(p)) for p in params]
+
+
+@pytest.mark.parametrize("variant", ["logmem", "tiny-logmem", "expsum", "baseline-attn"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_backward_is_bit_identical_to_a_plain_replay(variant, dtype):
+    model, x, y = _two_block_model(variant, dtype)
+    params = list(model.params.values())
+    loss = model_loss(model.forward(x), y)
+    expect = _replayed_grads(loss, params)
+    loss.backward()
+    for p, e in zip(params, expect):
+        assert p.grad.dtype == e.dtype and np.array_equal(p.grad, e)
+
+
+def test_backward_leaves_only_parameter_grads_alive():
+    model, x, y = _two_block_model(dtype=np.float32, embed=16, batch=4, length=32)
+    model_loss(model.forward(x), y).backward()  # fills every lazy cache first
+    model.zero_grad()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        loss = model_loss(model.forward(x), y)
+        loss.backward()
+        left = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    grads = sum(p.grad.nbytes for p in model.params.values())
+    # the constant covers the interpreter's and numpy's free-list caches; the
+    # tape itself (forward arrays and intermediate grads) is over 2 MB here
+    assert loss.item() > 0
+    assert left <= grads + 64 * 1024, (left, grads)
+
+
 def test_cross_entropy_closed_form_grad():
     logits = t([[0.0, 0.0]], rg=True)
     loss = cross_entropy(logits, np.array([0]))
@@ -141,7 +283,7 @@ def test_cross_entropy_closed_form_grad():
 
 
 @pytest.mark.parametrize("op_name", [
-    "add", "sub", "mul", "matmul2d", "matmul_batched_weight", "matmul_batched_pair",
+    "add", "scale", "mul", "matmul2d", "matmul_batched_weight", "matmul_batched_pair",
     "concat", "narrow", "index_select", "reshape", "transpose", "softmax",
     "layernorm", "gelu", "embedding", "cross_entropy", "conv_full",
     "conv_depthwise", "conv_transpose", "masked_fill", "sum_axis",
@@ -157,7 +299,7 @@ def test_op_gradients_match_finite_differences(op_name):
 
     builders = {
         "add": lambda: ((mk(3, 4), mk(3, 4)), lambda a, b: add(a, b)),
-        "sub": lambda: ((mk(3, 4), mk(4)), lambda a, b: sub(a, b)),
+        "scale": lambda: ((mk(3, 4),), lambda a: scale(a, -0.7)),
         "mul": lambda: ((mk(3, 4), mk(4)), lambda a, b: mul(a, b)),
         "matmul2d": lambda: ((mk(3, 4), mk(4, 2)), lambda a, b: matmul(a, b)),
         "matmul_batched_weight": lambda: ((mk(2, 3, 4), mk(4, 5)), lambda a, b: matmul(a, b)),

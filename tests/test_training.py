@@ -93,6 +93,23 @@ def test_training_reproducible_and_writes_artifacts(tmp_path, corpus_text):
     assert len(rows) == 1 + len(curves[0])
 
 
+def test_training_writes_one_telemetry_row_per_step(tmp_path, corpus_text):
+    ds, model = tiny_setup(corpus_text, seed=3)
+    tc = TrainConfig(batch_size=2, block_size=32, max_iters=6, eval_iters=2, eval_interval=3,
+                     learning_rate=2e-3, seed=3)
+    report = train(model, ds, tc, out_dir=str(tmp_path))
+    with open(tmp_path / "train_steps.csv") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == ["step", "loss", "grad_norm", "lr", "step_s", "tok_s"]
+    assert [int(r[0]) for r in rows[1:]] == [1, 2, 3, 4, 5, 6]
+    for row, kept in zip(rows[1:], report.steps):
+        step, loss, norm, lr, seconds, tok_s = (float(v) for v in row)
+        assert (loss, norm, lr, seconds, tok_s) == kept[1:]
+        assert np.log(len(ds.vocab)) / 2 < loss < 2 * np.log(len(ds.vocab))
+        assert norm > 0 and lr == 2e-3 and seconds > 0
+        assert tok_s == pytest.approx(2 * 32 / seconds)
+
+
 def test_training_aborts_on_divergence(corpus_text):
     ds, model = tiny_setup(corpus_text)
     # a destructive learning rate blows the weights up within a few steps
