@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import re
 import time
 import tracemalloc
 from dataclasses import dataclass, fields
@@ -26,9 +27,6 @@ import numpy as np
 from .counters import COUNTER
 from .model import ModelConfig, build_model
 from .tensor import make_rng, no_grad
-
-CSV_COLUMNS = ["variant", "mode", "L", "reps", "median_seconds", "peak_bytes",
-               "score_macs", "summarizer_ops", "status"]
 
 
 @dataclass
@@ -47,6 +45,37 @@ class BenchRecord:
         return [getattr(self, f.name) for f in fields(self)]
 
 
+CSV_COLUMNS = [f.name for f in fields(BenchRecord)]
+
+# the ModelConfig field each bench key sets, so that an error names the key
+_KEY_OF_FIELD = {"variant": "variants", "max_seq_len": "lengths", "embed": "embed",
+               "banks": "banks", "seed": "seed"}
+
+
+@dataclass
+class BenchConfig:
+    """The ``bench.*`` config section: every input of the scaling sweep."""
+    lengths: tuple[int, ...] = (256, 1024, 4096, 16384)
+    variants: tuple[str, ...] = ("logmem", "baseline-attn")
+    reps: int = 3
+    embed: int = 32
+    banks: int = 2
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.reps < 3:
+            raise ValueError(f"bench.reps must be >= 3, got {self.reps}")
+        # the model of every sweep point checks the values
+        for variant in self.variants:
+            for L in self.lengths:
+                try:
+                    _model_config(variant, L, self.embed, self.banks, self.seed)
+                except ValueError as exc:
+                    raise ValueError(re.sub(rf"\b({'|'.join(_KEY_OF_FIELD)})\b",
+                                            lambda m: "bench." + _KEY_OF_FIELD[m[1]],
+                                            str(exc), count=1)) from None
+
+
 def compression_factor(n: int) -> float:
     """Quadratic-vs-logarithmic cost ratio n^2 / log2(n)."""
     if n < 2:
@@ -54,11 +83,14 @@ def compression_factor(n: int) -> float:
     return n * n / math.log2(n)
 
 
+def _model_config(variant: str, L: int, embed: int, banks: int, seed: int) -> ModelConfig:
+    return ModelConfig(variant=variant, vocab_size=65, embed=embed, max_seq_len=L,
+                       banks=banks, n_blocks=1, n_heads=1, seed=seed)
+
+
 def bench_model(variant: str, L: int, embed: int = 32, banks: int = 2, seed: int = 0):
     """Fresh random-weight model sized for sequence length L (one block)."""
-    cfg = ModelConfig(variant=variant, vocab_size=65, embed=embed, max_seq_len=L,
-                      banks=banks, n_blocks=1, n_heads=1, seed=seed)
-    return build_model(cfg)
+    return build_model(_model_config(variant, L, embed, banks, seed))
 
 
 def _run_forward(model, tokens, mode):

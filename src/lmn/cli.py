@@ -2,8 +2,10 @@
 
 Configuration comes from a flat key-value file with section prefixes
 (model.embed=32, train.max_iters=5000, bench.lengths=256,1024), overridden
-by flags. The effective config is echoed at startup so a run can be
-reproduced byte-exactly. Exit codes: 0 ok, 1 verification failure, 2 input
+by flags. Every command that takes --config validates every section of the
+file but applies only the sections it runs; its flags set only those. The
+effective config is echoed at startup so a run can be reproduced
+byte-exactly. Exit codes: 0 ok, 1 verification failure, 2 input
 error, 3 artifact mismatch, 4 capacity exceeded.
 """
 
@@ -12,14 +14,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
-from .bench import sweep
+from .bench import BenchConfig, sweep
 from .data import Dataset, Vocab, load_corpus
 from .memory import CapacityError
-from .model import ModelConfig, build_model, generate, load_checkpoint, param_count
+from .model import (ModelConfig, build_model, config_kwargs, config_to_text, generate,
+                    load_checkpoint, param_count)
 from .tensor import make_rng
 from .training import DivergenceError, TrainConfig, evaluate, train
 from .verify import run_verify
@@ -30,9 +33,7 @@ EXIT_INPUT = 2
 EXIT_MISMATCH = 3
 EXIT_CAPACITY = 4
 
-_MODEL_KEYS = {f.name for f in fields(ModelConfig)}
-_TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
-_BENCH_KEYS = {"lengths", "variants", "reps", "embed", "banks"}
+SECTIONS = {"model": ModelConfig, "train": TrainConfig, "bench": BenchConfig}
 
 
 class CliError(Exception):
@@ -56,77 +57,49 @@ def parse_config_file(path) -> dict:
             key, _, value = line.partition("=")
             key = key.strip()
             section, _, name = key.partition(".")
-            known = {"model": _MODEL_KEYS, "train": _TRAIN_KEYS, "bench": _BENCH_KEYS}.get(section)
-            if known is None or name not in known:
+            if section not in SECTIONS or name not in {f.name for f in fields(SECTIONS[section])}:
                 raise CliError(f"{path}:{ln}: unknown config key {key!r}")
             out[key] = value.strip()
     return out
 
 
-_BOOLS = {"True": True, "true": True, "1": True, "yes": True,
-          "False": False, "false": False, "0": False, "no": False}
+def build_configs(args) -> dict:
+    """The configs of the sections the command runs (``args.sections``):
+    defaults < config file < flags.
 
-
-def _coerce(fields_map, name, value):
-    kind = fields_map[name]
-    try:
-        if kind == "int":
-            return int(value)
-        if kind == "float":
-            return float(value)
-        if kind == "bool":
-            return _BOOLS[value]
-    except (KeyError, ValueError):
-        raise CliError(f"bad value {value!r} for {kind} key {name!r}") from None
-    return value
-
-
-def build_configs(args) -> tuple[ModelConfig, TrainConfig, dict]:
-    """Defaults < config file < command-line flags."""
+    Every section of the config file is validated, whichever sections the
+    command runs, so one file serves every command. A flag sets the field
+    of its name in each section the command runs.
+    """
     file_cfg = parse_config_file(args.config) if args.config else {}
-    model_kw, train_kw = {}, {}
-    bench_kw = {}
-    mf = {f.name: f.type for f in fields(ModelConfig)}
-    tf = {f.name: f.type for f in fields(TrainConfig)}
-    for key, value in file_cfg.items():
-        section, _, name = key.partition(".")
-        if section == "model":
-            model_kw[name] = _coerce(mf, name, value)
-        elif section == "train":
-            train_kw[name] = _coerce(tf, name, value)
-        else:
-            bench_kw[name] = value
-    # a subcommand registers only the flags it uses
-    for name in ("variant", "embed", "banks", "expansion", "seed", "score_orientation",
-                 "max_seq_len", "n_blocks"):
-        if getattr(args, name, None) is not None:
-            model_kw[name] = getattr(args, name)
-    for name in ("seed", "max_iters", "block_size"):
-        if getattr(args, name, None) is not None:
-            train_kw[name] = getattr(args, name)
-    try:
-        model_cfg = ModelConfig(**model_kw)
-        train_cfg = TrainConfig(**train_kw)
-    except (ValueError, TypeError) as exc:
-        raise CliError(f"bad configuration: {exc}") from None
-    return model_cfg, train_cfg, bench_kw
+    configs = {}
+    for section, cls in SECTIONS.items():
+        pairs = [(key[len(section) + 1:], value) for key, value in file_cfg.items()
+                 if key.startswith(section + ".")]
+        if section in args.sections:
+            pairs += [(f.name, getattr(args, f.name)) for f in fields(cls)
+                      if getattr(args, f.name, None) is not None]
+        try:
+            configs[section] = cls(**config_kwargs(cls, pairs, prefix=section + "."))
+        except ValueError as exc:
+            raise CliError(f"bad configuration: {exc}") from None
+    return {section: configs[section] for section in args.sections}
 
 
-def echo_config(model_cfg: ModelConfig, train_cfg: TrainConfig | None = None,
-                extra: dict | None = None, file=None):
+def echo_config(configs: dict, extra: dict | None = None, file=None):
+    """`section.key=value` for each config the command runs, then its other
+    inputs as `key=value`."""
     out = file or sys.stdout
     print("# effective config", file=out)
-    for f in fields(model_cfg):
-        print(f"model.{f.name}={getattr(model_cfg, f.name)}", file=out)
-    if train_cfg is not None:
-        for f in fields(train_cfg):
-            print(f"train.{f.name}={getattr(train_cfg, f.name)}", file=out)
+    for section, cfg in configs.items():
+        out.write(config_to_text(cfg, prefix=section + "."))
     for k, v in (extra or {}).items():
         print(f"{k}={v}", file=out)
 
 
 def cmd_train(args) -> int:
-    model_cfg, train_cfg, _ = build_configs(args)
+    configs = build_configs(args)
+    model_cfg, train_cfg = configs["model"], configs["train"]
     if not args.corpus:
         raise CliError("train requires --corpus")
     if not os.path.exists(args.corpus):
@@ -134,10 +107,10 @@ def cmd_train(args) -> int:
     text = load_corpus(args.corpus)
     ds = Dataset.from_text(text)
     if model_cfg.vocab_size != len(ds.vocab):
-        model_cfg = ModelConfig(**{**_cfg_dict(model_cfg), "vocab_size": len(ds.vocab)})
+        model_cfg = replace(model_cfg, vocab_size=len(ds.vocab))
     if model_cfg.max_seq_len < train_cfg.block_size:
-        model_cfg = ModelConfig(**{**_cfg_dict(model_cfg), "max_seq_len": train_cfg.block_size})
-    echo_config(model_cfg, train_cfg, {"corpus": args.corpus, "out": args.out})
+        model_cfg = replace(model_cfg, max_seq_len=train_cfg.block_size)
+    echo_config({"model": model_cfg, "train": train_cfg}, {"corpus": args.corpus, "out": args.out})
     print(f"vocab_size={len(ds.vocab)} corpus_chars={len(text)} "
           f"params={param_count(model_cfg)}")
     os.makedirs(args.out, exist_ok=True)
@@ -154,7 +127,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _, train_cfg, _ = build_configs(args)
+    train_cfg = build_configs(args)["train"]
     model, vocab = _load_artifacts(args)
     text = load_corpus(args.corpus) if args.corpus else None
     if text is None:
@@ -166,14 +139,10 @@ def cmd_eval(args) -> int:
         raise CliError(
             f"corpus vocab {len(ds.vocab)} does not match checkpoint vocab {model.config.vocab_size}",
             EXIT_MISMATCH)
-    echo_config(model.config, train_cfg)
+    echo_config({"model": model.config, "train": train_cfg})
     tr, va = evaluate(model, ds, train_cfg)
     print(f"train_loss={tr:.4f} val_loss={va:.4f}")
     return EXIT_OK
-
-
-def _cfg_dict(cfg) -> dict:
-    return {f.name: getattr(cfg, f.name) for f in fields(cfg)}
 
 
 def _load_artifacts(args):
@@ -209,7 +178,7 @@ def cmd_generate(args) -> int:
     if vocab is None:
         raise CliError("generate requires --vocab")
     # config echo on stderr: stdout carries only the sampled characters
-    echo_config(model.config, None, {"prompt": repr(args.prompt), "n_new": args.n_new},
+    echo_config({"model": model.config}, {"prompt": repr(args.prompt), "n_new": args.n_new},
                 file=sys.stderr)
     try:
         prompt_ids = vocab.encode(args.prompt)
@@ -229,22 +198,13 @@ def cmd_generate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    model_cfg, _, bench_kw = build_configs(args)
-    lengths = args.lengths or bench_kw.get("lengths") or "256,1024,4096,16384"
-    if isinstance(lengths, str):
-        lengths = [int(x) for x in lengths.split(",") if x]
-    variants = (args.variants or bench_kw.get("variants") or "logmem,baseline-attn")
-    if isinstance(variants, str):
-        variants = [v for v in variants.split(",") if v]
+    cfg = build_configs(args)["bench"]
     modes = (args.mode,) if args.mode else ("parallel", "sequential")
+    echo_config({"bench": cfg}, {"modes": ",".join(modes), "out": args.out})
     os.makedirs(args.out, exist_ok=True)
     out_csv = os.path.join(args.out, "bench.csv")
-    echo_config(model_cfg, None, {"bench.lengths": lengths, "bench.variants": variants,
-                                  "bench.modes": list(modes), "bench.out": out_csv})
-    records = sweep(lengths, variants, out_csv, modes=modes,
-                    reps=int(bench_kw.get("reps", 3)),
-                    embed=model_cfg.embed, banks=model_cfg.banks,
-                    seed=model_cfg.seed, log=print)
+    records = sweep(cfg.lengths, cfg.variants, out_csv, modes=modes, reps=cfg.reps,
+                    embed=cfg.embed, banks=cfg.banks, seed=cfg.seed, log=print)
     failures = [r for r in records if r.status != "ok"]
     print(f"wrote {out_csv} ({len(records)} rows, {len(failures)} failed)")
     return EXIT_OK
@@ -252,8 +212,7 @@ def cmd_bench(args) -> int:
 
 def cmd_verify(args) -> int:
     build_configs(args)  # the suite runs fixed shapes; a bad config file still exits 2
-    print("# effective config")
-    print(f"quick={args.quick}")
+    echo_config({}, {"quick": args.quick})
     ok = run_verify(quick=args.quick, log=print)
     print("verify: ALL PASS" if ok else "verify: FAILURES")
     return EXIT_OK if ok else EXIT_VERIFY
@@ -264,40 +223,35 @@ def make_parser() -> argparse.ArgumentParser:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        """Flags of the subcommands that build their model from the config: train and bench."""
+    def config_flags(p, sections, *names):
+        """--config, the config sections the command runs, and flags that each
+        set the key of their name in those sections; a flag's text is typed
+        by the same parser as a config file line."""
+        p.set_defaults(sections=sections)
         p.add_argument("--config", help="key-value config file")
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--variant", choices=["logmem", "tiny-logmem", "expsum", "baseline-attn"],
-                       default=None)
-        p.add_argument("--embed", type=int, default=None)
-        p.add_argument("--banks", type=int, default=None)
-        p.add_argument("--expansion", type=int, default=None)
-        p.add_argument("--n-blocks", dest="n_blocks", type=int, default=None)
-        p.add_argument("--max-seq-len", dest="max_seq_len", type=int, default=None)
-        p.add_argument("--mode", choices=["parallel", "sequential"], default=None)
-        p.add_argument("--score-orientation", dest="score_orientation",
-                       choices=["literal", "swapped"], default=None)
+        for name in names:
+            keys = [f"{s}.{name}" for s in sections
+                    if name in {f.name for f in fields(SECTIONS[s])}]
+            p.add_argument("--" + name.replace("_", "-"), dest=name, default=None,
+                           help="sets " + " and ".join(keys))
 
-    p_train = sub.add_parser("train", help="train a model on a corpus")
-    common(p_train)
+    # no subcommand takes abbreviated flags: --variant must not pass for bench's --variants
+    p_train = sub.add_parser("train", allow_abbrev=False, help="train a model on a corpus")
+    config_flags(p_train, ("model", "train"), "variant", "embed", "banks", "expansion", "n_blocks",
+                 "max_seq_len", "score_orientation", "seed", "max_iters", "block_size")
     p_train.add_argument("--corpus", default=None)
-    p_train.add_argument("--max-iters", dest="max_iters", type=int, default=None)
-    p_train.add_argument("--block-size", dest="block_size", type=int, default=None)
+    p_train.add_argument("--out", default="out", help="output directory")
     p_train.set_defaults(fn=cmd_train)
 
     # eval and generate run the checkpoint's model, so no model flag applies
-    p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a corpus")
+    p_eval = sub.add_parser("eval", allow_abbrev=False, help="evaluate a checkpoint on a corpus")
+    config_flags(p_eval, ("train",), "seed", "block_size")
     p_eval.add_argument("--checkpoint", default=None)
     p_eval.add_argument("--vocab", default=None)
     p_eval.add_argument("--corpus", default=None)
-    p_eval.add_argument("--config", help="key-value config file")
-    p_eval.add_argument("--seed", type=int, default=None)
-    p_eval.add_argument("--block-size", dest="block_size", type=int, default=None)
     p_eval.set_defaults(fn=cmd_eval)
 
-    p_gen = sub.add_parser("generate", help="sample text from a checkpoint")
+    p_gen = sub.add_parser("generate", allow_abbrev=False, help="sample text from a checkpoint")
     p_gen.add_argument("--checkpoint", default=None)
     p_gen.add_argument("--vocab", default=None)
     p_gen.add_argument("--seed", type=int, default=0)
@@ -307,15 +261,15 @@ def make_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--argmax", action="store_true", help="greedy decoding (T -> 0 limit)")
     p_gen.set_defaults(fn=cmd_generate)
 
-    p_bench = sub.add_parser("bench", help="run the scaling sweep")
-    common(p_bench)
-    p_bench.add_argument("--lengths", default=None, help="comma-separated sequence lengths")
-    p_bench.add_argument("--variants", default=None, help="comma-separated variants")
+    p_bench = sub.add_parser("bench", allow_abbrev=False, help="run the scaling sweep")
+    config_flags(p_bench, ("bench",), "lengths", "variants", "embed", "banks", "seed")
+    p_bench.add_argument("--mode", choices=["parallel", "sequential"], default=None)
+    p_bench.add_argument("--out", default="out", help="output directory")
     p_bench.set_defaults(fn=cmd_bench)
 
     # verify runs a fixed suite of shapes and seeds
-    p_verify = sub.add_parser("verify", help="run the invariant suite")
-    p_verify.add_argument("--config", help="key-value config file")
+    p_verify = sub.add_parser("verify", allow_abbrev=False, help="run the invariant suite")
+    config_flags(p_verify, ())
     p_verify.add_argument("--quick", action="store_true", help="reduced shapes, < 60 s")
     p_verify.set_defaults(fn=cmd_verify)
     return ap

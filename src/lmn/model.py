@@ -496,28 +496,46 @@ def generate(model, prompt, n_new: int, temperature: float = 1.0, rng=None,
 # Checkpoints: magic, version, config text, then raw named tensors.
 # ---------------------------------------------------------------------------
 
-def config_to_text(cfg: ModelConfig) -> str:
-    return "".join(f"{f.name}={getattr(cfg, f.name)}\n" for f in fields(cfg))
+_SCALARS = {"int": int, "float": float, "str": str}
+
+
+def _parse_value(kind: str, text: str):
+    if kind == "bool":
+        if text not in ("True", "False"):
+            raise ValueError(text)
+        return text == "True"
+    if kind.startswith("tuple["):  # comma-separated, e.g. tuple[int, ...]
+        item = _SCALARS[kind[len("tuple["):kind.index(",")]]
+        return tuple(item(x) for x in text.split(","))
+    return _SCALARS[kind](text)
+
+
+def config_kwargs(cls, pairs, prefix: str = "") -> dict:
+    """Keyword arguments for the config dataclass ``cls`` from (name, text)
+    pairs, each value typed by its field: int, float, str, a bool spelled
+    True/False, or a comma-separated tuple, the spellings config_to_text
+    writes. Errors name the value and the key (``prefix`` + name)."""
+    kinds = {f.name: f.type for f in fields(cls)}
+    kwargs = {}
+    for name, text in pairs:
+        if name not in kinds:
+            raise ValueError(f"unknown config key {prefix + name!r}")
+        try:
+            kwargs[name] = _parse_value(kinds[name], text)
+        except ValueError:
+            raise ValueError(f"bad {kinds[name]} {text!r} for config key {prefix + name!r}") from None
+    return kwargs
+
+
+def config_to_text(cfg, prefix: str = "") -> str:
+    def text(value):
+        return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+    return "".join(f"{prefix}{f.name}={text(getattr(cfg, f.name))}\n" for f in fields(cfg))
 
 
 def config_from_text(text: str) -> ModelConfig:
-    kinds = {f.name: f.type for f in fields(ModelConfig)}
-    kwargs = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        key, _, value = line.partition("=")
-        if key not in kinds:
-            raise ValueError(f"unknown config key {key!r} in checkpoint")
-        if kinds[key] == "int":
-            kwargs[key] = int(value)
-        elif kinds[key] == "bool":
-            if value not in ("True", "False"):
-                raise ValueError(f"bad bool {value!r} for config key {key!r} in checkpoint")
-            kwargs[key] = value == "True"
-        else:
-            kwargs[key] = value
-    return ModelConfig(**kwargs)
+    pairs = [line.partition("=")[::2] for line in text.splitlines() if line.strip()]
+    return ModelConfig(**config_kwargs(ModelConfig, pairs))
 
 
 def save_checkpoint(path, model) -> None:

@@ -21,14 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .counters import COUNTER
-from .memory import (  # the expanded_* names are re-exports under their former names
-    parallel_memory,
-    push_token,
-    sequential_memory,
-    slot_widths as expanded_slot_widths,
-    snapshot,
-    valid_mask as expanded_valid_mask,
-)
+from .memory import parallel_memory, push_token, sequential_memory, snapshot
 from .tensor import (
     Tensor,
     add,

@@ -27,9 +27,8 @@ from lmn.bench import (
 from lmn.corpus import generate_corpus
 from lmn.counters import COUNTER
 from lmn.data import Dataset
-from lmn.memory import MemoryTensor, valid_mask
+from lmn.memory import MemoryTensor, slot_widths, valid_mask
 from lmn.model import ModelConfig, build_model, loss as loss_fn, param_count
-from lmn.summarizers import expanded_slot_widths, expanded_valid_mask
 from lmn.tensor import Tensor, grad_check, make_rng, no_grad
 from lmn.training import TrainConfig, train
 from lmn.verify import run_verify
@@ -118,8 +117,8 @@ def test_criterion_04_structural_counts():
     n = 4096
     S = 12
     mask = valid_mask(n, S)
-    widths = expanded_slot_widths(S, k=1)
-    emask = expanded_valid_mask(n, S, k=1)
+    widths = slot_widths(S, k=1)
+    emask = valid_mask(n, S, k=1)
     for t in range(n):
         blocks = prefix_blocks(t)
         levels = {level for level, _ in blocks}
@@ -128,7 +127,7 @@ def test_criterion_04_structural_counts():
         expect = 1 + sum(1 + level * 1 for level in levels)
         assert emask[t].sum() == expect
     for S_check, k in ((13, 1), (9, 2), (12, 1)):
-        total = sum(expanded_slot_widths(S_check, k))
+        total = sum(slot_widths(S_check, k))
         assert total == S_check + k * S_check * (S_check - 1) // 2
     report("4 structural counts",
            f"slot occupancy equals the prefix-decomposition oracle for all t < {n}; "

@@ -1,11 +1,13 @@
 """CLI contracts: subcommands, config handling, exit codes, artifacts."""
 
+import csv
 import os
 import struct
 
 import numpy as np
 import pytest
 
+from lmn.bench import lmn_score_mac_closed_form
 from lmn.cli import main, parse_config_file, CliError
 from lmn.corpus import generate_corpus
 
@@ -196,12 +198,85 @@ def test_verify_detects_injected_fault(monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def _csv_rows(path):
+    with open(path) as f:
+        return [r for r in csv.DictReader(line for line in f if not line.startswith("#"))]
+
+
 def test_bench_smoke(tmp_path, capsys):
     code = main(["bench", "--lengths", "8,16", "--variants", "logmem",
                  "--embed", "8", "--banks", "1", "--out", str(tmp_path),
                  "--mode", "parallel"])
     assert code == 0
-    assert os.path.exists(tmp_path / "bench.csv")
+    rows = _csv_rows(tmp_path / "bench.csv")
+    assert [r["L"] for r in rows] == ["8", "16"]
+    assert int(rows[0]["score_macs"]) == lmn_score_mac_closed_form(8, 8, 1)
+
+
+def test_bench_keys_steer_the_sweep_and_model_keys_do_not(tmp_path, capsys):
+    p = tmp_path / "cfg.txt"
+    p.write_text("model.embed=64\nmodel.banks=2\nmodel.n_heads=2\nmodel.seed=7\n"
+                 "bench.embed=8\nbench.banks=1\nbench.lengths=8\nbench.variants=logmem\n")
+    assert main(["bench", "--config", str(p), "--out", str(tmp_path), "--mode", "parallel"]) == 0
+    out = capsys.readouterr().out
+    assert "model." not in out and "bench.seed=0" in out
+    rows = _csv_rows(tmp_path / "bench.csv")
+    assert len(rows) == 1 and int(rows[0]["score_macs"]) == lmn_score_mac_closed_form(8, 8, 1)
+
+
+BAD_BENCH = [(["--lengths", "0"], "bench.lengths"), (["--lengths", "abc"], "'abc'"),
+             (["--variants", "bogus"], "'bogus'"), ("bench.reps=2", "bench.reps"),
+             ("bench.lengths=8,-4", "bench.lengths"), (["--seed", "-1"], "bench.seed")]
+
+
+@pytest.mark.parametrize("bad,named", BAD_BENCH, ids=[str(b) for b, _ in BAD_BENCH])
+def test_bad_bench_input_exits_2_before_writing(tmp_path, capsys, bad, named):
+    p = tmp_path / "cfg.txt"  # a later line overrides an earlier one, as a flag overrides both
+    p.write_text("bench.lengths=8\nbench.variants=logmem\n"
+                 + (bad + "\n" if isinstance(bad, str) else ""))
+    out = tmp_path / "out"
+    code = main(["bench", "--config", str(p), "--mode", "parallel", "--out", str(out),
+                 *([] if isinstance(bad, str) else bad)])
+    assert code == 2
+    err = capsys.readouterr().err
+    _assert_one_error_line_in(err)
+    assert named in err
+    assert not os.path.exists(out / "bench.csv")
+
+
+UNREAD_FLAGS = [("bench", ["--variant", "expsum"]), ("bench", ["--expansion", "2"]),
+                ("bench", ["--n-blocks", "3"]), ("bench", ["--max-seq-len", "64"]),
+                ("bench", ["--score-orientation", "swapped"]), ("train", ["--mode", "sequential"])]
+
+
+@pytest.mark.parametrize("command,flags", UNREAD_FLAGS,
+                         ids=[f"{c} {f[0]}" for c, f in UNREAD_FLAGS])
+def test_subcommand_rejects_flags_it_does_not_read(tmp_path, capsys, command, flags):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--out", str(tmp_path), *flags])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+
+
+def _echoed_config(out):
+    return [line for line in out.splitlines()
+            if line.partition("=")[0].partition(".")[0] in ("model", "train", "bench")]
+
+
+@pytest.mark.parametrize("command", ["train", "bench"])
+def test_echoed_config_round_trips(tmp_path, corpus_file, capsys, command):
+    run = {"train": ["--corpus", corpus_file, "--embed", "8", "--banks", "1", "--max-iters", "2",
+                     "--block-size", "32", "--max-seq-len", "32", "--seed", "5"],
+           "bench": ["--lengths", "8,16", "--variants", "logmem,expsum", "--embed", "8",
+                     "--banks", "1", "--seed", "5", "--mode", "parallel"]}[command]
+    assert main([command, "--out", str(tmp_path / "a"), *run]) == 0
+    first = _echoed_config(capsys.readouterr().out)
+    assert {"train": "train.learning_rate=0.001", "bench": "bench.lengths=8,16"}[command] in first
+    p = tmp_path / "echo.cfg"
+    p.write_text("\n".join(first) + "\n")
+    rest = ["--corpus", corpus_file] if command == "train" else ["--mode", "parallel"]
+    assert main([command, "--config", str(p), "--out", str(tmp_path / "b"), *rest]) == 0
+    assert _echoed_config(capsys.readouterr().out) == first
 
 
 def test_config_file_unknown_key_rejected(tmp_path):
@@ -212,11 +287,12 @@ def test_config_file_unknown_key_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("line", ["model.summarizer=dscnv", "model.score_orientation=sideways",
-                                  "model.summarizer_bias=flase", "model.embed=abc",
+                                  "model.summarizer_bias=flase", "model.tie_embeddings=true",
+                                  "model.embed=abc",
                                   "train.grad_clip=-1", "train.beta2=1.0", "train.beta1=2",
                                   "train.eps=-1", "train.weight_decay=-0.1",
                                   "model.n_heads=0", "model.n_heads=-4", "model.seed=-1",
-                                  "train.seed=-1"])
+                                  "train.seed=-1", "bench.reps=2", "bench.variants=bogus"])
 def test_bad_config_value_exits_2_with_one_line(tmp_path, capsys, line):
     p = tmp_path / "cfg.txt"
     p.write_text(line + "\n")

@@ -4,14 +4,12 @@ its widened-slot memory discipline."""
 import numpy as np
 import pytest
 
-from lmn.memory import CapacityError, SlotState, push_token, snapshot
+from lmn.memory import CapacityError, SlotState, push_token, slot_widths, snapshot, valid_mask
 from lmn.summarizers import (
     DsConvSummarizer,
     ExpanderSummarizer,
     LinearSummarizer,
     build_memory,
-    expanded_slot_widths,
-    expanded_valid_mask,
 )
 from lmn.tensor import Tensor, make_rng, no_grad
 
@@ -70,7 +68,7 @@ def test_dsconv_and_linear_agree_under_constructed_weights():
     (13, 1, None, 91),
 ])
 def test_expanded_slot_widths(S, k, expect_widths, expect_total):
-    widths = expanded_slot_widths(S, k)
+    widths = slot_widths(S, k)
     if expect_widths is not None:
         assert widths == expect_widths
     assert sum(widths) == expect_total == S + k * S * (S - 1) // 2
@@ -79,9 +77,9 @@ def test_expanded_slot_widths(S, k, expect_widths, expect_total):
 def test_expanded_widths_formula_matches_counter_run():
     # run the expander counter for 8192 tokens and confirm slot totals
     S, k = 13, 1
-    widths = expanded_slot_widths(S, k)
+    widths = slot_widths(S, k)
     assert sum(widths) == 91
-    mask = expanded_valid_mask(8192, S, k)
+    mask = valid_mask(8192, S, k)
     worst = int(mask.sum(axis=1).max())
     assert worst <= 1 + sum(widths)
 
@@ -135,8 +133,8 @@ def test_snapshot_expanded_valid_rows():
 
 def test_expanded_valid_counts_match_oracle():
     S, k = 12, 1
-    widths = expanded_slot_widths(S, k)
-    mask = expanded_valid_mask(4096, S, k)
+    widths = slot_widths(S, k)
+    mask = valid_mask(4096, S, k)
     for t in range(4096):
         expect = 1 + sum(widths[level] for level, _ in prefix_blocks(t))
         assert mask[t].sum() == expect
@@ -176,7 +174,7 @@ def test_expander_k0_matches_plain_linear_summarizer():
     got = es.merge_blocks(a, b).data
     expect = lin.merge_pair(a, b).data
     assert np.allclose(got, expect, atol=1e-6)
-    assert expanded_slot_widths(6, 0) == [1] * 6
+    assert slot_widths(6, 0) == [1] * 6
 
 
 def test_expanded_capacity_error():
