@@ -137,16 +137,11 @@ def multi_bank_combine(memories: list[MemoryTensor]) -> MemoryTensor:
     """Concatenate bank memories along the level axis.
 
     Level 0 of the first bank is the current-token key; every bank's level 0
-    holds the same raw input by construction.
+    holds the same raw input by construction. Banks whose shapes differ off
+    the level axis raise concat's ShapeError.
     """
-    first = memories[0]
     if len(memories) == 1:
-        return first
-    for m in memories[1:]:
-        if (m.data.shape[0], m.data.shape[1], m.data.shape[3]) != (
-            first.data.shape[0], first.data.shape[1], first.data.shape[3]
-        ):
-            raise ShapeError(f"multi_bank_combine: {m.data.shape} vs {first.data.shape}")
+        return memories[0]
     data = concat([m.data for m in memories], axis=2)
     valid = np.concatenate([m.valid for m in memories], axis=1)
     return MemoryTensor(data=data, valid=valid)

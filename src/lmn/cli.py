@@ -21,7 +21,7 @@ import numpy as np
 from .bench import BenchConfig, sweep
 from .data import Dataset, Vocab, load_corpus
 from .memory import CapacityError
-from .model import (ModelConfig, build_model, config_kwargs, config_to_text, generate,
+from .model import (MODES, ModelConfig, build_model, config_kwargs, config_to_text, generate,
                     load_checkpoint, param_count)
 from .tensor import make_rng
 from .training import DivergenceError, TrainConfig, evaluate, train
@@ -187,11 +187,8 @@ def cmd_generate(args) -> int:
     if prompt_ids.size == 0:
         prompt_ids = vocab.encode("\n")
     rng = make_rng(args.seed)
-    try:
-        out = generate(model, prompt_ids, args.n_new, temperature=args.temperature,
-                       rng=rng, argmax=args.argmax)
-    except CapacityError as exc:
-        raise CliError(str(exc), EXIT_CAPACITY) from None
+    out = generate(model, prompt_ids, args.n_new, temperature=args.temperature,
+                   rng=rng, argmax=args.argmax)  # CapacityError exits 4 in main
     sys.stdout.write(vocab.decode(out[len(prompt_ids):]))
     sys.stdout.write("\n")
     return EXIT_OK
@@ -199,7 +196,7 @@ def cmd_generate(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = build_configs(args)["bench"]
-    modes = (args.mode,) if args.mode else ("parallel", "sequential")
+    modes = (args.mode,) if args.mode else MODES
     echo_config({"bench": cfg}, {"modes": ",".join(modes), "out": args.out})
     os.makedirs(args.out, exist_ok=True)
     out_csv = os.path.join(args.out, "bench.csv")
@@ -263,7 +260,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", allow_abbrev=False, help="run the scaling sweep")
     config_flags(p_bench, ("bench",), "lengths", "variants", "embed", "banks", "seed")
-    p_bench.add_argument("--mode", choices=["parallel", "sequential"], default=None)
+    p_bench.add_argument("--mode", choices=MODES, default=None)
     p_bench.add_argument("--out", default="out", help="output directory")
     p_bench.set_defaults(fn=cmd_bench)
 

@@ -55,6 +55,7 @@ from .tensor import (
 )
 
 VARIANTS = ("logmem", "tiny-logmem", "expsum", "baseline-attn")
+MODES = ("parallel", "sequential")
 SUMMARIZERS = ("linear", "dsconv")
 CKPT_MAGIC = b"LMNCKPT"
 CKPT_VERSION = 1
@@ -349,16 +350,21 @@ class _ModelBase:
             w = self.params["unembed.weight"]
         return add(matmul(x, w), self.unembed_b)
 
-    def _check_tokens(self, tokens: np.ndarray) -> np.ndarray:
+    def _check_inputs(self, tokens: np.ndarray, mode: str) -> np.ndarray:
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
         tokens = np.asarray(tokens)
         if tokens.ndim != 2:
             raise ValueError(f"tokens must be [B, L], got shape {tokens.shape}")
         if tokens.size and (tokens.min() < 0 or tokens.max() >= self.config.vocab_size):
             raise ValueError(f"token id out of range for vocab {self.config.vocab_size}")
-        if tokens.shape[1] > self.config.max_seq_len:
-            raise CapacityError(
-                f"sequence length {tokens.shape[1]} exceeds max_seq_len {self.config.max_seq_len}")
+        self._check_length(tokens.shape[1])
         return tokens
+
+    def _check_length(self, L: int) -> None:
+        """Both modes hold at most max_seq_len positions."""
+        if L > self.config.max_seq_len:
+            raise CapacityError(f"sequence length {L} exceeds max_seq_len {self.config.max_seq_len}")
 
     def zero_grad(self):
         for p in self.params.values():
@@ -380,7 +386,7 @@ class LmnModel(_ModelBase):
         self.blocks = [LmnBlock(cfg, params, i) for i in range(cfg.n_blocks)]
 
     def forward(self, tokens: np.ndarray, mode: str = "parallel") -> Tensor:
-        tokens = self._check_tokens(tokens)
+        tokens = self._check_inputs(tokens, mode)
         x = embedding(self.embed_w, tokens)  # no positional table: path-through encoding
         for blk in self.blocks:
             x = blk.forward(x, mode)
@@ -395,6 +401,7 @@ class LmnModel(_ModelBase):
         Inference-only, like every sequential path: the slot state keeps no
         tape, so under grad recording this raises ContractError.
         """
+        self._check_length(state[0][0].consumed + 1)
         x = embedding(self.embed_w, np.array([[token]], dtype=np.int64))
         for blk, st in zip(self.blocks, state):
             x = blk.step(x, st)
@@ -422,8 +429,8 @@ class BaselineModel(_ModelBase):
         self.blocks = [BaselineBlock(cfg, params, i) for i in range(cfg.n_blocks)]
 
     def forward(self, tokens: np.ndarray, mode: str = "parallel") -> Tensor:
-        # mode accepted for interface parity; construction is always one pass
-        tokens = self._check_tokens(tokens)
+        # either mode runs the same single pass
+        tokens = self._check_inputs(tokens, mode)
         L = tokens.shape[1]
         x = add(embedding(self.embed_w, tokens), narrow(self.pos_w, 0, 0, L))
         for blk in self.blocks:
@@ -435,8 +442,7 @@ class BaselineModel(_ModelBase):
 
     def step(self, state: _BaselineState, token: int) -> Tensor:
         t = state.t
-        if t >= self.config.max_seq_len:
-            raise CapacityError(f"KV cache full after {t} tokens")
+        self._check_length(t + 1)
         x = add(embedding(self.embed_w, np.array([[token]], dtype=np.int64)),
                 narrow(self.pos_w, 0, t, 1))
         for blk, K, V in zip(self.blocks, state.k, state.v):

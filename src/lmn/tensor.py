@@ -2,7 +2,9 @@
 
 Every forward op records a node on a dynamic tape (parent links plus a
 backward closure); ``backward`` replays the tape in reverse topological
-order and frees each node once its closure has returned. Compute precision
+order and frees each node once its closure has returned. An op written as a
+composition of other ops (the k2s2 convolutions, ``embedding``) records the
+nodes of its parts and has no closure of its own. Compute precision
 is float32 by default; passing float64 arrays through the same ops gives a
 64-bit mode used for tight gradient checks.
 
@@ -264,7 +266,9 @@ def gelu(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeError(f"matmul: operands {a.shape} and {b.shape} must be at least 2-D")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dims of {a.shape} and {b.shape} differ")
     k = a.shape[-1]
     if b.ndim == 2 and a.ndim > 2:
@@ -282,10 +286,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = np.matmul(a.data, b.data)
 
     def bwd(g):
-        if b.ndim == 1:
-            ga = np.outer(g, b.data).reshape(a.shape) if a.ndim > 1 else g * b.data
-            gb = np.matmul(a.data.reshape(-1, k).T, g.reshape(-1))
-            return ga, gb
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
         gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
         return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
@@ -385,12 +385,7 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     ids = np.asarray(ids)
     if ids.min(initial=0) < 0 or (ids.size and ids.max() >= weight.shape[0]):
         raise ShapeError(f"embedding: id out of range for table {weight.shape}")
-    out = weight.data[ids.reshape(-1)].reshape(*ids.shape, weight.shape[1])
-
-    def bwd(g):
-        return (_scatter_add(g.reshape(-1, weight.shape[1]), ids.reshape(-1), weight.shape[0], 0),)
-
-    return _make(out, (weight,), bwd)
+    return reshape(index_select(weight, 0, ids.reshape(-1)), (*ids.shape, weight.shape[1]))
 
 
 def sum_axis(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -545,52 +540,28 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
 def conv1d_k2s2(x: Tensor, w: Tensor) -> Tensor:
     """Kernel-2 stride-2 convolution: x [..., T, C], w [2, C, Co] -> [..., T/2, Co].
 
-    Pairs (x[2j], x[2j+1]) map to w[0] @ x[2j] + w[1] @ x[2j+1]; equivalent
-    to a [2C -> Co] linear layer on each concatenated pair.
+    Pairs (x[2j], x[2j+1]) map to w[0] @ x[2j] + w[1] @ x[2j+1], which is a
+    [2C -> Co] linear layer on each concatenated pair: one matmul.
     """
     if x.shape[-2] % 2 != 0:
         raise ShapeError(f"conv1d_k2s2: position axis of {x.shape} must be even")
     if w.shape[0] != 2 or w.shape[1] != x.shape[-1]:
         raise ShapeError(f"conv1d_k2s2: weight {w.shape} vs input {x.shape}")
-    xe = x.data[..., 0::2, :]
-    xo = x.data[..., 1::2, :]
-    out = np.matmul(xe, w.data[0]) + np.matmul(xo, w.data[1])
-
-    def bwd(g):
-        gx = np.empty_like(x.data)
-        gx[..., 0::2, :] = np.matmul(g, w.data[0].T)
-        gx[..., 1::2, :] = np.matmul(g, w.data[1].T)
-        gflat = g.reshape(-1, g.shape[-1])
-        gw = np.stack([
-            xe.reshape(-1, x.shape[-1]).T @ gflat,
-            xo.reshape(-1, x.shape[-1]).T @ gflat,
-        ])
-        return gx, gw
-
-    return _make(out, (x, w), bwd)
+    *lead, t, c = x.shape
+    return matmul(reshape(x, (*lead, t // 2, 2 * c)), reshape(w, (2 * c, w.shape[2])))
 
 
 def conv1d_depthwise_k2s2(x: Tensor, w: Tensor) -> Tensor:
-    """Per-channel kernel-2 stride-2 convolution: x [..., T, C], w [C, 2]."""
+    """Per-channel kernel-2 stride-2 convolution: x [..., T, C], w [C, 2].
+
+    Each pair (x[2j], x[2j+1]) maps to w[:, 0] * x[2j] + w[:, 1] * x[2j+1].
+    """
     if x.shape[-2] % 2 != 0:
         raise ShapeError(f"conv1d_depthwise_k2s2: position axis of {x.shape} must be even")
     if w.shape != (x.shape[-1], 2):
         raise ShapeError(f"conv1d_depthwise_k2s2: weight {w.shape} vs input {x.shape}")
-    xe = x.data[..., 0::2, :]
-    xo = x.data[..., 1::2, :]
-    out = xe * w.data[:, 0] + xo * w.data[:, 1]
-
-    def bwd(g):
-        gx = np.empty_like(x.data)
-        gx[..., 0::2, :] = g * w.data[:, 0]
-        gx[..., 1::2, :] = g * w.data[:, 1]
-        gw = np.stack([
-            (g * xe).reshape(-1, x.shape[-1]).sum(axis=0),
-            (g * xo).reshape(-1, x.shape[-1]).sum(axis=0),
-        ], axis=1)
-        return gx, gw
-
-    return _make(out, (x, w), bwd)
+    *lead, t, c = x.shape
+    return sum_axis(mul(reshape(x, (*lead, t // 2, 2, c)), transpose(w, (1, 0))), axis=-2)
 
 
 def conv_transpose1d(x: Tensor, w: Tensor) -> Tensor:

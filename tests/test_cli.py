@@ -1,6 +1,7 @@
 """CLI contracts: subcommands, config handling, exit codes, artifacts."""
 
 import csv
+import dataclasses
 import os
 import struct
 
@@ -10,6 +11,7 @@ import pytest
 from lmn.bench import lmn_score_mac_closed_form
 from lmn.cli import main, parse_config_file, CliError
 from lmn.corpus import generate_corpus
+from lmn.model import build_model, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +79,19 @@ def test_generate_beyond_capacity_exit_4(trained):
                  "--vocab", os.path.join(trained, "vocab.txt"),
                  "--prompt", "K", "--n-new", "100"])  # capacity 64
     assert code == 4
+
+
+def test_generate_stops_at_max_seq_len_below_the_slot_capacity(trained, tmp_path, capsys):
+    # a slot state for max_seq_len 48 has room for 2^6 = 64 positions; stepping stops at 48
+    cfg = load_checkpoint(os.path.join(trained, "model_final.ckpt")).config
+    ckpt = str(tmp_path / "m48.ckpt")
+    save_checkpoint(ckpt, build_model(dataclasses.replace(cfg, max_seq_len=48)))
+    args = ["generate", "--checkpoint", ckpt, "--vocab", os.path.join(trained, "vocab.txt"),
+            "--prompt", "K", "--argmax", "--n-new"]
+    assert main(args + ["48"]) == 0  # the prompt and 47 new tokens are stepped
+    capsys.readouterr()
+    assert main(args + ["49"]) == 4
+    assert "sequence length 49 exceeds max_seq_len 48" in capsys.readouterr().err
 
 
 def _bad_checkpoints(trained):

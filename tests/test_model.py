@@ -6,6 +6,7 @@ import pytest
 
 from lmn.memory import CapacityError
 from lmn.model import (
+    VARIANTS,
     ModelConfig,
     build_model,
     config_from_text,
@@ -137,6 +138,26 @@ def test_generation_matches_teacher_forcing(name, kw):
             model.step(state, int(tokens[0, 0]))
     assert stepped.dtype == dtype
     assert np.abs(tf - stepped).max() <= (1e-10 if dtype == np.float64 else 1e-4)
+    # below a power of two the slot state could hold more, but stepping stops at max_seq_len
+    short = build_model(small_cfg(kw, max_seq_len=20)).astype(dtype)
+    with no_grad():
+        state = short.start_state()
+        for t in tokens[0, :20]:
+            short.step(state, int(t))
+        with pytest.raises(CapacityError, match="sequence length 21 exceeds max_seq_len 20"):
+            short.step(state, int(tokens[0, 20]))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_every_variant_rejects_an_unknown_mode(variant):
+    model = build_model(small_cfg(dict(variant=variant)))
+    tokens = make_rng(6).integers(0, 29, size=(1, 8))
+    with no_grad(), pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        model.forward(tokens, mode="bogus")
+    with no_grad():
+        par = model.forward(tokens, mode="parallel").data
+        seq = model.forward(tokens, mode="sequential").data
+    assert np.abs(par - seq).max() <= 1e-4
 
 
 def test_sequential_mode_with_grad_on_raises():

@@ -69,6 +69,12 @@ def test_matmul_shape_error_names_shapes():
     assert "(2, 3)" in str(exc.value) and "(4, 5)" in str(exc.value)
 
 
+@pytest.mark.parametrize("a_shape,b_shape", [((2, 3), (3,)), ((3,), (3, 2)), ((3,), (3,))])
+def test_matmul_rejects_a_1d_operand(a_shape, b_shape):
+    with pytest.raises(ShapeError, match="at least 2-D"):
+        matmul(t(np.zeros(a_shape)), t(np.zeros(b_shape)))
+
+
 def test_softmax_symmetry_and_masking():
     assert np.allclose(softmax_last(t([0.0, 0.0])).data, [0.5, 0.5])
     out = softmax_last(t([0.0, -np.inf])).data
