@@ -1,10 +1,10 @@
 """Logarithmic-tree memory sequence models.
 
-Hierarchical memory built either sequentially (binary-counter carry chain,
-the recurrent inference path) or in parallel (pyramid plus gather, the
-training path), read through single-vector attention. Includes multi-bank
-and expander variants, a causal-attention baseline, char-level training,
-and a scaling benchmark harness.
+Hierarchical memory built in parallel (pyramid plus gather, the training
+path) or stepped through a binary-counter carry chain (the recurrent
+inference path; ``sequential_memory`` is its reference), read through
+single-vector attention. Includes multi-bank and expander variants, a
+causal-attention baseline, char-level training, and a scaling benchmark harness.
 """
 
 from .tensor import Tensor, grad_check, make_rng, no_grad
@@ -31,7 +31,7 @@ from .attention import AttentionOutput, QkvProjection, attend, multi_bank_combin
 from .model import ModelConfig, build_model, load_checkpoint, param_count, save_checkpoint
 from .data import Dataset, Vocab, build_vocab, sample_batch
 from .training import TrainConfig, evaluate, train
-from .bench import BenchRecord, compression_factor, sweep, time_forward
+from .bench import BenchRecord, sweep, time_forward
 
 __all__ = [
     "Tensor", "grad_check", "make_rng", "no_grad",
@@ -44,5 +44,5 @@ __all__ = [
     "ModelConfig", "build_model", "load_checkpoint", "param_count", "save_checkpoint",
     "Dataset", "Vocab", "build_vocab", "sample_batch",
     "TrainConfig", "evaluate", "train",
-    "BenchRecord", "compression_factor", "sweep", "time_forward",
+    "BenchRecord", "sweep", "time_forward",
 ]

@@ -15,7 +15,6 @@ the sweep, leaving the rows already written in the CSV.
 from __future__ import annotations
 
 import csv
-import math
 import os
 import re
 import time
@@ -74,13 +73,6 @@ class BenchConfig:
                     raise ValueError(re.sub(rf"\b({'|'.join(_KEY_OF_FIELD)})\b",
                                             lambda m: "bench." + _KEY_OF_FIELD[m[1]],
                                             str(exc), count=1)) from None
-
-
-def compression_factor(n: int) -> float:
-    """Quadratic-vs-logarithmic cost ratio n^2 / log2(n)."""
-    if n < 2:
-        raise ValueError("compression factor needs n >= 2")
-    return n * n / math.log2(n)
 
 
 def _model_config(variant: str, L: int, embed: int, banks: int, seed: int) -> ModelConfig:

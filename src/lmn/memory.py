@@ -7,15 +7,17 @@ linear and dsconv summarizers (every block is one row), k for the expander
 older first, into one width-(w+k) block, either one pair at a time
 (``merge_pair``) or a whole pyramid level at once (``merge_level``).
 
-Sequential mode runs a binary counter: slot l is occupied iff bit l of the
-consumed count is set, and pushing a token triggers the carry chain of
-merges. Parallel mode builds the full pyramid of pair summaries bottom-up,
-flattens its levels into one row table that ends in a single zero row, and
-reads every position's memory from it with one gather: a closed-form [L, D]
-table of row indices, in which each empty slot points at the zero row.
-Both produce a [B, L, D, E] memory (row 0 = current token, then the w_l
-rows of each slot in level order, D = 1 + sum_l w_l) with an [L, D]
-validity mask; invalid rows are exactly zero.
+The carry chain is a binary counter, the recurrent state a model steps
+through: slot l is occupied iff bit l of the consumed count is set, and
+pushing a token triggers the carry chain of merges. The parallel forward
+builds the full pyramid of pair summaries bottom-up, flattens its levels
+into one row table that ends in a single zero row, and reads every
+position's memory from it with one gather: a closed-form [L, D] table of
+row indices, in which each empty slot points at the zero row.
+``parallel_memory`` and ``sequential_memory`` (its stepped reference) both
+produce a [B, L, D, E] memory (row 0 = current token, then the w_l rows of
+each slot in level order, D = 1 + sum_l w_l) with an [L, D] validity mask;
+invalid rows are exactly zero.
 """
 
 from __future__ import annotations
@@ -83,12 +85,6 @@ class SlotState:
 
     def occupied(self, level: int) -> bool:
         return (self.consumed >> level) & 1 == 1
-
-    @property
-    def slots(self) -> list:
-        """Each level's block as a [w_l, E] Tensor viewing the rows, or None when empty."""
-        return [Tensor(self.rows[lo:hi]) if self.occupied(level) else None
-                for level, (lo, hi) in enumerate(self.bounds)]
 
     def _buffer(self, x: Tensor) -> np.ndarray:
         if self.rows is None:
@@ -163,7 +159,8 @@ def valid_mask(L: int, n_levels: int, k: int = 0) -> np.ndarray:
 
 
 def sequential_memory(x: Tensor, summarizer, n_levels: int | None = None) -> MemoryTensor:
-    """Iterative construction: snapshot position t, then push x_t (inference-only)."""
+    """Iterative construction, the reference for parallel_memory: snapshot
+    position t, then push x_t (inference-only)."""
     b, L, e = x.shape
     if n_levels is None:
         n_levels = levels_for(L)

@@ -5,8 +5,10 @@ pre-norm feed-forward + residual, final norm, unembed). LMN variants build
 per-bank tree memories and apply single-vector attention over memory
 levels; no positional table exists, position is carried by each token's
 merge path. The baseline is a standard decoder with a learned positional
-embedding and causal self-attention. Each family has one block body for
-both modes: an LMN block's step reads its slot state through the same
+embedding and causal self-attention. One ``forward`` serves both: parallel
+mode runs each block's forward over the whole sequence, and sequential mode
+steps each stream through ``step``. Each family has one block body for both
+modes: an LMN block's step reads its slot state through the same
 combine-attend-residual tail as its forward, and the baseline steps by
 running its block's forward with a per-block KV cache.
 """
@@ -37,6 +39,7 @@ from .summarizers import (
     snapshot_expanded,
 )
 from .tensor import (
+    ContractError,
     Tensor,
     add,
     cross_entropy,
@@ -48,6 +51,7 @@ from .tensor import (
     matmul,
     narrow,
     no_grad,
+    records_grad,
     reshape,
     scale,
     softmax_last,
@@ -257,9 +261,9 @@ class LmnBlock(_Block):
         self.qkv = QkvProjection(params[f"{p}.qkv.weight"], params.get(f"{p}.qkv.bias"))
         self.summarizers = [_make_summarizer(cfg, params, f"{p}.bank{j}") for j in range(cfg.banks)]
 
-    def forward(self, x: Tensor, mode: str) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         n = layer_norm(x, *self.ln1)
-        return self._read(x, [build_memory(n, s, mode) for s in self.summarizers])
+        return self._read(x, [build_memory(n, s) for s in self.summarizers])
 
     def fresh_states(self):
         return [SlotState.fresh(self.cfg.n_levels, s.k) for s in self.summarizers]
@@ -350,7 +354,9 @@ class _ModelBase:
             w = self.params["unembed.weight"]
         return add(matmul(x, w), self.unembed_b)
 
-    def _check_inputs(self, tokens: np.ndarray, mode: str) -> np.ndarray:
+    def forward(self, tokens: np.ndarray, mode: str = "parallel") -> Tensor:
+        """Logits [B, L, V] for token ids [B, L]. Sequential mode steps each
+        stream from a fresh state through ``step`` (inference-only)."""
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
         tokens = np.asarray(tokens)
@@ -359,7 +365,25 @@ class _ModelBase:
         if tokens.size and (tokens.min() < 0 or tokens.max() >= self.config.vocab_size):
             raise ValueError(f"token id out of range for vocab {self.config.vocab_size}")
         self._check_length(tokens.shape[1])
-        return tokens
+        if mode == "sequential":
+            logits = []
+            for stream in tokens:
+                state = self.start_state()
+                logits.append([self.step(state, int(tok)).data for tok in stream])
+            return Tensor(np.array(logits).reshape(*tokens.shape, self.config.vocab_size))
+        x = self._embed(tokens, 0)
+        for blk in self.blocks:
+            x = blk.forward(x)
+        return self._unembed(x)
+
+    def _step_input(self, t: int, token: int) -> Tensor:
+        """The embedded token at position t: the input of one ``step``."""
+        self._check_length(t + 1)
+        x = self._embed(np.array([[token]], dtype=np.int64), t)
+        if records_grad(x):
+            raise ContractError("step is inference-only: its recurrent state keeps no tape "
+                                "and would cut the gradient; run it under no_grad()")
+        return x
 
     def _check_length(self, L: int) -> None:
         """Both modes hold at most max_seq_len positions."""
@@ -385,24 +409,15 @@ class LmnModel(_ModelBase):
         super().__init__(cfg, params)
         self.blocks = [LmnBlock(cfg, params, i) for i in range(cfg.n_blocks)]
 
-    def forward(self, tokens: np.ndarray, mode: str = "parallel") -> Tensor:
-        tokens = self._check_inputs(tokens, mode)
-        x = embedding(self.embed_w, tokens)  # no positional table: path-through encoding
-        for blk in self.blocks:
-            x = blk.forward(x, mode)
-        return self._unembed(x)
+    def _embed(self, tokens: np.ndarray, t: int) -> Tensor:
+        return embedding(self.embed_w, tokens)  # no positional table: path-through encoding
 
     def start_state(self):
         return [blk.fresh_states() for blk in self.blocks]
 
     def step(self, state, token: int) -> Tensor:
-        """Sequential inference for one token; returns next-token logits [V].
-
-        Inference-only, like every sequential path: the slot state keeps no
-        tape, so under grad recording this raises ContractError.
-        """
-        self._check_length(state[0][0].consumed + 1)
-        x = embedding(self.embed_w, np.array([[token]], dtype=np.int64))
+        """Next-token logits [V] after one token, from the slot state (inference-only)."""
+        x = self._step_input(state[0][0].consumed, token)
         for blk, st in zip(self.blocks, state):
             x = blk.step(x, st)
         return reshape(self._unembed(x), (self.config.vocab_size,))
@@ -428,23 +443,16 @@ class BaselineModel(_ModelBase):
         self.pos_w = params["pos.weight"]
         self.blocks = [BaselineBlock(cfg, params, i) for i in range(cfg.n_blocks)]
 
-    def forward(self, tokens: np.ndarray, mode: str = "parallel") -> Tensor:
-        # either mode runs the same single pass
-        tokens = self._check_inputs(tokens, mode)
-        L = tokens.shape[1]
-        x = add(embedding(self.embed_w, tokens), narrow(self.pos_w, 0, 0, L))
-        for blk in self.blocks:
-            x = blk.forward(x)
-        return self._unembed(x)
+    def _embed(self, tokens: np.ndarray, t: int) -> Tensor:
+        return add(embedding(self.embed_w, tokens), narrow(self.pos_w, 0, t, tokens.shape[1]))
 
     def start_state(self):
         return _BaselineState(self.config, self.embed_w.dtype)
 
     def step(self, state: _BaselineState, token: int) -> Tensor:
+        """Next-token logits [V] after one token, from the KV cache (inference-only)."""
         t = state.t
-        self._check_length(t + 1)
-        x = add(embedding(self.embed_w, np.array([[token]], dtype=np.int64)),
-                narrow(self.pos_w, 0, t, 1))
+        x = self._step_input(t, token)
         for blk, K, V in zip(self.blocks, state.k, state.v):
             x = blk.forward(x, (K, V), t)
         state.t += 1

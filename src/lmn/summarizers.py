@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .counters import COUNTER
-from .memory import parallel_memory, push_token, sequential_memory, snapshot
+from .memory import parallel_memory, push_token, snapshot
 from .tensor import (
     Tensor,
     add,
@@ -96,12 +96,6 @@ class DsConvSummarizer:
         y = matmul(conv1d_depthwise_k2s2(pair, self.depthwise), self.pointwise)
         return add(y, self.bias) if self.bias is not None else y
 
-    def as_linear_weight(self) -> np.ndarray:
-        """The equivalent [2E, E] linear map (no bias): factorized form made explicit."""
-        top = self.pointwise.data.T * self.depthwise.data[:, 0]
-        bot = self.pointwise.data.T * self.depthwise.data[:, 1]
-        return np.concatenate([top.T, bot.T], axis=0)
-
 
 class ExpanderSummarizer:
     """Merges two width-w blocks into one width-(w+k) block.
@@ -157,12 +151,7 @@ def snapshot_expanded(state, x_current):
     return snapshot(state, x_current)
 
 
-def build_memory(x: Tensor, summarizer, mode: str = "parallel", n_levels: int | None = None):
-    """One bank's memory, built in parallel or sequentially on the shared tree."""
-    if mode == "parallel":
-        build = parallel_expanded_memory if summarizer.kind == "expander" else parallel_memory
-    elif mode == "sequential":
-        build = sequential_memory
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+def build_memory(x: Tensor, summarizer, n_levels: int | None = None):
+    """One bank's [B, L, D, E] memory for the parallel forward, from the shared tree."""
+    build = parallel_expanded_memory if summarizer.kind == "expander" else parallel_memory
     return build(x, summarizer, n_levels)

@@ -169,7 +169,7 @@ def _spent(g):
 
 
 def _topo_order(root: Tensor):
-    # Iterative post-order DFS; sequential-mode tapes can be deep.
+    # Iterative post-order DFS: a deep tape would exceed the recursion limit.
     order, visited, stack = [], set(), [(root, False)]
     while stack:
         node, processed = stack.pop()

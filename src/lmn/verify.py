@@ -1,11 +1,11 @@
 """Self-contained invariant suite behind the `verify` subcommand.
 
 Runs the library's correctness properties on random weights: dual-mode
-equivalence for every variant, one-token stepping against the parallel
-forward, finite-difference gradient checks, prefix
-causality, attention mask/softmax behaviour, the folded attention against
-the unfused projection chain, slot-count oracles against brute-force prefix
-decomposition, and the expander width arithmetic.
+equivalence for every variant (the parallel forward against stepping
+through ``step``), the pyramid against the carry chain, finite-difference
+gradient checks, prefix causality, attention mask/softmax behaviour, the
+folded attention against the unfused projection chain, slot-count oracles
+against brute-force prefix decomposition, and the expander width arithmetic.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from .attention import (
 )
 from .bench import baseline_score_mac_closed_form, lmn_score_mac_closed_form
 from .counters import COUNTER
-from .memory import parallel_memory, slot_widths, valid_mask
+from .memory import parallel_memory, sequential_memory, slot_widths, valid_mask
 from .model import ModelConfig, build_model, loss as loss_fn
-from .summarizers import DsConvSummarizer, ExpanderSummarizer, LinearSummarizer, build_memory
+from .summarizers import DsConvSummarizer, ExpanderSummarizer, LinearSummarizer
 from .tensor import Tensor, grad_check, make_rng, no_grad
 
 
@@ -54,36 +54,25 @@ def _variant_configs(embed: int, max_len: int):
         ModelConfig(variant="logmem", banks=2, **shared),
         ModelConfig(variant="tiny-logmem", banks=2, **shared),
         ModelConfig(variant="expsum", expansion=1, **shared),
+        ModelConfig(variant="baseline-attn", n_heads=4, **shared),
     ]
 
 
 def check_mode_equivalence(quick: bool):
-    L, E = (32, 8) if quick else (64, 16)
+    # full capacity, where the last push writes the root, and an odd length,
+    # where the parallel pyramid is padded
+    lengths, E = ((32, 21), 8) if quick else ((64, 45), 16)
     worst = 0.0
     rng = make_rng(11)
-    for cfg in _variant_configs(E, L):
+    for cfg in _variant_configs(E, lengths[0]):
         model = build_model(cfg)
-        tokens = rng.integers(0, cfg.vocab_size, size=(2, L))
-        with no_grad():
-            par = model.forward(tokens, mode="parallel").data
-            seq = model.forward(tokens, mode="sequential").data
-        worst = max(worst, float(np.abs(par - seq).max()))
-    return worst <= 1e-4, f"max |parallel - sequential| logit gap = {worst:.2e}"
-
-
-def check_stepping_equivalence(quick: bool):
-    L, E = (21, 8) if quick else (45, 16)  # odd L: the parallel pyramid is padded
-    worst = 0.0
-    rng = make_rng(43)
-    for cfg in _variant_configs(E, L):
-        model = build_model(cfg)
-        tokens = rng.integers(0, cfg.vocab_size, size=(1, L))
-        with no_grad():
-            par = model.forward(tokens, mode="parallel").data[0]
-            state = model.start_state()
-            stepped = np.stack([model.step(state, int(t)).data for t in tokens[0]])
-        worst = max(worst, float(np.abs(par - stepped).max()))
-    return worst <= 1e-4, f"max |parallel - model.step| logit gap = {worst:.2e} at L={L}"
+        for L in lengths:
+            tokens = rng.integers(0, cfg.vocab_size, size=(2, L))
+            with no_grad():
+                par = model.forward(tokens, mode="parallel").data
+                seq = model.forward(tokens, mode="sequential").data
+            worst = max(worst, float(np.abs(par - seq).max()))
+    return worst <= 1e-4, f"max |parallel - model.step| logit gap = {worst:.2e} at L={lengths}"
 
 
 def _tree_gap(summarizers, L: int, E: int, rng) -> float:
@@ -92,8 +81,8 @@ def _tree_gap(summarizers, L: int, E: int, rng) -> float:
     for summ in summarizers:
         x = Tensor(rng.standard_normal((2, L, E)).astype(np.float32))
         with no_grad():
-            par = build_memory(x, summ, "parallel").data.numpy()
-            seq = build_memory(x, summ, "sequential").data.numpy()
+            par = parallel_memory(x, summ).data.numpy()
+            seq = sequential_memory(x, summ).data.numpy()
         gap = max(gap, float(np.abs(par - seq).max()))
     return gap
 
@@ -244,7 +233,6 @@ def check_counters(quick: bool):
 
 CHECKS = [
     ("mode-equivalence", check_mode_equivalence),
-    ("stepping-equivalence", check_stepping_equivalence),
     ("memory-equivalence", check_memory_equivalence),
     ("expander-equivalence", check_expanded_equivalence),
     ("gradients", check_gradients),

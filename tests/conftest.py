@@ -89,6 +89,12 @@ def fd_grad(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     return g
 
 
+def slot_blocks(state):
+    """Each level's [w_l, E] block of a SlotState's rows, or None when the level is empty."""
+    return [state.rows[lo:hi] if state.occupied(level) else None
+            for level, (lo, hi) in enumerate(state.bounds)]
+
+
 def naive_softmax(row: np.ndarray) -> np.ndarray:
     e = np.exp(row - row.max())
     return e / e.sum()

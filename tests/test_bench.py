@@ -1,5 +1,4 @@
-"""Benchmark harness: compression arithmetic, counter closed forms, CSV
-output, and slope fitting."""
+"""Benchmark harness: counter closed forms, CSV output, and slope fitting."""
 
 import csv
 import os
@@ -12,7 +11,6 @@ from lmn.bench import (
     BenchRecord,
     baseline_score_mac_closed_form,
     bench_model,
-    compression_factor,
     lmn_score_mac_closed_form,
     loglog_slope,
     peak_bytes,
@@ -21,14 +19,6 @@ from lmn.bench import (
 )
 from lmn.counters import COUNTER
 from lmn.tensor import make_rng, no_grad
-
-
-def test_compression_factor_values():
-    assert compression_factor(1024) == pytest.approx(104857.6)
-    assert compression_factor(8192) == pytest.approx(5162220.3, abs=0.05)
-    assert compression_factor(2) == pytest.approx(4.0)
-    with pytest.raises(ValueError):
-        compression_factor(1)
 
 
 def test_lmn_closed_form_matches_brute_force():

@@ -22,7 +22,7 @@ from lmn.memory import (
 from lmn.summarizers import DsConvSummarizer, ExpanderSummarizer, LinearSummarizer
 from lmn.tensor import Tensor, make_rng, no_grad
 
-from conftest import linear_merge_fn, prefix_blocks, tree_summary
+from conftest import linear_merge_fn, prefix_blocks, slot_blocks, tree_summary
 
 
 def make_summ(e, seed=0, bias=True):
@@ -47,14 +47,14 @@ def test_push_token_first_three_examples():
     x0 = Tensor(np.arange(e, dtype=np.float32).reshape(1, e))
     push_token(state, x0, summ)
     assert state.consumed == 1
-    assert np.array_equal(state.slots[0].data, x0.data)
+    assert np.array_equal(slot_blocks(state)[0], x0.data)
 
     x1 = Tensor((np.arange(e) + 10).astype(np.float32).reshape(1, e))
     push_token(state, x1, summ)
     assert state.consumed == 2
-    assert state.slots[0] is None
+    assert slot_blocks(state)[0] is None
     expect = summ.merge_pair(x0, x1).data
-    assert np.allclose(state.slots[1].data, expect)
+    assert np.allclose(slot_blocks(state)[1], expect)
 
 
 def test_push_token_carry_chain_t3():
@@ -66,11 +66,11 @@ def test_push_token_carry_chain_t3():
     for x in xs:
         push_token(state, x, summ)
     assert state.consumed == 4
-    assert state.slots[0] is None and state.slots[1] is None
+    assert slot_blocks(state)[:2] == [None, None]
     s01 = summ.merge_pair(xs[0], xs[1])
     s23 = summ.merge_pair(xs[2], xs[3])
     expect = summ.merge_pair(s01, s23).data
-    assert np.allclose(state.slots[2].data, expect, atol=1e-6)
+    assert np.allclose(slot_blocks(state)[2], expect, atol=1e-6)
 
 
 def test_push_overflow_raises_capacity():

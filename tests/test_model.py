@@ -36,8 +36,11 @@ def small_cfg(variant_kw, **extra):
     return ModelConfig(**base)
 
 
-@pytest.mark.parametrize("name,kw", VARIANT_CONFIGS)
+@pytest.mark.parametrize("name,kw", VARIANT_CONFIGS + [
+    ("baseline", dict(variant="baseline-attn", n_heads=4)),
+])
 def test_mode_equivalence(name, kw):
+    # sequential mode steps a fresh state per stream up to full capacity
     cfg = small_cfg(kw)
     model = build_model(cfg)
     tokens = make_rng(1).integers(0, cfg.vocab_size, size=(2, 64))
@@ -161,13 +164,15 @@ def test_every_variant_rejects_an_unknown_mode(variant):
 
 
 def test_sequential_mode_with_grad_on_raises():
-    # the slot state keeps no tape, so a recorded sequential pass would lose its gradient
-    model = build_model(small_cfg(dict(variant="logmem")))
+    # the slot state and the KV cache keep no tape, so a recorded sequential
+    # pass would lose its gradient
     tokens = make_rng(5).integers(0, 29, size=(1, 8))
-    with pytest.raises(ContractError):
-        model.forward(tokens, mode="sequential")
-    with pytest.raises(ContractError):
-        model.step(model.start_state(), int(tokens[0, 0]))
+    for variant in VARIANTS:
+        model = build_model(small_cfg(dict(variant=variant)))
+        with pytest.raises(ContractError):
+            model.forward(tokens, mode="sequential")
+        with pytest.raises(ContractError):
+            model.step(model.start_state(), int(tokens[0, 0]))
 
 
 def test_generation_deterministic_and_argmax():

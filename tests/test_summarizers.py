@@ -4,16 +4,20 @@ its widened-slot memory discipline."""
 import numpy as np
 import pytest
 
-from lmn.memory import CapacityError, SlotState, push_token, slot_widths, snapshot, valid_mask
-from lmn.summarizers import (
-    DsConvSummarizer,
-    ExpanderSummarizer,
-    LinearSummarizer,
-    build_memory,
+from lmn.memory import (
+    CapacityError,
+    SlotState,
+    parallel_memory,
+    push_token,
+    sequential_memory,
+    slot_widths,
+    snapshot,
+    valid_mask,
 )
+from lmn.summarizers import DsConvSummarizer, ExpanderSummarizer, LinearSummarizer
 from lmn.tensor import Tensor, make_rng, no_grad
 
-from conftest import prefix_blocks
+from conftest import prefix_blocks, slot_blocks
 
 
 def test_identity_weight_picks_older():
@@ -54,7 +58,8 @@ def test_dsconv_and_linear_agree_under_constructed_weights():
     e = 6
     rng = make_rng(2)
     ds = DsConvSummarizer.init(rng, e, bias=True)
-    lin = LinearSummarizer(Tensor(ds.as_linear_weight()), ds.bias)
+    dw, pw = ds.depthwise.data, ds.pointwise.data
+    lin = LinearSummarizer(Tensor(np.concatenate([dw[:, :1] * pw, dw[:, 1:] * pw])), ds.bias)
     a = Tensor(rng.standard_normal((1, e)).astype(np.float32))
     b = Tensor(rng.standard_normal((1, e)).astype(np.float32))
     assert np.allclose(ds.merge_pair(a, b).data, lin.merge_pair(a, b).data, atol=1e-5)
@@ -112,7 +117,7 @@ def test_expander_block_widths_follow_formula():
         push_token(state, Tensor(rng.standard_normal((1, e)).astype(np.float32)), es)
     for level in range(4):
         if state.occupied(level):
-            assert state.slots[level].shape == (1 + level, e)
+            assert slot_blocks(state)[level].shape == (1 + level, e)
 
 
 def test_snapshot_expanded_valid_rows():
@@ -145,8 +150,8 @@ def test_expanded_parallel_equals_sequential():
     es = ExpanderSummarizer.init(make_rng(9), e, k=1)
     x = Tensor(make_rng(10).standard_normal((2, L, e)).astype(np.float32))
     with no_grad():
-        par = build_memory(x, es, "parallel")
-        seq = build_memory(x, es, "sequential")
+        par = parallel_memory(x, es)
+        seq = sequential_memory(x, es)
     assert np.array_equal(par.valid, seq.valid)
     assert np.abs(par.data.data - seq.data.data).max() <= 1e-5
 
@@ -156,8 +161,8 @@ def test_expanded_parallel_equals_sequential_k2_ragged():
     es = ExpanderSummarizer.init(make_rng(11), e, k=2)
     x = Tensor(make_rng(12).standard_normal((1, L, e)).astype(np.float32))
     with no_grad():
-        par = build_memory(x, es, "parallel")
-        seq = build_memory(x, es, "sequential")
+        par = parallel_memory(x, es)
+        seq = sequential_memory(x, es)
     assert np.abs(par.data.data - seq.data.data).max() <= 1e-5
 
 
@@ -182,4 +187,4 @@ def test_expanded_capacity_error():
     es = ExpanderSummarizer.init(make_rng(14), e, k=1)
     x = Tensor(np.zeros((1, 9, e), dtype=np.float32))
     with pytest.raises(CapacityError):
-        build_memory(x, es, "sequential", n_levels=3)
+        sequential_memory(x, es, n_levels=3)
