@@ -147,18 +147,25 @@ def multi_bank_combine(memories: list[MemoryTensor]) -> MemoryTensor:
     return MemoryTensor(data=data, valid=valid)
 
 
-def attend(mem: MemoryTensor, proj: QkvProjection, orientation: str = "literal") -> AttentionOutput:
+def attend(mem: MemoryTensor, current: Tensor, proj: QkvProjection,
+           orientation: str = "literal") -> AttentionOutput:
     """Full single-vector attention pass over a (possibly multi-bank) memory,
-    with the projection folded into a per-position probe (module docstring)."""
+    with the projection folded into a per-position probe (module docstring).
+
+    current [B, L, E] is each position's own token, the rows that level 0
+    of the memory holds; it is projected directly, so no gradient passes
+    through a slice of the memory.
+    """
     e = proj.embed
-    q0, k0, _ = qkv_project(MemoryTensor(narrow(mem.data, 2, 0, 1), mem.valid[:, :1]), proj)
+    b, L, _ = current.shape
+    q0, k0, _ = qkv_project(MemoryTensor(reshape(current, (b, L, 1, e)), mem.valid[:, :1]), proj)
     if orientation == "literal":
-        current, w_score = k0, narrow(proj.weight, 1, 0, e)
+        own, w_score = k0, narrow(proj.weight, 1, 0, e)
     elif orientation == "swapped":
-        current, w_score = q0, narrow(proj.weight, 1, e, e)
+        own, w_score = q0, narrow(proj.weight, 1, e, e)
     else:
         raise ValueError(f"unknown score orientation {orientation!r}")
-    probe = matmul(current, transpose(w_score, (1, 0)))  # [B, L, 1, E]
+    probe = matmul(own, transpose(w_score, (1, 0)))  # [B, L, 1, E]
     scores = single_vector_scores(mem.data, probe, mem.valid)
     weights = mask_softmax(scores, mem.valid)
     values = matmul(weighted_sum(weights, mem.data), narrow(proj.weight, 1, 2 * e, e))

@@ -15,11 +15,13 @@ the sweep, leaving the rows already written in the CSV.
 from __future__ import annotations
 
 import csv
+import ctypes
 import os
 import re
 import time
 import tracemalloc
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -154,11 +156,32 @@ def time_forward(model, L: int, mode: str, reps: int = 3, seed: int = 0) -> Benc
                            status="failed")
 
 
+# thread-count getters that the OpenBLAS builds numpy ships may export
+BLAS_THREAD_SYMBOLS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads")
+
+
+def blas_threads() -> int | str:
+    """Thread count in effect in the OpenBLAS that numpy loaded, or
+    "unknown" when no library bundled with numpy exports one."""
+    libs_dir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs_dir.glob("*openblas*.so*")):
+        lib = ctypes.CDLL(str(path))
+        for symbol in BLAS_THREAD_SYMBOLS:
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                return fn()
+    return "unknown"
+
+
 def environment_lines() -> list[str]:
     """CSV comment lines naming what the timings depend on: the numpy
-    version, its BLAS build, the BLAS thread settings and the CPU count."""
+    version, its BLAS build and the thread count it runs with, the BLAS
+    thread settings and the CPU count."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     env = {"numpy": np.__version__, "blas": blas.get("name", "unknown"),
+           "blas_threads": blas_threads(),
            **{var: os.environ.get(var, "unset") for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
            "cpu_count": os.cpu_count()}
     return [f"# {key}={value}" for key, value in env.items()]

@@ -11,9 +11,10 @@ The carry chain is a binary counter, the recurrent state a model steps
 through: slot l is occupied iff bit l of the consumed count is set, and
 pushing a token triggers the carry chain of merges. The parallel forward
 builds the full pyramid of pair summaries bottom-up, flattens its levels
-into one row table that ends in a single zero row, and reads every
-position's memory from it with one gather: a closed-form [L, D] table of
-row indices, in which each empty slot points at the zero row.
+into one row table and reads every position's memory from it in closed
+form (Fenwick bucketing): position t's level-l slot is block
+2 * (t >> (l+1)) of level l, so each level's read is a strided broadcast
+and its gradient a reshape-sum, with no index table and no scatter.
 ``parallel_memory`` and ``sequential_memory`` (its stepped reference) both
 produce a [B, L, D, E] memory (row 0 = current token, then the w_l rows of
 each slot in level order, D = 1 + sum_l w_l) with an [L, D] validity mask;
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counters import COUNTER
-from .tensor import ContractError, Tensor, concat, index_select, records_grad, reshape, zeros
+from .tensor import ContractError, Tensor, _make, concat, records_grad, reshape, zeros
 
 
 class CapacityError(RuntimeError):
@@ -207,33 +208,61 @@ def build_pyramid(x: Tensor, summarizer, n_levels: int | None = None) -> Pyramid
 
 
 def gather_memory(p: Pyramid, L: int) -> MemoryTensor:
-    """Assemble per-position rows from the pyramid in one gather.
+    """Assemble per-position rows from the pyramid in one closed-form read.
 
-    Levels 0..S-1 are flattened to [B, n_l * w_l, E] and joined, with one
-    zero row appended, into a single row table. For level l with bit l of t
-    set, the contributing block is levels[l][2 * (t >> (l+1))]: the lone
+    Levels 0..S-1 are flattened to [B, n_l * w_l, E] and joined into a
+    single row table. Row 0 of position t is table row t. For level l with
+    bit l of t set, the slot holds levels[l][2 * (t >> (l+1))], the lone
     level-l block in the greedy binary decomposition of the prefix [0, t),
-    so its row j sits at off_l + 2 * (t >> (l+1)) * w_l + j, where off_l is
-    the level's first row in the table. Every other slot row reads the zero
-    row, so invalid rows are exactly zero with no masking pass and get no
-    gradient. Blocks always lie inside the real prefix, so pyramid padding
-    never leaks in.
+    so blocks lie inside the real prefix and padding never leaks in. The
+    read is one op: a broadcast write per ``_level_reads`` pair, and a
+    backward that sums each pair's gradient over its positions into its
+    blocks. Every other slot row stays exactly zero and gets no gradient.
     """
     n_levels = len(p.levels) - 1
     b, _, _, e = p.levels[0].shape
-    t = np.arange(L, dtype=np.int64)
-    mask = valid_mask(L, n_levels, p.k)
-    flat, cols, off = [], [t[:, None]], 0
-    for level in range(n_levels):
-        _, n, w, _ = p.levels[level].shape
-        flat.append(reshape(p.levels[level], (b, n * w, e)))
-        cols.append((off + 2 * (t >> (level + 1)) * w)[:, None] + np.arange(w))
+    widths = slot_widths(n_levels, p.k)
+    table = concat([reshape(lv, (b, lv.shape[1] * lv.shape[2], e)) for lv in p.levels[:n_levels]],
+                   axis=1)
+    out = np.zeros((b, L, 1 + sum(widths), e), dtype=table.dtype)
+    out[:, :, 0] = table.data[:, :L]
+    for mem, blocks in _level_reads(out, table.data, L, widths):
+        mem[...] = blocks
+
+    def bwd(g):
+        grad = np.zeros(table.shape, dtype=g.dtype)
+        for mem, blocks in _level_reads(g, grad, L, widths):
+            np.sum(mem, axis=-3, keepdims=True, out=blocks)  # each block is read by one group
+        grad[:, :L] += g[:, :, 0]
+        return (grad,)
+
+    return MemoryTensor(data=_make(out, (table,), bwd), valid=valid_mask(L, n_levels, p.k))
+
+
+def _level_reads(mem: np.ndarray, rows: np.ndarray, L: int, widths: list):
+    """(memory view, block view) pairs: the reads of every level's slot columns.
+
+    Level l's positions fall in groups of R = 2^(l+1): the second half of
+    group g reads block 2g of the level and the first half reads nothing.
+    Full groups give a [B, G, R/2, w, E] memory view against the
+    [B, G, 1, w, E] even blocks; a partial last group that reaches past its
+    half gives its tail against its one block. All are strided views, so
+    writes through them land in the arrays.
+    """
+    b, _, d, e = mem.shape
+    n_levels = len(widths)
+    off, col = 0, 1
+    for level, w in enumerate(widths):
+        n, R = 1 << (n_levels - level), 2 << level
+        half, G = R >> 1, L // R
+        blocks = rows[:, off:off + n * w].reshape(b, n, w, e)
+        if G:
+            yield (mem[:, :G * R].reshape(b, G, R, d, e)[:, :, half:, col:col + w],
+                   blocks[:, 0:2 * G:2, None])
+        if L - G * R > half:
+            yield mem[:, G * R + half:L, col:col + w], blocks[:, 2 * G, None]
         off += n * w
-    flat.append(zeros((b, 1, e), dtype=p.levels[0].dtype))
-    table = np.concatenate(cols, axis=1)  # [L, D] row of the flattened pyramid
-    table[~mask] = off  # the zero row
-    data = index_select(concat(flat, axis=1), 1, table.reshape(-1))
-    return MemoryTensor(data=reshape(data, (b, L, mask.shape[1], e)), valid=mask)
+        col += w
 
 
 def parallel_memory(x: Tensor, summarizer, n_levels: int | None = None) -> MemoryTensor:

@@ -263,7 +263,7 @@ class LmnBlock(_Block):
 
     def forward(self, x: Tensor) -> Tensor:
         n = layer_norm(x, *self.ln1)
-        return self._read(x, [build_memory(n, s) for s in self.summarizers])
+        return self._read(x, n, [build_memory(n, s) for s in self.summarizers])
 
     def fresh_states(self):
         return [SlotState.fresh(self.cfg.n_levels, s.k) for s in self.summarizers]
@@ -281,14 +281,15 @@ class LmnBlock(_Block):
         for s in states:
             row, valid = take(s, n_flat)
             mems.append(MemoryTensor(reshape(row, (1, 1, row.shape[0], self.cfg.embed)), valid[None, :]))
-        x = self._read(x, mems)
+        x = self._read(x, n, mems)
         for s, summ in zip(states, self.summarizers):
             push(s, n_flat, summ)
         return x
 
-    def _read(self, x: Tensor, mems) -> Tensor:
-        """The tail both modes share: combine the banks, attend, then the residuals."""
-        att = attend(multi_bank_combine(mems), self.qkv, self.cfg.score_orientation)
+    def _read(self, x: Tensor, n: Tensor, mems) -> Tensor:
+        """The tail both modes share: combine the banks, attend with the
+        layer-normed input n as the current tokens, then the residuals."""
+        att = attend(multi_bank_combine(mems), n, self.qkv, self.cfg.score_orientation)
         return self._residuals(x, att.values)
 
 

@@ -245,18 +245,39 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 def gelu(a: Tensor) -> Tensor:
     """tanh-approximation GELU; backward differentiates the approximation
-    exactly so finite-difference checks stay tight."""
+    exactly so finite-difference checks stay tight.
+
+    Both passes run in place on one or two fresh arrays, and the tape keeps
+    only t = tanh(c (x + k x^3)) beside the input.
+    """
     c = a.dtype.type(math.sqrt(2.0 / math.pi))
     k = a.dtype.type(0.044715)
     x = a.data
-    inner = c * (x + k * x * x * x)
-    t = np.tanh(inner)
-    out = 0.5 * x * (1.0 + t)
+    t = np.multiply(x, k)
+    t *= x
+    t *= x
+    t += x
+    t *= c
+    np.tanh(t, out=t)
+    out = t + 1.0
+    out *= x
+    out *= 0.5  # 0.5 x (1 + t)
 
     def bwd(g):
-        dinner = c * (1.0 + 3.0 * k * x * x)
-        dt = (1.0 - t * t) * dinner
-        return (g * (0.5 * (1.0 + t) + 0.5 * x * dt),)
+        # d/dx = 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 k x^2)
+        dx = np.multiply(x, x)
+        dx *= 3.0 * k
+        dx += 1.0
+        dx *= c
+        sech2 = np.multiply(t, t)
+        np.subtract(1.0, sech2, out=sech2)
+        dx *= sech2
+        dx *= x
+        dx += t
+        dx += 1.0
+        dx *= 0.5
+        dx *= g
+        return (dx,)
 
     return _make(out, (a,), bwd)
 
@@ -362,10 +383,12 @@ def index_select(a: Tensor, axis: int, indices) -> Tensor:
 def _scatter_add(g: np.ndarray, indices: np.ndarray, n: int, axis: int) -> np.ndarray:
     """Sum the slices of g along axis into n slots, slice i into slot indices[i].
 
-    One stable sort groups equal indices into runs; np.add.reduceat sums each
-    run and one fancy assignment writes the distinct slots, so the work is
-    vectorized per slot rather than looped per element. indices must lie in
-    [0, n).
+    index_select's backward, which in the library serves ``embedding``: the
+    token ids of a batch repeat in any order, so their rows need a real
+    scatter. One stable sort groups equal indices into runs; np.add.reduceat
+    sums each run and one fancy assignment writes the distinct slots, so the
+    work is vectorized per slot rather than looped per element. indices must
+    lie in [0, n).
     """
     shape = list(g.shape)
     shape[axis] = n

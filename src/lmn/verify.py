@@ -142,7 +142,7 @@ def check_attention_masking(quick: bool):
     x = Tensor(rng.standard_normal((2, L, E)).astype(np.float32))
     with no_grad():
         mem = multi_bank_combine([parallel_memory(x, s) for s in summs])
-        out = attend(mem, model.blocks[0].qkv)
+        out = attend(mem, x, model.blocks[0].qkv)
     w = out.weights.numpy()
     sums = w.sum(axis=-1)
     zeros_exact = bool(np.all(w[~np.broadcast_to(mem.valid[None], w.shape)] == 0.0))
@@ -170,7 +170,7 @@ def check_attention_fold(quick: bool):
         for bias in (True, False):
             proj = QkvProjection.init(rng, E, bias=bias)
             with no_grad():
-                out = attend(mem, proj, orientation)
+                out = attend(mem, x, proj, orientation)
                 ref_v, ref_w = unfused_attend(mem, proj, orientation)
             gap_w = max(gap_w, float(np.abs(out.weights.data - ref_w.data).max()))
             gap_v = max(gap_v, float(np.abs(out.values.data - ref_v.data).max()))

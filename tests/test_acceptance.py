@@ -147,7 +147,7 @@ def test_criterion_05_attention_invariants():
         data[:, ~mask] = 0.0
         mem = MemoryTensor(Tensor(data), mask)
         proj = QkvProjection.init(make_rng(1000 + cases), e)
-        out = attend(mem, proj)
+        out = attend(mem, Tensor(data[:, :, 0]), proj)
         w = out.weights.data
         assert np.all(np.abs(w.sum(-1) - 1.0) <= 1e-6)
         assert np.all(w[:, ~mask] == 0.0)

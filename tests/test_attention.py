@@ -31,6 +31,11 @@ def random_memory(b=2, L=8, e=4, seed=0):
     return MemoryTensor(Tensor(data), mask)
 
 
+def own_rows(mem, requires_grad=False):
+    """Each position's own token, the level-0 rows of the memory, as attend takes it."""
+    return Tensor(mem.data.data[:, :, 0].copy(), requires_grad=requires_grad)
+
+
 def identity_projection(e):
     w = np.concatenate([np.eye(e)] * 3, axis=1).astype(np.float32)
     return QkvProjection(Tensor(w), Tensor(np.zeros(3 * e, dtype=np.float32)))
@@ -138,7 +143,7 @@ def test_mask_softmax_requires_level0_valid():
 def test_attention_at_t0_returns_current_token_value():
     mem = random_memory(b=1, L=1, seed=9)
     proj = QkvProjection.init(make_rng(10), 4)
-    out = attend(mem, proj)
+    out = attend(mem, own_rows(mem), proj)
     q, k, v = qkv_project(mem, proj)
     assert np.allclose(out.values.data[0, 0], v.data[0, 0, 0], atol=1e-6)
     assert np.allclose(out.weights.data[0, 0], [1, 0, 0, 0])
@@ -195,7 +200,7 @@ def test_two_bank_attention_matches_naive_oracle():
     with no_grad():
         mem = multi_bank_combine([parallel_memory(x, s) for s in banks])
     proj = QkvProjection.init(make_rng(16), e)
-    out = attend(mem, proj)
+    out = attend(mem, x, proj)
     expect_vals, expect_w = naive_single_vector_attention(
         mem.data.data, mem.valid, proj.weight.data, proj.bias.data)
     assert np.allclose(out.values.data, expect_vals, atol=1e-4)
@@ -207,7 +212,7 @@ def test_weights_sum_to_one_with_exact_zeros_many_cases():
     for seed in range(4):
         mem = random_memory(b=4, L=16, seed=30 + seed)
         proj = QkvProjection.init(make_rng(40 + seed), 4)
-        out = attend(mem, proj)
+        out = attend(mem, own_rows(mem), proj)
         w = out.weights.data
         assert np.all(np.abs(w.sum(-1) - 1.0) <= 1e-6)
         assert np.all(w[:, ~mem.valid] == 0.0)
@@ -250,29 +255,31 @@ def two_bank_memory(L=13, e=4, seed=70, dtype=np.float32):
 def test_attend_equals_unfused_chain(orientation, bias):
     mem = two_bank_memory()
     proj = QkvProjection.init(make_rng(71), 4, bias=bias)
-    out = attend(mem, proj, orientation)
+    out = attend(mem, own_rows(mem), proj, orientation)
     ref_v, ref_w = unfused_attend(mem, proj, orientation)
     assert np.abs(out.weights.data - ref_w.data).max() <= 1e-5
     assert np.abs(out.values.data - ref_v.data).max() <= 1e-4
 
 
 def test_attend_rejects_unknown_orientation():
+    mem = random_memory()
     with pytest.raises(ValueError):
-        attend(random_memory(), QkvProjection.init(make_rng(72), 4), "sideways")
+        attend(mem, own_rows(mem), QkvProjection.init(make_rng(72), 4), "sideways")
 
 
-def attend_loss(mem, proj, orientation, seed=73):
+def attend_loss(mem, current, proj, orientation, seed=73):
     target = make_rng(seed).standard_normal((mem.data.shape[0], mem.data.shape[1], proj.embed))
-    return sum_axis(mul(attend(mem, proj, orientation).values, Tensor(target)))
+    return sum_axis(mul(attend(mem, current, proj, orientation).values, Tensor(target)))
 
 
 @pytest.mark.parametrize("orientation", ORIENTATIONS)
 def test_attend_float64_gradients(orientation):
     mem = two_bank_memory(L=13, e=3, seed=74, dtype=np.float64)
     mem.data.requires_grad = True
+    current = own_rows(mem, requires_grad=True)
     proj = QkvProjection.init(make_rng(75), 3, dtype=np.float64)
-    params = [proj.weight, proj.bias, mem.data]
-    err = grad_check(lambda _: attend_loss(mem, proj, orientation), params, eps=1e-5)
+    params = [proj.weight, proj.bias, mem.data, current]
+    err = grad_check(lambda _: attend_loss(mem, current, proj, orientation), params, eps=1e-5)
     assert err <= 1e-4
 
 
@@ -281,7 +288,7 @@ def test_dropped_bias_gets_exactly_zero_gradient(orientation, dropped):
     # b_q (literal) or b_k (swapped) only shifts every score of a position alike
     mem = two_bank_memory(seed=76)
     proj = QkvProjection.init(make_rng(77), 4)
-    attend_loss(mem, proj, orientation).backward()
+    attend_loss(mem, own_rows(mem), proj, orientation).backward()
     e = proj.embed
     assert np.all(proj.bias.grad[dropped * e:(dropped + 1) * e] == 0.0)
     assert np.all(proj.bias.grad[2 * e:] != 0.0)

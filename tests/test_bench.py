@@ -2,6 +2,8 @@
 
 import csv
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -11,6 +13,8 @@ from lmn.bench import (
     BenchRecord,
     baseline_score_mac_closed_form,
     bench_model,
+    blas_threads,
+    environment_lines,
     lmn_score_mac_closed_form,
     loglog_slope,
     peak_bytes,
@@ -125,13 +129,14 @@ def test_sweep_writes_csv_with_footer(tmp_path):
     records = sweep([8, 16], ["logmem"], out, modes=("parallel",), reps=3, embed=8)
     assert len(records) == 2
     lines = out.read_text().splitlines()
-    env = dict(line[2:].split("=", 1) for line in lines[:5])
-    assert list(env) == ["numpy", "blas", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "cpu_count"]
+    env = dict(line[2:].split("=", 1) for line in lines[:6])
+    assert list(env) == ["numpy", "blas", "blas_threads", "OPENBLAS_NUM_THREADS",
+                         "OMP_NUM_THREADS", "cpu_count"]
     assert env["numpy"] == np.__version__ and env["cpu_count"] == str(os.cpu_count())
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         assert env[var] == os.environ.get(var, "unset")
-    assert env["blas"]
-    header = lines[5].split(",")
+    assert env["blas"] and env["blas_threads"] == str(blas_threads())
+    header = lines[6].split(",")
     assert header == ["variant", "mode", "L", "reps", "median_seconds", "peak_bytes",
                       "score_macs", "summarizer_ops", "status"]
     with open(out) as f:
@@ -141,6 +146,25 @@ def test_sweep_writes_csv_with_footer(tmp_path):
         assert row == [str(v) for v in rec.row()]
         assert int(row[2]) == rec.L and float(row[4]) > 0 and row[-1] == "ok"
     assert any(line.startswith("# slope variant=logmem mode=parallel") for line in lines)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_blas_threads_reads_the_count_in_effect(threads):
+    # the thread count OpenBLAS took from the environment at load, read back
+    # from the loaded library in a fresh process
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+           "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", "from lmn.bench import blas_threads; print(blas_threads())"],
+                         env=env, capture_output=True, text=True, check=True).stdout.strip()
+    if blas_threads() == "unknown":
+        assert out == "unknown"
+    else:
+        assert out == threads
+
+
+def test_environment_lines_write_unknown_without_a_thread_getter(monkeypatch):
+    monkeypatch.setattr("lmn.bench.BLAS_THREAD_SYMBOLS", ())
+    assert "# blas_threads=unknown" in environment_lines()
 
 
 def test_sequential_peak_scales_with_kv_cache_for_baseline():

@@ -9,6 +9,7 @@ import pytest
 from lmn.counters import COUNTER
 from lmn.memory import (
     CapacityError,
+    Pyramid,
     SlotState,
     build_pyramid,
     gather_memory,
@@ -19,8 +20,20 @@ from lmn.memory import (
     snapshot,
     valid_mask,
 )
+from lmn.model import VARIANTS, ModelConfig, build_model
 from lmn.summarizers import DsConvSummarizer, ExpanderSummarizer, LinearSummarizer
-from lmn.tensor import Tensor, make_rng, no_grad
+from lmn.tensor import (
+    Tensor,
+    concat,
+    grad_check,
+    index_select,
+    make_rng,
+    mul,
+    no_grad,
+    reshape,
+    sum_axis,
+    zeros,
+)
 
 from conftest import linear_merge_fn, prefix_blocks, slot_blocks, tree_summary
 
@@ -202,6 +215,79 @@ def test_gather_closed_form_indices():
                     assert np.array_equal(got, np.zeros_like(got))
                 col += w
             assert col == mem.valid.shape[1]
+
+
+def index_select_gather(p, L):
+    """The gather as one index_select over the row table with a zero row
+    appended: an [L, D] table of row indices, empty slots pointing at the
+    zero row. The reference for gather_memory's closed-form read."""
+    n_levels = len(p.levels) - 1
+    b, _, _, e = p.levels[0].shape
+    t = np.arange(L, dtype=np.int64)
+    mask = valid_mask(L, n_levels, p.k)
+    flat, cols, off = [], [t[:, None]], 0
+    for level in range(n_levels):
+        _, n, w, _ = p.levels[level].shape
+        flat.append(reshape(p.levels[level], (b, n * w, e)))
+        cols.append((off + 2 * (t >> (level + 1)) * w)[:, None] + np.arange(w))
+        off += n * w
+    flat.append(zeros((b, 1, e), dtype=p.levels[0].dtype))
+    table = np.concatenate(cols, axis=1)
+    table[~mask] = off
+    data = index_select(concat(flat, axis=1), 1, table.reshape(-1))
+    return reshape(data, (b, L, mask.shape[1], e))
+
+
+def leaf_pyramid(b, L, e, k, seed):
+    """Random float64 leaf tensors in the shapes build_pyramid gives, root included."""
+    S = levels_for(L)
+    rng = make_rng(seed)
+    return Pyramid([Tensor(rng.standard_normal((b, (1 << S) >> level, 1 + level * k, e)),
+                           requires_grad=True) for level in range(S + 1)], k)
+
+
+@pytest.mark.parametrize("k", [0, 2])
+@pytest.mark.parametrize("L", [8, 13])
+def test_gather_float64_gradients(L, k):
+    p = leaf_pyramid(2, L, 3, k, seed=20 + L + k)
+    d = valid_mask(L, levels_for(L), k).shape[1]
+    target = Tensor(make_rng(21).standard_normal((2, L, d, 3)))
+    err = grad_check(lambda _: sum_axis(mul(gather_memory(p, L).data, target)), p.levels, eps=1e-5)
+    assert err <= 1e-4
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_gather_matches_index_select_oracle(k):
+    # forward bit-equal; backward equal up to float64 summation order
+    for L in (1, 2, 3, 5, 8, 13, 16, 37, 64):
+        p = leaf_pyramid(2, L, 3, k, seed=30 + L)
+        got = gather_memory(p, L).data
+        ref = index_select_gather(p, L)
+        assert np.array_equal(got.data, ref.data)
+        target = Tensor(make_rng(31 + L).standard_normal(got.shape))
+        sum_axis(mul(got, target)).backward()
+        grads = [lv.grad for lv in p.levels]
+        for lv in p.levels:
+            lv.grad = None
+        sum_axis(mul(ref, target)).backward()
+        for g, lv in zip(grads, p.levels):
+            if lv.grad is None:  # the root: read by neither
+                assert g is None
+            else:
+                assert np.abs(g - lv.grad).max() <= 1e-12
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_parallel_logits_match_stepping_at_odd_length(variant):
+    # L = 37 pads the pyramid to 64 and leaves a partial last group at every level
+    cfg = ModelConfig(variant=variant, vocab_size=23, embed=8, max_seq_len=64, n_blocks=1,
+                      banks=1 if variant == "expsum" else 2, expansion=2, seed=3)
+    model = build_model(cfg)
+    tokens = make_rng(4).integers(0, cfg.vocab_size, size=(2, 37))
+    with no_grad():
+        par = model.forward(tokens, mode="parallel").data
+        seq = model.forward(tokens, mode="sequential").data
+    assert np.abs(par - seq).max() <= 1e-4
 
 
 def test_parallel_equals_sequential_random():
