@@ -43,23 +43,29 @@ class CliError(Exception):
 
 
 def parse_config_file(path) -> dict:
-    """Flat `section.key=value` lines; unknown keys are errors."""
+    """Flat `section.key=value` lines of UTF-8 text; unknown keys are errors."""
     if not os.path.exists(path):
         raise CliError(f"config file not found: {path}")
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.readlines()
+    except OSError as exc:
+        raise CliError(f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise CliError(f"config file {path} is not UTF-8 (byte {exc.start})") from None
     out = {}
-    with open(path) as f:
-        for ln, raw in enumerate(f, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise CliError(f"{path}:{ln}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            section, _, name = key.partition(".")
-            if section not in SECTIONS or name not in {f.name for f in fields(SECTIONS[section])}:
-                raise CliError(f"{path}:{ln}: unknown config key {key!r}")
-            out[key] = value.strip()
+    for ln, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise CliError(f"{path}:{ln}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        section, _, name = key.partition(".")
+        if section not in SECTIONS or name not in {f.name for f in fields(SECTIONS[section])}:
+            raise CliError(f"{path}:{ln}: unknown config key {key!r}")
+        out[key] = value.strip()
     return out
 
 

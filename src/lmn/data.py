@@ -62,19 +62,18 @@ def build_vocab(text: str) -> Vocab:
 
 @dataclass
 class Dataset:
-    """Encoded corpus with a train/validation split (90/10 by default)."""
+    """Encoded corpus: the first 90% trains, the last 10% validates."""
 
     ids: np.ndarray
     vocab: Vocab
-    split_frac: float = 0.9
 
     def __post_init__(self):
-        self.split_at = int(len(self.ids) * self.split_frac)
+        self.split_at = int(len(self.ids) * 0.9)
 
     @classmethod
-    def from_text(cls, text: str, split_frac: float = 0.9) -> "Dataset":
+    def from_text(cls, text: str) -> "Dataset":
         vocab = build_vocab(text)
-        return cls(ids=vocab.encode(text), vocab=vocab, split_frac=split_frac)
+        return cls(ids=vocab.encode(text), vocab=vocab)
 
     def split_ids(self, split: str) -> np.ndarray:
         if split == "train":

@@ -159,14 +159,11 @@ def valid_mask(L: int, n_levels: int, k: int = 0) -> np.ndarray:
     return mask
 
 
-def sequential_memory(x: Tensor, summarizer, n_levels: int | None = None) -> MemoryTensor:
+def sequential_memory(x: Tensor, summarizer) -> MemoryTensor:
     """Iterative construction, the reference for parallel_memory: snapshot
     position t, then push x_t (inference-only)."""
     b, L, e = x.shape
-    if n_levels is None:
-        n_levels = levels_for(L)
-    if L > (1 << n_levels):
-        raise CapacityError(f"sequence length {L} exceeds capacity 2^{n_levels}")
+    n_levels = levels_for(L)
     if records_grad(x):
         raise ContractError("sequential memory is inference-only and would cut the "
                             "gradient; run it under no_grad()")
@@ -189,11 +186,10 @@ class Pyramid:
     k: int
 
 
-def build_pyramid(x: Tensor, summarizer, n_levels: int | None = None) -> Pyramid:
+def build_pyramid(x: Tensor, summarizer) -> Pyramid:
     """Bottom-up batched construction, zero-padding L to a power of two."""
     b, L, e = x.shape
-    if n_levels is None:
-        n_levels = levels_for(L)
+    n_levels = levels_for(L)
     L_pad = 1 << n_levels
     if L < L_pad:
         x = concat([x, zeros((b, L_pad - L, e), dtype=x.dtype)], axis=1)
@@ -265,10 +261,6 @@ def _level_reads(mem: np.ndarray, rows: np.ndarray, L: int, widths: list):
         col += w
 
 
-def parallel_memory(x: Tensor, summarizer, n_levels: int | None = None) -> MemoryTensor:
+def parallel_memory(x: Tensor, summarizer) -> MemoryTensor:
     """build_pyramid + gather_memory; agrees with sequential_memory."""
-    if n_levels is None:
-        n_levels = levels_for(x.shape[1])
-    if x.shape[1] > (1 << n_levels):
-        raise CapacityError(f"sequence length {x.shape[1]} exceeds capacity 2^{n_levels}")
-    return gather_memory(build_pyramid(x, summarizer, n_levels), x.shape[1])
+    return gather_memory(build_pyramid(x, summarizer), x.shape[1])

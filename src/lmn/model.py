@@ -15,6 +15,8 @@ running its block's forward with a per-block KV cache.
 
 from __future__ import annotations
 
+import itertools
+import math
 import struct
 from dataclasses import dataclass, fields
 
@@ -67,21 +69,22 @@ CKPT_VERSION = 1
 
 @dataclass
 class ModelConfig:
+    """What a model is. The rest is fixed, as in the paper's parameter table:
+    an untied unembedding, a biased qkv projection in LMN blocks, and a
+    feed-forward E -> 4E -> E (tiny-logmem: one shared [E, E] map)."""
+
     variant: str = "logmem"
     vocab_size: int = 65
     embed: int = 32
     max_seq_len: int = 256
-    banks: int = 2
-    expansion: int = 1
-    ffn_mult: int = 4
+    banks: int = 2                      # expsum always has one
+    expansion: int = 1                  # expsum's extra rows per level
     n_blocks: int = 1
-    n_heads: int = 4
+    n_heads: int = 4                    # baseline-attn's heads
     seed: int = 0
     summarizer: str = "linear"          # one of SUMMARIZERS (bank summarizer form)
     summarizer_bias: bool = True
-    qkv_bias: bool = True
     score_orientation: str = "literal"  # literal | swapped
-    tie_embeddings: bool = False
 
     def __post_init__(self):
         for name, allowed in (("variant", VARIANTS), ("summarizer", SUMMARIZERS),
@@ -93,12 +96,8 @@ class ModelConfig:
                 raise ValueError(f"{name} must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.variant == "tiny-logmem":
-            self.ffn_mult = 1  # reduced-parameter feed-forward form
         if self.variant == "expsum":
             self.banks = 1
-        if self.ffn_mult not in (1, 4):
-            raise ValueError("ffn_mult must be 1 or 4")
         if self.variant == "baseline-attn" and self.embed % self.n_heads != 0:
             raise ValueError(f"embed {self.embed} not divisible by n_heads {self.n_heads}")
 
@@ -111,77 +110,61 @@ class ModelConfig:
 # Parameter schema: single source of truth for init, counting and checkpoints.
 # ---------------------------------------------------------------------------
 
-def _ffn_entries(prefix: str, e: int, mult: int):
-    if mult == 1:
-        # one [E, E] map applied to both feed-forward layers (shared weights)
-        return [
-            (f"{prefix}.ffn.weight", (e, e), "uniform", e),
-            (f"{prefix}.ffn.bias", (e,), "uniform", e),
-        ]
-    h = mult * e
-    return [
-        (f"{prefix}.ffn.w1", (e, h), "uniform", e),
-        (f"{prefix}.ffn.b1", (h,), "uniform", e),
-        (f"{prefix}.ffn.w2", (h, e), "uniform", h),
-        (f"{prefix}.ffn.b2", (e,), "uniform", h),
-    ]
+def param_schema(cfg: ModelConfig):
+    """(name, shape, init kind, fan_in) for every learnable tensor, in order.
 
-
-def param_schema(cfg: ModelConfig) -> list[tuple[str, tuple, str, int]]:
-    """(name, shape, init kind, fan_in) for every learnable tensor, in order."""
+    Yielded one at a time, so a caller can stop early: load_checkpoint
+    reads no more of a config's schema than its file can hold.
+    """
     e, v = cfg.embed, cfg.vocab_size
-    entries = [("embed.weight", (v, e), "uniform", e)]
+    yield "embed.weight", (v, e), "uniform", e
     if cfg.variant == "baseline-attn":
-        entries.append(("pos.weight", (cfg.max_seq_len, e), "uniform", e))
+        yield "pos.weight", (cfg.max_seq_len, e), "uniform", e
     for i in range(cfg.n_blocks):
         p = f"block{i}"
-        entries += [
-            (f"{p}.ln1.gain", (e,), "ones", 0),
-            (f"{p}.ln1.bias", (e,), "zeros", 0),
-            (f"{p}.qkv.weight", (e, 3 * e), "uniform", e),
-        ]
-        if cfg.variant != "baseline-attn" and cfg.qkv_bias:
-            entries.append((f"{p}.qkv.bias", (3 * e,), "uniform", e))
-        entries += [
-            (f"{p}.attn_out.weight", (e, e), "uniform", e),
-            (f"{p}.attn_out.bias", (e,), "uniform", e),
-            (f"{p}.ln2.gain", (e,), "ones", 0),
-            (f"{p}.ln2.bias", (e,), "zeros", 0),
-        ]
-        entries += _ffn_entries(p, e, cfg.ffn_mult)
+        yield f"{p}.ln1.gain", (e,), "ones", 0
+        yield f"{p}.ln1.bias", (e,), "zeros", 0
+        yield f"{p}.qkv.weight", (e, 3 * e), "uniform", e
+        if cfg.variant != "baseline-attn":
+            yield f"{p}.qkv.bias", (3 * e,), "uniform", e
+        yield f"{p}.attn_out.weight", (e, e), "uniform", e
+        yield f"{p}.attn_out.bias", (e,), "uniform", e
+        yield f"{p}.ln2.gain", (e,), "ones", 0
+        yield f"{p}.ln2.bias", (e,), "zeros", 0
+        if cfg.variant == "tiny-logmem":
+            # one [E, E] map applied to both feed-forward layers (shared weights)
+            yield f"{p}.ffn.weight", (e, e), "uniform", e
+            yield f"{p}.ffn.bias", (e,), "uniform", e
+        else:
+            yield f"{p}.ffn.w1", (e, 4 * e), "uniform", e
+            yield f"{p}.ffn.b1", (4 * e,), "uniform", e
+            yield f"{p}.ffn.w2", (4 * e, e), "uniform", 4 * e
+            yield f"{p}.ffn.b2", (e,), "uniform", 4 * e
         if cfg.variant in ("logmem", "tiny-logmem"):
             for j in range(cfg.banks):
                 b = f"{p}.bank{j}"
                 if cfg.summarizer == "linear":
-                    entries.append((f"{b}.weight", (2 * e, e), "uniform", 2 * e))
+                    yield f"{b}.weight", (2 * e, e), "uniform", 2 * e
                     if cfg.summarizer_bias:
-                        entries.append((f"{b}.bias", (e,), "uniform", 2 * e))
+                        yield f"{b}.bias", (e,), "uniform", 2 * e
                 else:
-                    entries += [
-                        (f"{b}.depthwise", (e, 2), "uniform", 2),
-                        (f"{b}.pointwise", (e, e), "uniform", e),
-                    ]
+                    yield f"{b}.depthwise", (e, 2), "uniform", 2
+                    yield f"{b}.pointwise", (e, e), "uniform", e
                     if cfg.summarizer_bias:
-                        entries.append((f"{b}.bias", (e,), "uniform", e))
+                        yield f"{b}.bias", (e,), "uniform", e
         elif cfg.variant == "expsum":
             b = f"{p}.bank0"
-            entries += [
-                (f"{b}.conv", (2, e, e), "uniform", 2 * e),
-                (f"{b}.expand", (cfg.expansion + 1, e, e), "uniform", e),
-            ]
-    entries += [
-        ("final.ln.gain", (e,), "ones", 0),
-        ("final.ln.bias", (e,), "zeros", 0),
-    ]
-    if not cfg.tie_embeddings:
-        entries.append(("unembed.weight", (e, v), "uniform", e))
-    entries.append(("unembed.bias", (v,), "uniform", e))
-    return entries
+            yield f"{b}.conv", (2, e, e), "uniform", 2 * e
+            yield f"{b}.expand", (cfg.expansion + 1, e, e), "uniform", e
+    yield "final.ln.gain", (e,), "ones", 0
+    yield "final.ln.bias", (e,), "zeros", 0
+    yield "unembed.weight", (e, v), "uniform", e
+    yield "unembed.bias", (v,), "uniform", e
 
 
 def param_count(cfg: ModelConfig) -> int:
     """Exact number of learnable scalars for a config."""
-    return sum(int(np.prod(shape)) for _, shape, _, _ in param_schema(cfg))
+    return sum(math.prod(shape) for _, shape, _, _ in param_schema(cfg))
 
 
 def init_params(cfg: ModelConfig, dtype=np.float32) -> dict:
@@ -206,11 +189,13 @@ def init_params(cfg: ModelConfig, dtype=np.float32) -> dict:
 # ---------------------------------------------------------------------------
 
 class _FeedForward:
-    def __init__(self, params: dict, prefix: str, mult: int):
-        self.mult = mult
-        if mult == 1:
-            self.w = params[f"{prefix}.ffn.weight"]
-            self.b = params[f"{prefix}.ffn.bias"]
+    """E -> 4E -> E with a GELU; tiny-logmem's reduced form binds both layers
+    to its one shared [E, E] map."""
+
+    def __init__(self, params: dict, prefix: str):
+        if f"{prefix}.ffn.weight" in params:
+            self.w1 = self.w2 = params[f"{prefix}.ffn.weight"]
+            self.b1 = self.b2 = params[f"{prefix}.ffn.bias"]
         else:
             self.w1 = params[f"{prefix}.ffn.w1"]
             self.b1 = params[f"{prefix}.ffn.b1"]
@@ -218,9 +203,6 @@ class _FeedForward:
             self.b2 = params[f"{prefix}.ffn.b2"]
 
     def __call__(self, x: Tensor) -> Tensor:
-        if self.mult == 1:
-            h = gelu(add(matmul(x, self.w), self.b))
-            return add(matmul(h, self.w), self.b)
         h = gelu(add(matmul(x, self.w1), self.b1))
         return add(matmul(h, self.w2), self.b2)
 
@@ -246,7 +228,7 @@ class _Block:
         self.out_w = params[f"{p}.attn_out.weight"]
         self.out_b = params[f"{p}.attn_out.bias"]
         self.ln2 = (params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"])
-        self.ffn = _FeedForward(params, p, cfg.ffn_mult)
+        self.ffn = _FeedForward(params, p)
 
     def _residuals(self, x: Tensor, values: Tensor) -> Tensor:
         """Out-projection residual, then the feed-forward residual."""
@@ -345,15 +327,11 @@ class _ModelBase:
         self.params = params
         self.embed_w = params["embed.weight"]
         self.final_ln = (params["final.ln.gain"], params["final.ln.bias"])
-        self.unembed_b = params["unembed.bias"]
+        self.unembed = (params["unembed.weight"], params["unembed.bias"])
 
     def _unembed(self, x: Tensor) -> Tensor:
-        x = layer_norm(x, *self.final_ln)
-        if self.config.tie_embeddings:
-            w = transpose(self.embed_w, (1, 0))
-        else:
-            w = self.params["unembed.weight"]
-        return add(matmul(x, w), self.unembed_b)
+        w, b = self.unembed
+        return add(matmul(layer_norm(x, *self.final_ln), w), b)
 
     def forward(self, tokens: np.ndarray, mode: str = "parallel") -> Tensor:
         """Logits [B, L, V] for token ids [B, L]. Sequential mode steps each
@@ -363,8 +341,6 @@ class _ModelBase:
         tokens = np.asarray(tokens)
         if tokens.ndim != 2:
             raise ValueError(f"tokens must be [B, L], got shape {tokens.shape}")
-        if tokens.size and (tokens.min() < 0 or tokens.max() >= self.config.vocab_size):
-            raise ValueError(f"token id out of range for vocab {self.config.vocab_size}")
         self._check_length(tokens.shape[1])
         if mode == "sequential":
             logits = []
@@ -548,9 +524,16 @@ def config_to_text(cfg, prefix: str = "") -> str:
     return "".join(f"{prefix}{f.name}={text(getattr(cfg, f.name))}\n" for f in fields(cfg))
 
 
+# Model keys that checkpoints written before they were fixed still carry. They
+# are dropped: a checkpoint that a non-default value shaped fails the tensor
+# schema check (a tied one lacks unembed.weight, one without a qkv bias lacks
+# block*.qkv.bias, a logmem one with ffn_mult=1 holds block*.ffn.weight).
+_RETIRED_KEYS = ("ffn_mult", "qkv_bias", "tie_embeddings")
+
+
 def config_from_text(text: str) -> ModelConfig:
     pairs = [line.partition("=")[::2] for line in text.splitlines() if line.strip()]
-    return ModelConfig(**config_kwargs(ModelConfig, pairs))
+    return ModelConfig(**config_kwargs(ModelConfig, [kv for kv in pairs if kv[0] not in _RETIRED_KEYS]))
 
 
 def save_checkpoint(path, model) -> None:
@@ -575,10 +558,11 @@ def save_checkpoint(path, model) -> None:
 def load_checkpoint(path):
     """Read a save_checkpoint file back into a model.
 
-    Every name, rank and shape is checked against the model schema, and
-    every length against the bytes left in the file, before anything is
-    read by it: a damaged file raises ValueError and never asks for a read
-    larger than the file.
+    Every length is checked against the bytes left in the file before it
+    sizes a read, and the model is built only once the tensors read match
+    its config's schema one for one in name and shape, so a damaged file
+    raises ValueError and never asks for a read or an allocation larger
+    than the file, whatever its config says.
     """
     with open(path, "rb") as f:
         blob = f.read()
@@ -601,25 +585,27 @@ def load_checkpoint(path):
     if version != CKPT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
     cfg = config_from_text(take(u32("the config length"), "the config").decode("utf-8"))
-    model = build_model(cfg)
-    seen = set()
+    tensors = {}
     while pos < len(blob):
         name = take(u32("a tensor name length"), "a tensor name").decode("utf-8")
-        if name not in model.params:
-            raise ValueError(f"checkpoint tensor {name!r} not in model schema")
-        if name in seen:
+        if name in tensors:
             raise ValueError(f"checkpoint tensor {name!r} appears twice")
-        expected = model.params[name].data.shape
         rank = u32(f"the rank of {name!r}")
-        if rank != len(expected):
-            raise ValueError(f"checkpoint tensor {name!r} rank {rank}, schema rank {len(expected)}")
         shape = struct.unpack(f"<{rank}I", take(4 * rank, f"the shape of {name!r}"))
-        if shape != expected:
-            raise ValueError(f"checkpoint tensor {name!r} shape {shape} mismatch")
-        raw = take(4 * int(np.prod(shape)), f"the data of {name!r}")
-        model.params[name].data = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
-        seen.add(name)
-    missing = set(model.params) - seen
+        raw = take(4 * math.prod(shape), f"the data of {name!r}")
+        tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape)
+    # one schema entry past the file's count shows a missing tensor, and
+    # keeps a config of any size as cheap as the file
+    schema = {name: shape for name, shape, _, _ in itertools.islice(param_schema(cfg), len(tensors) + 1)}
+    missing = [name for name in schema if name not in tensors]
     if missing:
-        raise ValueError(f"checkpoint missing tensors: {sorted(missing)}")
+        raise ValueError(f"checkpoint missing tensors: {missing}")
+    for name, data in tensors.items():
+        if name not in schema:
+            raise ValueError(f"checkpoint tensor {name!r} not in model schema")
+        if data.shape != schema[name]:
+            raise ValueError(f"checkpoint tensor {name!r} shape {data.shape}, schema {schema[name]}")
+    model = build_model(cfg)
+    for name, data in tensors.items():
+        model.params[name].data = data.astype(np.float32)
     return model

@@ -139,8 +139,8 @@ class ExpanderSummarizer:
         return conv_transpose1d(conv1d_k2s2(pair, self.conv_w), self.expand_w)
 
 
-def parallel_expanded_memory(x, es: ExpanderSummarizer, n_levels: int | None = None):
-    return parallel_memory(x, es, n_levels)
+def parallel_expanded_memory(x, es: ExpanderSummarizer):
+    return parallel_memory(x, es)
 
 
 def push_token_expanded(state, x, es: ExpanderSummarizer):
@@ -151,7 +151,7 @@ def snapshot_expanded(state, x_current):
     return snapshot(state, x_current)
 
 
-def build_memory(x: Tensor, summarizer, n_levels: int | None = None):
+def build_memory(x: Tensor, summarizer):
     """One bank's [B, L, D, E] memory for the parallel forward, from the shared tree."""
     build = parallel_expanded_memory if summarizer.kind == "expander" else parallel_memory
-    return build(x, summarizer, n_levels)
+    return build(x, summarizer)

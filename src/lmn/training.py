@@ -1,8 +1,8 @@
 """Training loop, periodic evaluation, and checkpointing.
 
-Adam with decoupled weight decay (off by default), constant learning rate
-(cosine behind a flag), and global-norm gradient clipping to protect the
-32-bit carry-chain recursion. Memory is always built in parallel mode
+Adam with decoupled weight decay (off by default), a constant learning rate
+as in the paper, and global-norm gradient clipping to protect the 32-bit
+carry-chain recursion. Memory is always built in parallel mode
 during training.
 """
 
@@ -36,7 +36,6 @@ class TrainConfig:
     eps: float = 1e-8
     weight_decay: float = 0.0
     grad_clip: float = 1.0
-    lr_schedule: str = "constant"  # constant | cosine
 
     def __post_init__(self):
         for name in ("batch_size", "block_size", "max_iters", "eval_iters", "eval_interval"):
@@ -54,8 +53,6 @@ class TrainConfig:
         for name in ("weight_decay", "grad_clip"):  # grad_clip 0 turns clipping off
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative")
-        if self.lr_schedule not in ("constant", "cosine"):
-            raise ValueError(f"unknown lr_schedule {self.lr_schedule!r}")
 
 
 class DivergenceError(RuntimeError):
@@ -105,13 +102,6 @@ def clip_grad_norm(params: dict, max_norm: float) -> float:
             if p.grad is not None:
                 p.grad *= s
     return norm
-
-
-def lr_at(cfg: TrainConfig, step: int) -> float:
-    if cfg.lr_schedule == "constant":
-        return cfg.learning_rate
-    frac = step / max(1, cfg.max_iters)
-    return 0.5 * cfg.learning_rate * (1.0 + math.cos(math.pi * min(1.0, frac)))
 
 
 def evaluate(model, ds: Dataset, cfg: TrainConfig) -> tuple[float, float]:
@@ -175,6 +165,7 @@ def train(model, ds: Dataset, cfg: TrainConfig, out_dir: str | None = None,
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
 
+    lr = cfg.learning_rate
     last_norm = float("nan")  # grad norm of the last step that updated the weights
     for step in range(1, cfg.max_iters + 1):
         start = time.perf_counter()
@@ -184,16 +175,15 @@ def train(model, ds: Dataset, cfg: TrainConfig, out_dir: str | None = None,
         value = step_loss.item()
         if not math.isfinite(value):
             raise DivergenceError(
-                f"non-finite loss {value} at step {step} (lr={lr_at(cfg, step):.3g}, "
+                f"non-finite loss {value} at step {step} (lr={lr:.3g}, "
                 f"last grad_norm={last_norm:.3g})")
         step_loss.backward()
         norm = clip_grad_norm(model.params, cfg.grad_clip)
         if not math.isfinite(norm):  # stop before AdamW writes it into the weights
             raise DivergenceError(
-                f"non-finite grad_norm {norm} at step {step} (lr={lr_at(cfg, step):.3g}, "
+                f"non-finite grad_norm {norm} at step {step} (lr={lr:.3g}, "
                 f"loss={value:.4g})")
         last_norm = norm
-        lr = lr_at(cfg, step)
         opt.step(lr)
         seconds = time.perf_counter() - start
         report.steps.append((step, value, norm, lr, seconds, x.size / seconds))

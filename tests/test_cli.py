@@ -11,7 +11,9 @@ import pytest
 from lmn.bench import lmn_score_mac_closed_form
 from lmn.cli import main, parse_config_file, CliError
 from lmn.corpus import generate_corpus
-from lmn.model import build_model, load_checkpoint, save_checkpoint
+from lmn.model import build_model, config_to_text, load_checkpoint, save_checkpoint
+
+from test_model import with_retired_keys, write_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +104,9 @@ def _bad_checkpoints(trained):
     rank_at = name_at + 4 + struct.unpack_from("<I", good, name_at)[0]
     assert good[name_at + 4:rank_at] == b"embed.weight"
     assert struct.unpack_from("<I", good, rank_at)[0] == 2
+    cfg_len = struct.unpack_from("<I", good, 11)[0]
+    huge_cfg = good[15:15 + cfg_len].replace(b"\nembed=8\n", b"\nembed=100000000000\n", 1)
+    assert len(huge_cfg) > cfg_len
     return {
         "half-length": good[: len(good) // 2],
         "garbage": b"LMNCKPT" + b"\xff" * 64,
@@ -109,6 +114,8 @@ def _bad_checkpoints(trained):
         # sized reads of 4 GiB and 14.4 GB if the fields were trusted
         "huge-rank": good[:rank_at] + struct.pack("<I", 1 << 30) + good[rank_at + 4:],
         "huge-shape": good[:rank_at + 4] + struct.pack("<2I", 60000, 60000) + good[rank_at + 12:],
+        # a model no machine could allocate, refused before it is built
+        "huge-config": good[:11] + struct.pack("<I", len(huge_cfg)) + huge_cfg + good[15 + cfg_len:],
     }
 
 
@@ -121,7 +128,8 @@ def _assert_one_error_line_in(err):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("kind", ["half-length", "garbage", "bad-bool", "huge-rank", "huge-shape"])
+@pytest.mark.parametrize("kind", ["half-length", "garbage", "bad-bool", "huge-rank", "huge-shape",
+                                  "huge-config"])
 def test_bad_checkpoint_exits_2_with_one_line(trained, tmp_path, capsys, kind):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(_bad_checkpoints(trained)[kind])
@@ -129,6 +137,38 @@ def test_bad_checkpoint_exits_2_with_one_line(trained, tmp_path, capsys, kind):
                  "--vocab", os.path.join(trained, "vocab.txt"), "--n-new", "5"])
     assert code == 2
     _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("retired,names", [
+    pytest.param(dict(tie_embeddings=True), "'unembed.weight'", id="tied"),
+    pytest.param(dict(qkv_bias=False), "'block0.qkv.bias'", id="no-qkv-bias"),
+    pytest.param(dict(ffn_mult=1), "'block0.ffn.w1'", id="ffn-mult-1"),
+])
+def test_checkpoint_shaped_by_a_retired_value_exits_2_naming_the_tensor(trained, tmp_path, capsys,
+                                                                       retired, names):
+    # as written when the key was a ModelConfig field: a tied model has no
+    # unembed.weight, an unbiased one no qkv.bias, ffn_mult=1 one shared [E, E] map
+    model = load_checkpoint(os.path.join(trained, "model_final.ckpt"))
+    tensors = {name: p.data for name, p in model.params.items()}
+    if retired.get("tie_embeddings"):
+        del tensors["unembed.weight"]
+    if retired.get("qkv_bias") is False:
+        del tensors["block0.qkv.bias"]
+    if retired.get("ffn_mult") == 1:
+        e = model.config.embed
+        for name in ("w1", "b1", "w2", "b2"):
+            del tensors[f"block0.ffn.{name}"]
+        tensors["block0.ffn.weight"] = np.zeros((e, e), dtype=np.float32)
+        tensors["block0.ffn.bias"] = np.zeros(e, dtype=np.float32)
+    path = tmp_path / "old.ckpt"
+    write_checkpoint(path, with_retired_keys(config_to_text(model.config), **{"ffn_mult": 4, **retired}),
+                     tensors)
+    code = main(["generate", "--checkpoint", str(path),
+                 "--vocab", os.path.join(trained, "vocab.txt"), "--n-new", "5"])
+    assert code == 2
+    err = capsys.readouterr().err
+    _assert_one_error_line_in(err)
+    assert names in err
 
 
 @pytest.mark.parametrize("kind,exit_code", [("empty", 2), ("not-utf8", 2), ("directory", 2),
@@ -303,6 +343,7 @@ def test_config_file_unknown_key_rejected(tmp_path):
 
 @pytest.mark.parametrize("line", ["model.summarizer=dscnv", "model.score_orientation=sideways",
                                   "model.summarizer_bias=flase", "model.tie_embeddings=true",
+                                  "model.qkv_bias=True", "train.lr_schedule=constant",
                                   "model.embed=abc",
                                   "train.grad_clip=-1", "train.beta2=1.0", "train.beta1=2",
                                   "train.eps=-1", "train.weight_decay=-0.1",

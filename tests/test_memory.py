@@ -359,16 +359,6 @@ def test_summarizer_application_counts():
     assert 8 - bin(8).count("1") == 7
 
 
-def test_sequence_longer_than_capacity_errors():
-    e = 2
-    summ = make_summ(e)
-    x = Tensor(np.zeros((1, 9, e), dtype=np.float32))
-    with pytest.raises(CapacityError):
-        sequential_memory(x, summ, n_levels=3)
-    with pytest.raises(CapacityError):
-        parallel_memory(x, summ, n_levels=3)
-
-
 def test_identity_summarizers_expose_merge_order():
     # "older" identity weights must propagate the oldest token up the tree
     e = 3

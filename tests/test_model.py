@@ -1,15 +1,20 @@
 """Full models: dual-mode equivalence, losses, generation, parameter
 accounting against the published comparison table, and checkpoints."""
 
+import dataclasses
+import struct
+
 import numpy as np
 import pytest
 
 from lmn.memory import CapacityError
 from lmn.model import (
+    MODES,
     VARIANTS,
     ModelConfig,
     build_model,
     config_from_text,
+    config_to_text,
     generate,
     load_checkpoint,
     loss as loss_fn,
@@ -17,7 +22,7 @@ from lmn.model import (
     param_schema,
     save_checkpoint,
 )
-from lmn.tensor import ContractError, grad_check, make_rng, no_grad
+from lmn.tensor import ContractError, ShapeError, grad_check, make_rng, no_grad
 
 from conftest import naive_softmax
 
@@ -109,12 +114,17 @@ def test_single_token_forward_is_finite():
 
 
 def test_forward_rejects_bad_tokens():
-    cfg = small_cfg(dict(variant="logmem"))
-    model = build_model(cfg)
-    with pytest.raises(ValueError):
-        model.forward(np.array([[0, cfg.vocab_size]]))
-    with pytest.raises(CapacityError):
-        model.forward(np.zeros((1, cfg.max_seq_len + 1), dtype=np.int64))
+    # embedding holds the one range check, so both families see it in both modes
+    for variant in ("logmem", "baseline-attn"):
+        cfg = small_cfg(dict(variant=variant))
+        model = build_model(cfg)
+        for mode in MODES:
+            with no_grad():
+                for bad in (cfg.vocab_size, -1):
+                    with pytest.raises(ShapeError, match="id out of range"):
+                        model.forward(np.array([[0, bad]]), mode=mode)
+                with pytest.raises(CapacityError):
+                    model.forward(np.zeros((1, cfg.max_seq_len + 1), dtype=np.int64), mode=mode)
 
 
 @pytest.mark.parametrize("name,kw", VARIANT_CONFIGS + [
@@ -303,8 +313,6 @@ def test_position_swap_changes_later_logits():
 
 
 def test_config_invariants():
-    tiny = ModelConfig(variant="tiny-logmem", ffn_mult=4)
-    assert tiny.ffn_mult == 1
     exp = ModelConfig(variant="expsum", banks=3)
     assert exp.banks == 1
     with pytest.raises(ValueError):
@@ -352,17 +360,45 @@ def test_checkpoint_rejects_garbage(tmp_path):
 
 @pytest.mark.parametrize("value", ["flase", "true", "1", ""])
 def test_checkpoint_config_rejects_bad_bool(value):
-    assert config_from_text("summarizer_bias=False\nqkv_bias=True\n").qkv_bias is True
-    with pytest.raises(ValueError, match=f"{value!r}.*'qkv_bias'"):
-        config_from_text(f"summarizer_bias=False\nqkv_bias={value}\n")
+    assert config_from_text("embed=8\nsummarizer_bias=False\n").summarizer_bias is False
+    with pytest.raises(ValueError, match=f"{value!r}.*'summarizer_bias'"):
+        config_from_text(f"embed=8\nsummarizer_bias={value}\n")
 
 
-def test_tied_embeddings_drop_unembed_matrix():
-    cfg = small_cfg(dict(variant="logmem"), tie_embeddings=True)
-    names = [n for n, _, _, _ in param_schema(cfg)]
-    assert "unembed.weight" not in names
+def with_retired_keys(cfg_text: str, ffn_mult: int, qkv_bias: bool = True,
+                      tie_embeddings: bool = False) -> str:
+    """A config text as checkpoints wrote it while ffn_mult, qkv_bias and
+    tie_embeddings were ModelConfig fields, each in its field's place."""
+    out = []
+    for line in cfg_text.splitlines(keepends=True):
+        out.append(line)
+        key = line.partition("=")[0]
+        if key == "expansion":
+            out.append(f"ffn_mult={ffn_mult}\n")
+        elif key == "summarizer_bias":
+            out.append(f"qkv_bias={qkv_bias}\n")
+    return "".join(out) + f"tie_embeddings={tie_embeddings}\n"
+
+
+def write_checkpoint(path, cfg_text: str, tensors: dict) -> None:
+    """The checkpoint byte format, written apart from save_checkpoint."""
+    with open(path, "wb") as f:
+        f.write(b"LMNCKPT" + struct.pack("<II", 1, len(cfg_text)) + cfg_text.encode())
+        for name, a in tensors.items():
+            f.write(struct.pack("<I", len(name)) + name.encode())
+            f.write(struct.pack(f"<{1 + a.ndim}I", a.ndim, *a.shape) + a.astype("<f4").tobytes())
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_checkpoint_with_retired_keys_at_written_values_loads_bit_identical(tmp_path, variant):
+    cfg = small_cfg(dict(variant=variant, n_heads=4), n_blocks=2)
     model = build_model(cfg)
-    tokens = make_rng(12).integers(0, cfg.vocab_size, size=(1, 8))
+    text = with_retired_keys(config_to_text(cfg), ffn_mult=1 if variant == "tiny-logmem" else 4)
+    assert text.count("=") == len(dataclasses.fields(ModelConfig)) + 3
+    path = tmp_path / "old.ckpt"
+    write_checkpoint(path, text, {name: p.data for name, p in model.params.items()})
+    loaded = load_checkpoint(path)
+    assert loaded.config == cfg
+    tokens = make_rng(12).integers(0, cfg.vocab_size, size=(2, 19))
     with no_grad():
-        out = model.forward(tokens)
-    assert out.shape == (1, 8, cfg.vocab_size)
+        assert np.array_equal(loaded.forward(tokens).data, model.forward(tokens).data)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from lmn.memory import (
-    CapacityError,
     SlotState,
     parallel_memory,
     push_token,
@@ -181,10 +180,3 @@ def test_expander_k0_matches_plain_linear_summarizer():
     assert np.allclose(got, expect, atol=1e-6)
     assert slot_widths(6, 0) == [1] * 6
 
-
-def test_expanded_capacity_error():
-    e = 4
-    es = ExpanderSummarizer.init(make_rng(14), e, k=1)
-    x = Tensor(np.zeros((1, 9, e), dtype=np.float32))
-    with pytest.raises(CapacityError):
-        sequential_memory(x, es, n_levels=3)

@@ -131,16 +131,6 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=-1.0)
-    with pytest.raises(ValueError):
-        TrainConfig(lr_schedule="warmup")
-
-
-def test_cosine_schedule_decays():
-    from lmn.training import lr_at
-    tc = TrainConfig(learning_rate=1e-3, max_iters=100, lr_schedule="cosine")
-    assert lr_at(tc, 0) == pytest.approx(1e-3)
-    assert lr_at(tc, 50) == pytest.approx(5e-4)
-    assert lr_at(tc, 100) == pytest.approx(0.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("field,value", [("beta1", 2.0), ("beta1", -0.1), ("beta2", 1.0),
