@@ -6,9 +6,12 @@ scaled by 1/sqrt(E), masked to valid levels, softmaxed, and used for a
 weighted sum of V. A config flag selects the mirrored score orientation
 (Q row 0 against per-level K rows).
 
+The projection y = m W + b is the block's ``qkv.weight`` and ``qkv.bias``
+from the parameter schema; every LMN block has both, so b is never absent.
+
 ``attend`` never projects the memory rows above level 0. With the
-projection y = m W + b split into (W_q, W_k, W_v) and (b_q, b_k, b_v), and
-m_i the memory row at level i, the literal score is
+projection split into (W_q, W_k, W_v) and (b_q, b_k, b_v), and m_i the
+memory row at level i, the literal score is
 
     q_i . k_0 = m_i . (k_0 W_q^T) + b_q . k_0
 
@@ -51,25 +54,19 @@ from .tensor import (
     scale,
     softmax_last,
     transpose,
-    uniform_init,
 )
 
 ORIENTATIONS = ("literal", "swapped")
 
 
 class QkvProjection:
-    """Per-entry affine map [E] -> [3E], split into Q, K, V."""
+    """Per-entry affine map [E] -> [3E], split into Q, K, V; an LMN block's
+    qkv weight and bias."""
 
-    def __init__(self, weight: Tensor, bias: Tensor | None = None):
+    def __init__(self, weight: Tensor, bias: Tensor):
         self.weight = weight  # [E, 3E]
         self.bias = bias      # [3E]
         self.embed = weight.shape[0]
-
-    @classmethod
-    def init(cls, rng, embed: int, bias: bool = True, dtype=np.float32):
-        w = uniform_init(rng, (embed, 3 * embed), fan_in=embed, dtype=dtype)
-        b = uniform_init(rng, (3 * embed,), fan_in=embed, dtype=dtype) if bias else None
-        return cls(w, b)
 
 
 @dataclass
@@ -168,7 +165,6 @@ def attend(mem: MemoryTensor, current: Tensor, proj: QkvProjection,
     probe = matmul(own, transpose(w_score, (1, 0)))  # [B, L, 1, E]
     scores = single_vector_scores(mem.data, probe, mem.valid)
     weights = mask_softmax(scores, mem.valid)
-    values = matmul(weighted_sum(weights, mem.data), narrow(proj.weight, 1, 2 * e, e))
-    if proj.bias is not None:
-        values = add(values, narrow(proj.bias, 0, 2 * e, e))
+    values = add(matmul(weighted_sum(weights, mem.data), narrow(proj.weight, 1, 2 * e, e)),
+                 narrow(proj.bias, 0, 2 * e, e))
     return AttentionOutput(values=values, weights=weights)

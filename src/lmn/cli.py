@@ -103,23 +103,50 @@ def echo_config(configs: dict, extra: dict | None = None, file=None):
         print(f"{k}={v}", file=out)
 
 
+def _read_corpus(args, block_size: int) -> Dataset:
+    """The --corpus file as a Dataset with a block_size window in each split.
+
+    A missing or unreadable path, text that is not UTF-8, an empty file or
+    a split too short for block_size is an input error.
+    """
+    path = args.corpus
+    if not path:
+        raise CliError(f"{args.command} requires --corpus")
+    try:
+        text = load_corpus(path)
+    except OSError as exc:
+        raise CliError(f"cannot read corpus {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise CliError(f"corpus {path} is not UTF-8 (byte {exc.start})") from None
+    if not text:
+        raise CliError(f"corpus {path} is empty")
+    ds = Dataset.from_text(text)
+    try:
+        ds.check_block_size(block_size)
+    except ValueError as exc:
+        raise CliError(f"corpus {path} is too short: {exc}") from None
+    return ds
+
+
+def _make_out_dir(path) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:  # a file of that name, or a file on the path
+        raise CliError(f"cannot create output directory {path}: {exc.strerror}") from None
+
+
 def cmd_train(args) -> int:
     configs = build_configs(args)
     model_cfg, train_cfg = configs["model"], configs["train"]
-    if not args.corpus:
-        raise CliError("train requires --corpus")
-    if not os.path.exists(args.corpus):
-        raise CliError(f"corpus file not found: {args.corpus}")
-    text = load_corpus(args.corpus)
-    ds = Dataset.from_text(text)
+    ds = _read_corpus(args, train_cfg.block_size)
     if model_cfg.vocab_size != len(ds.vocab):
         model_cfg = replace(model_cfg, vocab_size=len(ds.vocab))
     if model_cfg.max_seq_len < train_cfg.block_size:
         model_cfg = replace(model_cfg, max_seq_len=train_cfg.block_size)
     echo_config({"model": model_cfg, "train": train_cfg}, {"corpus": args.corpus, "out": args.out})
-    print(f"vocab_size={len(ds.vocab)} corpus_chars={len(text)} "
+    print(f"vocab_size={len(ds.vocab)} corpus_chars={len(ds.ids)} "
           f"params={param_count(model_cfg)}")
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     ds.vocab.save(os.path.join(args.out, "vocab.txt"))
     model = build_model(model_cfg)
     try:
@@ -135,12 +162,9 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     train_cfg = build_configs(args)["train"]
     model, vocab = _load_artifacts(args)
-    text = load_corpus(args.corpus) if args.corpus else None
-    if text is None:
-        raise CliError("eval requires --corpus")
     if train_cfg.block_size > model.config.max_seq_len:
         train_cfg.block_size = model.config.max_seq_len  # fit the checkpoint
-    ds = Dataset.from_text(text)
+    ds = _read_corpus(args, train_cfg.block_size)
     if len(ds.vocab) != model.config.vocab_size:
         raise CliError(
             f"corpus vocab {len(ds.vocab)} does not match checkpoint vocab {model.config.vocab_size}",
@@ -204,7 +228,7 @@ def cmd_bench(args) -> int:
     cfg = build_configs(args)["bench"]
     modes = (args.mode,) if args.mode else MODES
     echo_config({"bench": cfg}, {"modes": ",".join(modes), "out": args.out})
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     out_csv = os.path.join(args.out, "bench.csv")
     records = sweep(cfg.lengths, cfg.variants, out_csv, modes=modes, reps=cfg.reps,
                     embed=cfg.embed, banks=cfg.banks, seed=cfg.seed, log=print)

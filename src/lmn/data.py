@@ -82,14 +82,21 @@ class Dataset:
             return self.ids[self.split_at:]
         raise ValueError(f"unknown split {split!r}")
 
+    def check_block_size(self, block_size: int, splits=("train", "val")) -> None:
+        """ValueError unless each split holds a block_size window and its
+        one-token-shifted target."""
+        for split in splits:
+            n = len(self.split_ids(split))
+            if n < block_size + 1:
+                raise ValueError(
+                    f"{split} split has {n} tokens, need at least block_size+1 = {block_size + 1}")
+
 
 def sample_batch(ds: Dataset, split: str, batch_size: int, block_size: int,
                  rng: np.random.Generator):
     """Uniform random windows; targets are inputs shifted by one."""
+    ds.check_block_size(block_size, (split,))
     ids = ds.split_ids(split)
-    if len(ids) < block_size + 1:
-        raise ValueError(
-            f"{split} split has {len(ids)} tokens, need at least block_size+1 = {block_size + 1}")
     offsets = rng.integers(0, len(ids) - block_size, size=batch_size)
     x = np.stack([ids[o:o + block_size] for o in offsets])
     y = np.stack([ids[o + 1:o + block_size + 1] for o in offsets])

@@ -240,7 +240,7 @@ class LmnBlock(_Block):
     def __init__(self, cfg: ModelConfig, params: dict, index: int):
         super().__init__(cfg, params, index)
         p = f"block{index}"
-        self.qkv = QkvProjection(params[f"{p}.qkv.weight"], params.get(f"{p}.qkv.bias"))
+        self.qkv = QkvProjection(params[f"{p}.qkv.weight"], params[f"{p}.qkv.bias"])
         self.summarizers = [_make_summarizer(cfg, params, f"{p}.bank{j}") for j in range(cfg.banks)]
 
     def forward(self, x: Tensor) -> Tensor:
@@ -370,15 +370,6 @@ class _ModelBase:
     def zero_grad(self):
         for p in self.params.values():
             p.grad = None
-
-    def astype(self, dtype) -> "_ModelBase":
-        clone = build_model(self.config)
-        for name, p in self.params.items():
-            clone.params[name].data = p.data.astype(dtype)
-        return clone
-
-    def param_vector_names(self):
-        return list(self.params.keys())
 
 
 class LmnModel(_ModelBase):

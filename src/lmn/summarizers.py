@@ -9,16 +9,21 @@ and the depthwise-separable convolution keep every block one row wide
 (k = 0); the expander summarizer widens blocks by k rows per merge, so a
 level-l block holds w_l = 1 + l*k rows and deeper levels keep more detail.
 
+A summarizer holds the tensors it is given; they come from the model's
+parameter schema (``model.param_schema`` -> ``init_params`` ->
+``build_model``), the one place a weight is made. The linear and dsconv
+bias is optional because ``model.summarizer_bias=False`` builds them
+without one.
+
 The tree itself (carry chain, snapshot, validity mask, pyramid, gather) is
 written once in ``memory.py`` for every summarizer. The expander still
 enters it through three named functions below, ``parallel_expanded_memory``,
 ``push_token_expanded`` and ``snapshot_expanded``, each a plain delegation:
-the benchmark's per-layer traces report expander time under those names.
+the benchmark's per-layer traces report expander time under those names,
+and ``build_memory`` picks the expander's by type.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .counters import COUNTER
 from .memory import parallel_memory, push_token, snapshot
@@ -31,26 +36,18 @@ from .tensor import (
     conv_transpose1d,
     matmul,
     reshape,
-    uniform_init,
 )
 
 
 class LinearSummarizer:
     """weight [2E, E] applied to concat(older, newer), plus optional bias."""
 
-    kind = "linear"
     k = 0
 
     def __init__(self, weight: Tensor, bias: Tensor | None = None):
         self.weight = weight
         self.bias = bias
         self.embed = weight.shape[1]
-
-    @classmethod
-    def init(cls, rng, embed: int, bias: bool = True, dtype=np.float32):
-        w = uniform_init(rng, (2 * embed, embed), fan_in=2 * embed, dtype=dtype)
-        b = uniform_init(rng, (embed,), fan_in=2 * embed, dtype=dtype) if bias else None
-        return cls(w, b)
 
     def merge_pair(self, a: Tensor, b: Tensor) -> Tensor:
         """[*, 1, E] x [*, 1, E] -> [*, 1, E]; a is the older block."""
@@ -67,7 +64,6 @@ class LinearSummarizer:
 class DsConvSummarizer:
     """Depthwise kernel-2 stride-2 over the pair axis, then pointwise mix."""
 
-    kind = "dsconv"
     k = 0
 
     def __init__(self, depthwise: Tensor, pointwise: Tensor, bias: Tensor | None = None):
@@ -75,13 +71,6 @@ class DsConvSummarizer:
         self.pointwise = pointwise  # [E, E]
         self.bias = bias
         self.embed = pointwise.shape[0]
-
-    @classmethod
-    def init(cls, rng, embed: int, bias: bool = True, dtype=np.float32):
-        dw = uniform_init(rng, (embed, 2), fan_in=2, dtype=dtype)
-        pw = uniform_init(rng, (embed, embed), fan_in=embed, dtype=dtype)
-        b = uniform_init(rng, (embed,), fan_in=embed, dtype=dtype) if bias else None
-        return cls(dw, pw, b)
 
     def merge_level(self, x: Tensor) -> Tensor:
         """[B, n, 1, E] -> [B, n/2, 1, E]: depthwise over each pair, then pointwise."""
@@ -105,19 +94,11 @@ class ExpanderSummarizer:
     with kernel k+1 then widens it to [w+k, E].
     """
 
-    kind = "expander"
-
     def __init__(self, conv_w: Tensor, expand_w: Tensor, k: int):
         self.conv_w = conv_w      # [2, E, E]
         self.expand_w = expand_w  # [k+1, E, E]
         self.k = k
         self.embed = conv_w.shape[1]
-
-    @classmethod
-    def init(cls, rng, embed: int, k: int, dtype=np.float32):
-        cw = uniform_init(rng, (2, embed, embed), fan_in=2 * embed, dtype=dtype)
-        ew = uniform_init(rng, (k + 1, embed, embed), fan_in=embed, dtype=dtype)
-        return cls(cw, ew, k)
 
     def merge_level(self, x: Tensor) -> Tensor:
         """[B, n, w, E] -> [B, n/2, w+k, E], merging adjacent (older, newer) blocks."""
@@ -153,5 +134,5 @@ def snapshot_expanded(state, x_current):
 
 def build_memory(x: Tensor, summarizer):
     """One bank's [B, L, D, E] memory for the parallel forward, from the shared tree."""
-    build = parallel_expanded_memory if summarizer.kind == "expander" else parallel_memory
+    build = parallel_expanded_memory if isinstance(summarizer, ExpanderSummarizer) else parallel_memory
     return build(x, summarizer)

@@ -107,12 +107,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def astype(self, dtype) -> "Tensor":
-        return Tensor(self.data.astype(dtype), requires_grad=self.requires_grad)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
@@ -451,7 +445,7 @@ def einsum_pair(spec: str, a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), bwd)
 
 
-def affine_masked(x: Tensor, w: Tensor, b: Tensor | None, keep: np.ndarray) -> Tensor:
+def affine_masked(x: Tensor, w: Tensor, b: Tensor, keep: np.ndarray) -> Tensor:
     """(x @ w + b) with rows zeroed where keep is False, in one fused pass.
 
     keep broadcasts against the output's leading axes (a trailing length-1
@@ -466,8 +460,7 @@ def affine_masked(x: Tensor, w: Tensor, b: Tensor | None, keep: np.ndarray) -> T
             raise ValueError
     except ValueError:
         raise ShapeError(f"affine_masked: mask {keep.shape} does not broadcast over {y.shape}") from None
-    if b is not None:
-        y += b.data
+    y += b.data
     y *= maskf
 
     def bwd(g):
@@ -475,13 +468,9 @@ def affine_masked(x: Tensor, w: Tensor, b: Tensor | None, keep: np.ndarray) -> T
         gflat = gm.reshape(-1, w.shape[1])
         gx = np.matmul(gflat, w.data.T).reshape(x.shape)
         gw = np.matmul(x.data.reshape(-1, k).T, gflat)
-        grads = [gx, gw]
-        if b is not None:
-            grads.append(_unbroadcast(gm, b.shape))
-        return tuple(grads)
+        return gx, gw, _unbroadcast(gm, b.shape)
 
-    parents = (x, w) if b is None else (x, w, b)
-    return _make(y, parents, bwd)
+    return _make(y, (x, w, b), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -617,12 +606,6 @@ def conv_transpose1d(x: Tensor, w: Tensor) -> Tensor:
 def make_rng(seed: int) -> np.random.Generator:
     """Deterministic PRNG (PCG64); identical seeds give identical streams."""
     return np.random.default_rng(seed)
-
-
-def uniform_init(rng: np.random.Generator, shape, fan_in: int, dtype=DEFAULT_DTYPE) -> Tensor:
-    """Weights drawn uniformly in +/- 1/sqrt(fan_in)."""
-    bound = 1.0 / math.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype), requires_grad=True)
 
 
 def zeros(shape, dtype=DEFAULT_DTYPE, requires_grad: bool = False) -> Tensor:

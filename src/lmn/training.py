@@ -150,6 +150,9 @@ def train(model, ds: Dataset, cfg: TrainConfig, out_dir: str | None = None,
           log=None) -> TrainReport:
     """Run the training loop; returns the loss curve and final/best losses.
 
+    Both splits are checked for a block_size window before the first step,
+    so a short split fails before any training and not at the first eval.
+
     Per step: sample batch, parallel-mode forward, cross-entropy, backward,
     clip, Adam update; the step's loss, grad norm (before clipping), learning
     rate, seconds and tokens/s go to report.steps. Every eval_interval steps
@@ -159,6 +162,7 @@ def train(model, ds: Dataset, cfg: TrainConfig, out_dir: str | None = None,
     if cfg.block_size > model.config.max_seq_len:
         raise ValueError(
             f"block_size {cfg.block_size} exceeds model max_seq_len {model.config.max_seq_len}")
+    ds.check_block_size(cfg.block_size)
     rng = make_rng(cfg.seed)
     opt = AdamW(model.params, cfg)
     report = TrainReport()

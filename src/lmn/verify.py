@@ -1,11 +1,13 @@
 """Self-contained invariant suite behind the `verify` subcommand.
 
-Runs the library's correctness properties on random weights: dual-mode
+Runs the library's correctness properties on seeded models: dual-mode
 equivalence for every variant (the parallel forward against stepping
 through ``step``), the pyramid against the carry chain, finite-difference
 gradient checks, prefix causality, attention mask/softmax behaviour, the
 folded attention against the unfused projection chain, slot-count oracles
 against brute-force prefix decomposition, and the expander width arithmetic.
+Every layer a check exercises is taken from a model that ``build_model``
+made, so its weights come from the parameter schema, as every model's do.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .bench import baseline_score_mac_closed_form, lmn_score_mac_closed_form
 from .counters import COUNTER
 from .memory import parallel_memory, sequential_memory, slot_widths, valid_mask
 from .model import ModelConfig, build_model, loss as loss_fn
-from .summarizers import DsConvSummarizer, ExpanderSummarizer, LinearSummarizer
 from .tensor import Tensor, grad_check, make_rng, no_grad
 
 
@@ -45,6 +46,11 @@ def prefix_decomposition(t: int) -> list[tuple[int, int]]:
             remaining -= size
         level -= 1
     return blocks
+
+
+def _block(E: int, seed: int, **cfg):
+    """Block 0 of a one-block model: its layers, weights from the parameter schema."""
+    return build_model(ModelConfig(embed=E, n_blocks=1, seed=seed, **cfg)).blocks[0]
 
 
 def _variant_configs(embed: int, max_len: int):
@@ -81,8 +87,8 @@ def _tree_gap(summarizers, L: int, E: int, rng) -> float:
     for summ in summarizers:
         x = Tensor(rng.standard_normal((2, L, E)).astype(np.float32))
         with no_grad():
-            par = parallel_memory(x, summ).data.numpy()
-            seq = sequential_memory(x, summ).data.numpy()
+            par = parallel_memory(x, summ).data.data
+            seq = sequential_memory(x, summ).data.data
         gap = max(gap, float(np.abs(par - seq).max()))
     return gap
 
@@ -90,18 +96,20 @@ def _tree_gap(summarizers, L: int, E: int, rng) -> float:
 def check_memory_equivalence(quick: bool):
     L, E = (32, 8) if quick else (64, 16)
     rng = make_rng(3)
-    gap = _tree_gap([LinearSummarizer.init(rng, E), DsConvSummarizer.init(rng, E)], L, E, rng)
+    summs = [_block(E, seed, banks=1, summarizer=form).summarizers[0]
+             for seed, form in ((3, "linear"), (4, "dsconv"))]
+    gap = _tree_gap(summs, L, E, rng)
     return gap <= 1e-5, f"max memory gap (linear, dsconv) = {gap:.2e}"
 
 
 def check_gradients(quick: bool):
     cfg = ModelConfig(variant="logmem", vocab_size=7, embed=4, max_seq_len=8,
                       banks=2, n_blocks=1, seed=5)
-    model = build_model(cfg).astype(np.float64)
+    model = build_model(cfg, np.float64)
     rng = make_rng(13)
     tokens = rng.integers(0, cfg.vocab_size, size=(1, 8))
     targets = rng.integers(0, cfg.vocab_size, size=(1, 8))
-    names = model.param_vector_names()
+    names = list(model.params)
     if quick:
         names = names[:6]
     params = [model.params[n] for n in names]
@@ -134,16 +142,13 @@ def check_causality(quick: bool):
 
 def check_attention_masking(quick: bool):
     L, E = 32, 8
-    cfg = ModelConfig(variant="logmem", vocab_size=17, embed=E, max_seq_len=L,
-                      banks=2, n_blocks=1, seed=2)
-    model = build_model(cfg)
+    block = _block(E, 2, banks=2, vocab_size=17, max_seq_len=L)
     rng = make_rng(31)
-    summs = model.blocks[0].summarizers
     x = Tensor(rng.standard_normal((2, L, E)).astype(np.float32))
     with no_grad():
-        mem = multi_bank_combine([parallel_memory(x, s) for s in summs])
-        out = attend(mem, x, model.blocks[0].qkv)
-    w = out.weights.numpy()
+        mem = multi_bank_combine([parallel_memory(x, s) for s in block.summarizers])
+        out = attend(mem, x, block.qkv)
+    w = out.weights.data
     sums = w.sum(axis=-1)
     zeros_exact = bool(np.all(w[~np.broadcast_to(mem.valid[None], w.shape)] == 0.0))
     ok = bool(np.all(np.abs(sums - 1.0) <= 1e-6) and zeros_exact)
@@ -161,19 +166,17 @@ def unfused_attend(mem, proj: QkvProjection, orientation: str = "literal"):
 def check_attention_fold(quick: bool):
     L, E = 13, 8  # odd L: the pyramid is padded
     rng = make_rng(37)
-    summs = [LinearSummarizer.init(rng, E) for _ in range(2)]
+    block = _block(E, 37, banks=2)
     x = Tensor(rng.standard_normal((2, L, E)).astype(np.float32))
     with no_grad():
-        mem = multi_bank_combine([parallel_memory(x, s) for s in summs])
+        mem = multi_bank_combine([parallel_memory(x, s) for s in block.summarizers])
     gap_w = gap_v = 0.0
     for orientation in ORIENTATIONS:
-        for bias in (True, False):
-            proj = QkvProjection.init(rng, E, bias=bias)
-            with no_grad():
-                out = attend(mem, x, proj, orientation)
-                ref_v, ref_w = unfused_attend(mem, proj, orientation)
-            gap_w = max(gap_w, float(np.abs(out.weights.data - ref_w.data).max()))
-            gap_v = max(gap_v, float(np.abs(out.values.data - ref_v.data).max()))
+        with no_grad():
+            out = attend(mem, x, block.qkv, orientation)
+            ref_v, ref_w = unfused_attend(mem, block.qkv, orientation)
+        gap_w = max(gap_w, float(np.abs(out.weights.data - ref_w.data).max()))
+        gap_v = max(gap_v, float(np.abs(out.values.data - ref_v.data).max()))
     ok = gap_w <= 1e-5 and gap_v <= 1e-4
     return ok, f"folded vs unfused attention: weight gap {gap_w:.2e}, value gap {gap_v:.2e}"
 
@@ -209,7 +212,8 @@ def check_expander_widths(quick: bool):
 def check_expanded_equivalence(quick: bool):
     L, E = (16, 8) if quick else (32, 8)
     rng = make_rng(41)
-    gap = _tree_gap([ExpanderSummarizer.init(rng, E, k=k) for k in (1, 2)], L, E, rng)
+    summs = [_block(E, 41 + k, variant="expsum", expansion=k).summarizers[0] for k in (1, 2)]
+    gap = _tree_gap(summs, L, E, rng)
     return gap <= 1e-5, f"expander memory gap (k=1, k=2) = {gap:.2e}"
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from lmn.corpus import generate_corpus
 from lmn.data import Dataset
+from lmn.model import ModelConfig, build_model
 
 
 @pytest.fixture(scope="session")
@@ -21,6 +22,13 @@ def corpus_text():
 @pytest.fixture(scope="session")
 def dataset(corpus_text):
     return Dataset.from_text(corpus_text)
+
+
+def block_layers(embed, seed, dtype=np.float32, **cfg):
+    """(qkv projection, bank summarizers) of a one-block model: layers made the
+    one way every model's are, from the parameter schema."""
+    block = build_model(ModelConfig(embed=embed, n_blocks=1, seed=seed, **cfg), dtype).blocks[0]
+    return block.qkv, block.summarizers
 
 
 # -- oracles ----------------------------------------------------------------
@@ -108,9 +116,7 @@ def naive_single_vector_attention(mem: np.ndarray, valid: np.ndarray,
     weights = np.zeros((bsz, L, d))
     for b in range(bsz):
         for t in range(L):
-            proj = mem[b, t].astype(np.float64) @ weight.astype(np.float64)
-            if bias is not None:
-                proj = proj + bias.astype(np.float64)
+            proj = mem[b, t].astype(np.float64) @ weight.astype(np.float64) + bias.astype(np.float64)
             proj[~valid[t]] = 0.0
             q, k, v = proj[:, :e], proj[:, e:2 * e], proj[:, 2 * e:]
             if orientation == "literal":

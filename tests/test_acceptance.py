@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from lmn.attention import QkvProjection, attend, qkv_project, single_vector_scores
+from lmn.attention import attend, qkv_project, single_vector_scores
 from lmn.bench import (
     baseline_score_mac_closed_form,
     bench_model,
@@ -33,7 +33,7 @@ from lmn.tensor import Tensor, grad_check, make_rng, no_grad
 from lmn.training import TrainConfig, train
 from lmn.verify import run_verify
 
-from conftest import naive_single_vector_attention, prefix_blocks
+from conftest import block_layers, naive_single_vector_attention, prefix_blocks
 
 
 def report(criterion: str, detail: str):
@@ -76,8 +76,8 @@ def test_criterion_02_gradient_correctness():
     tokens = rng.integers(0, 7, size=(1, 8))
     targets = rng.integers(0, 7, size=(1, 8))
     # 64-bit mode exists, so the tighter bound applies
-    model = build_model(cfg).astype(np.float64)
-    params = [model.params[n] for n in model.param_vector_names()]
+    model = build_model(cfg, np.float64)
+    params = list(model.params.values())
 
     def f(_):
         return loss_fn(model.forward(tokens, mode="parallel"), targets)
@@ -146,7 +146,7 @@ def test_criterion_05_attention_invariants():
         data = rng.standard_normal((b, L, mask.shape[1], e)).astype(np.float32)
         data[:, ~mask] = 0.0
         mem = MemoryTensor(Tensor(data), mask)
-        proj = QkvProjection.init(make_rng(1000 + cases), e)
+        proj = block_layers(e, 1000 + cases)[0]
         out = attend(mem, Tensor(data[:, :, 0]), proj)
         w = out.weights.data
         assert np.all(np.abs(w.sum(-1) - 1.0) <= 1e-6)

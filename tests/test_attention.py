@@ -16,11 +16,10 @@ from lmn.attention import (
 )
 from lmn.counters import COUNTER
 from lmn.memory import MemoryTensor, parallel_memory, valid_mask
-from lmn.summarizers import LinearSummarizer
 from lmn.tensor import ShapeError, Tensor, grad_check, make_rng, mul, no_grad, sum_axis
 from lmn.verify import unfused_attend
 
-from conftest import naive_single_vector_attention
+from conftest import block_layers, naive_single_vector_attention
 
 
 def random_memory(b=2, L=8, e=4, seed=0):
@@ -41,10 +40,15 @@ def identity_projection(e):
     return QkvProjection(Tensor(w), Tensor(np.zeros(3 * e, dtype=np.float32)))
 
 
+def zero_bias_projection(e, seed):
+    """A block's qkv weight with its bias replaced by zeros."""
+    return QkvProjection(block_layers(e, seed)[0].weight, Tensor(np.zeros(3 * e, dtype=np.float32)))
+
+
 def test_qkv_zero_memory_zero_bias_gives_zeros():
     mem = random_memory()
     mem.data.data[:] = 0.0
-    q, k, v = qkv_project(mem, QkvProjection.init(make_rng(1), 4, bias=False))
+    q, k, v = qkv_project(mem, zero_bias_projection(4, 1))
     assert np.all(q.data == 0) and np.all(k.data == 0) and np.all(v.data == 0)
 
 
@@ -57,7 +61,7 @@ def test_qkv_identity_weights_reproduce_memory():
 
 def test_qkv_rezeroes_invalid_levels_after_bias():
     mem = random_memory(seed=3)
-    proj = QkvProjection.init(make_rng(4), 4, bias=True)
+    proj = block_layers(4, 4)[0]
     q, k, v = qkv_project(mem, proj)
     for part in (q, k, v):
         assert np.all(part.data[:, ~mem.valid] == 0.0)
@@ -65,7 +69,7 @@ def test_qkv_rezeroes_invalid_levels_after_bias():
 
 def test_qkv_matches_per_entry_matvec():
     mem = random_memory(seed=5)
-    proj = QkvProjection.init(make_rng(6), 4)
+    proj = block_layers(4, 6)[0]
     q, k, v = qkv_project(mem, proj)
     b, L, d, e = mem.data.shape
     for bi in range(b):
@@ -142,7 +146,7 @@ def test_mask_softmax_requires_level0_valid():
 
 def test_attention_at_t0_returns_current_token_value():
     mem = random_memory(b=1, L=1, seed=9)
-    proj = QkvProjection.init(make_rng(10), 4)
+    proj = block_layers(4, 10)[0]
     out = attend(mem, own_rows(mem), proj)
     q, k, v = qkv_project(mem, proj)
     assert np.allclose(out.values.data[0, 0], v.data[0, 0, 0], atol=1e-6)
@@ -195,11 +199,10 @@ def test_multi_bank_combine_shape_error():
 def test_two_bank_attention_matches_naive_oracle():
     e, L = 4, 8
     rng = make_rng(15)
-    banks = [LinearSummarizer.init(make_rng(20 + i), e) for i in range(2)]
+    proj, banks = block_layers(e, 16, banks=2)
     x = Tensor(rng.standard_normal((2, L, e)).astype(np.float32))
     with no_grad():
         mem = multi_bank_combine([parallel_memory(x, s) for s in banks])
-    proj = QkvProjection.init(make_rng(16), e)
     out = attend(mem, x, proj)
     expect_vals, expect_w = naive_single_vector_attention(
         mem.data.data, mem.valid, proj.weight.data, proj.bias.data)
@@ -211,7 +214,7 @@ def test_weights_sum_to_one_with_exact_zeros_many_cases():
     total_cases = 0
     for seed in range(4):
         mem = random_memory(b=4, L=16, seed=30 + seed)
-        proj = QkvProjection.init(make_rng(40 + seed), 4)
+        proj = block_layers(4, 40 + seed)[0]
         out = attend(mem, own_rows(mem), proj)
         w = out.weights.data
         assert np.all(np.abs(w.sum(-1) - 1.0) <= 1e-6)
@@ -222,7 +225,7 @@ def test_weights_sum_to_one_with_exact_zeros_many_cases():
 
 def test_argmax_level_invariant_under_positive_q_scaling():
     mem = random_memory(b=1, L=16, seed=50)
-    proj = QkvProjection.init(make_rng(51), 4, bias=False)
+    proj = zero_bias_projection(4, 51)
     q, k, v = qkv_project(mem, proj)
     base = single_vector_scores(q, k, mem.valid).data
     scaled = single_vector_scores(Tensor(q.data * 3.7), k, mem.valid).data
@@ -234,7 +237,7 @@ def test_argmax_level_invariant_under_positive_q_scaling():
 def test_score_mac_counter_counts_valid_levels_only():
     e = 4
     mem = random_memory(b=3, L=16, e=e, seed=60)
-    proj = QkvProjection.init(make_rng(61), e)
+    proj = block_layers(e, 61)[0]
     q, k, v = qkv_project(mem, proj)
     COUNTER.reset()
     single_vector_scores(q, k, mem.valid)
@@ -243,7 +246,7 @@ def test_score_mac_counter_counts_valid_levels_only():
 
 def two_bank_memory(L=13, e=4, seed=70, dtype=np.float32):
     rng = make_rng(seed)
-    banks = [LinearSummarizer.init(rng, e) for _ in range(2)]
+    _, banks = block_layers(e, seed, banks=2)
     x = Tensor(rng.standard_normal((2, L, e)).astype(np.float32))
     with no_grad():
         mem = multi_bank_combine([parallel_memory(x, s) for s in banks])
@@ -251,10 +254,9 @@ def two_bank_memory(L=13, e=4, seed=70, dtype=np.float32):
 
 
 @pytest.mark.parametrize("orientation", ORIENTATIONS)
-@pytest.mark.parametrize("bias", [True, False])
-def test_attend_equals_unfused_chain(orientation, bias):
+def test_attend_equals_unfused_chain(orientation):
     mem = two_bank_memory()
-    proj = QkvProjection.init(make_rng(71), 4, bias=bias)
+    proj = block_layers(4, 71)[0]
     out = attend(mem, own_rows(mem), proj, orientation)
     ref_v, ref_w = unfused_attend(mem, proj, orientation)
     assert np.abs(out.weights.data - ref_w.data).max() <= 1e-5
@@ -264,7 +266,7 @@ def test_attend_equals_unfused_chain(orientation, bias):
 def test_attend_rejects_unknown_orientation():
     mem = random_memory()
     with pytest.raises(ValueError):
-        attend(mem, own_rows(mem), QkvProjection.init(make_rng(72), 4), "sideways")
+        attend(mem, own_rows(mem), block_layers(4, 72)[0], "sideways")
 
 
 def attend_loss(mem, current, proj, orientation, seed=73):
@@ -277,7 +279,7 @@ def test_attend_float64_gradients(orientation):
     mem = two_bank_memory(L=13, e=3, seed=74, dtype=np.float64)
     mem.data.requires_grad = True
     current = own_rows(mem, requires_grad=True)
-    proj = QkvProjection.init(make_rng(75), 3, dtype=np.float64)
+    proj = block_layers(3, 75, np.float64)[0]
     params = [proj.weight, proj.bias, mem.data, current]
     err = grad_check(lambda _: attend_loss(mem, current, proj, orientation), params, eps=1e-5)
     assert err <= 1e-4
@@ -287,7 +289,7 @@ def test_attend_float64_gradients(orientation):
 def test_dropped_bias_gets_exactly_zero_gradient(orientation, dropped):
     # b_q (literal) or b_k (swapped) only shifts every score of a position alike
     mem = two_bank_memory(seed=76)
-    proj = QkvProjection.init(make_rng(77), 4)
+    proj = block_layers(4, 77)[0]
     attend_loss(mem, own_rows(mem), proj, orientation).backward()
     e = proj.embed
     assert np.all(proj.bias.grad[dropped * e:(dropped + 1) * e] == 0.0)

@@ -204,6 +204,39 @@ def test_generate_rejects_config_flags(trained, capsys, flags):
     assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
 
 
+# train with a missing corpus is test_train_missing_corpus_exit_2
+BAD_RUN_INPUTS = [(command, case) for command in ("train", "eval")
+                  for case in ("missing", "directory", "not-utf8", "empty", "short-split")
+                  if (command, case) != ("train", "missing")]
+BAD_RUN_INPUTS += [("train", "out-is-a-file"), ("bench", "out-is-a-file")]
+
+
+@pytest.mark.parametrize("command,case", BAD_RUN_INPUTS, ids=[f"{c}-{k}" for c, k in BAD_RUN_INPUTS])
+def test_bad_corpus_or_out_exits_2_with_one_line(trained, corpus_file, tmp_path, capsys,
+                                                 command, case):
+    corpus, out = tmp_path / "corpus.txt", tmp_path / "out"
+    if case == "directory":
+        corpus.mkdir()
+    elif case != "missing":
+        # 300 chars: a val split of 30 tokens, too short for block_size 32 (train) or 64 (eval)
+        corpus.write_bytes({"not-utf8": b"ab\xff\n", "empty": b"",
+                            "short-split": generate_corpus(300, seed=2)[:300].encode("utf-8"),
+                            "out-is-a-file": open(corpus_file, "rb").read()}[case])
+    if case == "out-is-a-file":
+        out.write_text("not a directory\n")
+    args = {"train": ["--corpus", str(corpus), "--out", str(out), "--embed", "8", "--banks", "1",
+                      "--max-iters", "2", "--block-size", "32", "--max-seq-len", "32"],
+            "eval": ["--checkpoint", os.path.join(trained, "model_final.ckpt"),
+                     "--corpus", str(corpus)],
+            "bench": ["--lengths", "8", "--variants", "logmem", "--embed", "8", "--banks", "1",
+                      "--mode", "parallel", "--out", str(out)]}[command]
+    assert main([command, *args]) == 2
+    err = capsys.readouterr().err
+    _assert_one_error_line_in(err)
+    assert str(out if case == "out-is-a-file" else corpus) in err
+    assert not list(tmp_path.rglob("*.ckpt")) and not list(tmp_path.rglob("*.csv"))
+
+
 def test_eval_subcommand(trained, corpus_file, capsys):
     code = main(["eval", "--checkpoint", os.path.join(trained, "model_final.ckpt"),
                  "--vocab", os.path.join(trained, "vocab.txt"),

@@ -21,7 +21,7 @@ from lmn.memory import (
     valid_mask,
 )
 from lmn.model import VARIANTS, ModelConfig, build_model
-from lmn.summarizers import DsConvSummarizer, ExpanderSummarizer, LinearSummarizer
+from lmn.summarizers import LinearSummarizer
 from lmn.tensor import (
     Tensor,
     concat,
@@ -35,11 +35,12 @@ from lmn.tensor import (
     zeros,
 )
 
-from conftest import linear_merge_fn, prefix_blocks, slot_blocks, tree_summary
+from conftest import block_layers, linear_merge_fn, prefix_blocks, slot_blocks, tree_summary
 
 
-def make_summ(e, seed=0, bias=True):
-    return LinearSummarizer.init(make_rng(seed), e, bias=bias)
+def make_summ(e, seed=0, **cfg):
+    """The summarizer of a one-bank block (linear unless cfg says otherwise)."""
+    return block_layers(e, seed, banks=1, **cfg)[1][0]
 
 
 def identity_summarizer(e, which="older"):
@@ -196,7 +197,7 @@ def test_gather_closed_form_indices():
     # at B=2, a power-of-two and an odd (padded) L, one-row and widening blocks
     e, b = 3, 2
     for k, L in itertools.product((0, 2), (8, 13)):
-        summ = make_summ(e, seed=12) if k == 0 else ExpanderSummarizer.init(make_rng(12), e, k)
+        summ = make_summ(e, seed=12) if k == 0 else make_summ(e, 12, variant="expsum", expansion=k)
         x = make_rng(7).standard_normal((b, L, e)).astype(np.float32)
         p = build_pyramid(Tensor(x), summ)
         mem = gather_memory(p, L)
@@ -314,7 +315,7 @@ def test_parallel_equals_sequential_non_power_of_two():
 
 def test_parallel_single_token_and_zero_input():
     e = 4
-    summ = make_summ(e, bias=False)
+    summ = make_summ(e, summarizer_bias=False)
     x = Tensor(np.zeros((1, 1, e), dtype=np.float32))
     with no_grad():
         par = parallel_memory(x, summ)
@@ -376,10 +377,10 @@ def test_identity_summarizers_expose_merge_order():
 
 
 SUMMARIZERS = {
-    "linear": lambda rng, e: LinearSummarizer.init(rng, e),
-    "dsconv": lambda rng, e: DsConvSummarizer.init(rng, e),
-    "expander-k1": lambda rng, e: ExpanderSummarizer.init(rng, e, k=1),
-    "expander-k2": lambda rng, e: ExpanderSummarizer.init(rng, e, k=2),
+    "linear": dict(summarizer="linear"),
+    "dsconv": dict(summarizer="dsconv"),
+    "expander-k1": dict(variant="expsum", expansion=1),
+    "expander-k2": dict(variant="expsum", expansion=2),
 }
 
 
@@ -388,7 +389,7 @@ def test_one_block_tree_for_every_summarizer(name):
     # the same carry chain, snapshot, mask, pyramid and gather for every k
     b, L, e = 2, 13, 4
     rng = make_rng(18)
-    summ = SUMMARIZERS[name](rng, e)
+    summ = make_summ(e, 18, **SUMMARIZERS[name])
     x = Tensor(rng.standard_normal((b, L, e)).astype(np.float32))
     S = levels_for(L)
     with no_grad():
@@ -417,7 +418,7 @@ def test_snapshot_and_state_share_no_memory(name):
     # to the pushed token
     e = 3
     rng = make_rng(19)
-    summ = SUMMARIZERS[name](rng, e)
+    summ = make_summ(e, 19, **SUMMARIZERS[name])
     state = SlotState.fresh(3, summ.k)
     with no_grad():
         for _ in range(3):

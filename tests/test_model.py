@@ -140,7 +140,7 @@ def test_generation_matches_teacher_forcing(name, kw):
     kw = dict(kw)
     dtype = kw.pop("dtype", np.float32)
     cfg = small_cfg(kw, max_seq_len=32)
-    model = build_model(cfg).astype(dtype)
+    model = build_model(cfg, dtype)
     # to full capacity: the 32nd push carries through every level into the root
     tokens = make_rng(4).integers(0, cfg.vocab_size, size=(1, 32))
     with no_grad():
@@ -152,7 +152,7 @@ def test_generation_matches_teacher_forcing(name, kw):
     assert stepped.dtype == dtype
     assert np.abs(tf - stepped).max() <= (1e-10 if dtype == np.float64 else 1e-4)
     # below a power of two the slot state could hold more, but stepping stops at max_seq_len
-    short = build_model(small_cfg(kw, max_seq_len=20)).astype(dtype)
+    short = build_model(small_cfg(kw, max_seq_len=20), dtype)
     with no_grad():
         state = short.start_state()
         for t in tokens[0, :20]:
@@ -229,11 +229,11 @@ def test_baseline_causality_and_weight_rows():
 def test_baseline_tiny_gradient_check():
     cfg = ModelConfig(variant="baseline-attn", vocab_size=7, embed=4, max_seq_len=8,
                       n_blocks=1, n_heads=2, seed=5)
-    model = build_model(cfg).astype(np.float64)
+    model = build_model(cfg, np.float64)
     rng = make_rng(8)
     tokens = rng.integers(0, 7, size=(1, 8))
     targets = rng.integers(0, 7, size=(1, 8))
-    params = [model.params[n] for n in model.param_vector_names()]
+    params = list(model.params.values())
 
     def f(_):
         return loss_fn(model.forward(tokens), targets)
@@ -247,11 +247,11 @@ def test_baseline_tiny_gradient_check():
                          ids=["expsum-k1", "logmem-dsconv", "logmem-linear"])
 def test_tree_variant_gradient_check(kw):
     cfg = ModelConfig(vocab_size=7, embed=4, max_seq_len=8, n_blocks=1, seed=5, **kw)
-    model = build_model(cfg).astype(np.float64)
+    model = build_model(cfg, np.float64)
     rng = make_rng(9)
     tokens = rng.integers(0, 7, size=(1, 7))  # L=7: the pyramid is padded
     targets = rng.integers(0, 7, size=(1, 7))
-    params = [model.params[n] for n in model.param_vector_names()]
+    params = list(model.params.values())
 
     def f(_):
         return loss_fn(model.forward(tokens, mode="parallel"), targets)

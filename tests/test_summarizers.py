@@ -13,10 +13,15 @@ from lmn.memory import (
     snapshot,
     valid_mask,
 )
-from lmn.summarizers import DsConvSummarizer, ExpanderSummarizer, LinearSummarizer
+from lmn.summarizers import ExpanderSummarizer, LinearSummarizer
 from lmn.tensor import Tensor, make_rng, no_grad
 
-from conftest import prefix_blocks, slot_blocks
+from conftest import block_layers, prefix_blocks, slot_blocks
+
+
+def expander(e, seed, k):
+    """The summarizer of an expsum block with expansion k."""
+    return block_layers(e, seed, variant="expsum", expansion=k)[1][0]
 
 
 def test_identity_weight_picks_older():
@@ -42,7 +47,7 @@ def test_identity_weight_picks_newer():
 def test_linear_summarizer_matches_naive_loop():
     e = 5
     rng = make_rng(1)
-    s = LinearSummarizer.init(rng, e)
+    s = block_layers(e, 1)[1][0]
     a = rng.standard_normal(e).astype(np.float32)
     b = rng.standard_normal(e).astype(np.float32)
     got = s.merge_pair(Tensor(a.reshape(1, e)), Tensor(b.reshape(1, e))).data[0]
@@ -56,7 +61,7 @@ def test_dsconv_and_linear_agree_under_constructed_weights():
     # depthwise [k0, k1] + pointwise P encodes the linear map [P^T*k0 | P^T*k1]
     e = 6
     rng = make_rng(2)
-    ds = DsConvSummarizer.init(rng, e, bias=True)
+    ds = block_layers(e, 2, summarizer="dsconv")[1][0]
     dw, pw = ds.depthwise.data, ds.pointwise.data
     lin = LinearSummarizer(Tensor(np.concatenate([dw[:, :1] * pw, dw[:, 1:] * pw])), ds.bias)
     a = Tensor(rng.standard_normal((1, e)).astype(np.float32))
@@ -92,7 +97,7 @@ def test_expanded_widths_formula_matches_counter_run():
 def test_expand_merge_widths(k, w, expect):
     e = 4
     rng = make_rng(3)
-    es = ExpanderSummarizer.init(rng, e, k=k)
+    es = expander(e, 3, k)
     left = Tensor(rng.standard_normal((w, e)).astype(np.float32))
     right = Tensor(rng.standard_normal((w, e)).astype(np.float32))
     out = es.merge_blocks(left, right)
@@ -101,7 +106,7 @@ def test_expand_merge_widths(k, w, expect):
 
 def test_expand_merge_width_mismatch_errors():
     e = 4
-    es = ExpanderSummarizer.init(make_rng(4), e, k=1)
+    es = expander(e, 4, 1)
     with pytest.raises(ValueError):
         es.merge_blocks(Tensor(np.zeros((1, e), dtype=np.float32)),
                         Tensor(np.zeros((2, e), dtype=np.float32)))
@@ -109,7 +114,7 @@ def test_expand_merge_width_mismatch_errors():
 
 def test_expander_block_widths_follow_formula():
     e = 4
-    es = ExpanderSummarizer.init(make_rng(5), e, k=1)
+    es = expander(e, 5, 1)
     state = SlotState.fresh(4, 1)
     rng = make_rng(6)
     for _ in range(12):
@@ -121,7 +126,7 @@ def test_expander_block_widths_follow_formula():
 
 def test_snapshot_expanded_valid_rows():
     e = 4
-    es = ExpanderSummarizer.init(make_rng(7), e, k=1)
+    es = expander(e, 7, 1)
     rng = make_rng(8)
     state = SlotState.fresh(3, 1)
     for _ in range(5):
@@ -146,7 +151,7 @@ def test_expanded_valid_counts_match_oracle():
 
 def test_expanded_parallel_equals_sequential():
     e, L = 8, 32
-    es = ExpanderSummarizer.init(make_rng(9), e, k=1)
+    es = expander(e, 9, 1)
     x = Tensor(make_rng(10).standard_normal((2, L, e)).astype(np.float32))
     with no_grad():
         par = parallel_memory(x, es)
@@ -157,7 +162,7 @@ def test_expanded_parallel_equals_sequential():
 
 def test_expanded_parallel_equals_sequential_k2_ragged():
     e, L = 4, 11
-    es = ExpanderSummarizer.init(make_rng(11), e, k=2)
+    es = expander(e, 11, 2)
     x = Tensor(make_rng(12).standard_normal((1, L, e)).astype(np.float32))
     with no_grad():
         par = parallel_memory(x, es)

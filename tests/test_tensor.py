@@ -293,7 +293,7 @@ def test_cross_entropy_closed_form_grad():
     "concat", "narrow", "index_select", "reshape", "transpose", "softmax",
     "layernorm", "gelu", "embedding", "cross_entropy", "conv_full",
     "conv_depthwise", "conv_transpose", "masked_fill", "sum_axis",
-    "einsum_pair", "affine_masked", "affine_masked_nobias",
+    "einsum_pair", "affine_masked",
 ])
 def test_op_gradients_match_finite_differences(op_name):
     # float64 inputs: the engine in 64-bit mode must agree with central
@@ -336,9 +336,6 @@ def test_op_gradients_match_finite_differences(op_name):
         "affine_masked": lambda: ((mk(2, 3, 4), mk(4, 6), mk(6)),
                                   lambda x, w, b: affine_masked(
                                       x, w, b, np.array([[True, False, True]] * 2))),
-        "affine_masked_nobias": lambda: ((mk(2, 3, 4), mk(4, 6)),
-                                         lambda x, w: affine_masked(
-                                             x, w, None, np.array([[True, False, True]] * 2))),
     }
     inputs, fn = builders[op_name]()
 
