@@ -19,7 +19,7 @@ from dataclasses import fields, replace
 import numpy as np
 
 from .bench import BenchConfig, sweep
-from .data import Dataset, Vocab, load_corpus
+from .data import Dataset, Vocab
 from .memory import CapacityError
 from .model import (MODES, ModelConfig, build_model, config_kwargs, config_to_text, generate,
                     load_checkpoint, param_count)
@@ -42,19 +42,26 @@ class CliError(Exception):
         self.code = code
 
 
+def _read_text(path, what: str) -> str:
+    """The text of an input file, decoded as UTF-8 with no newline
+    translation; a path that cannot be read (missing, a directory, no
+    permission) or bytes that are not UTF-8 are an input error naming
+    `what`. Every input text file is read here."""
+    try:
+        with open(path, "rb") as f:
+            raw = f.read()
+    except OSError as exc:
+        raise CliError(f"cannot read {what} {path}: {exc.strerror}") from None
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{what} {path} is not UTF-8 (byte {exc.start})") from None
+
+
 def parse_config_file(path) -> dict:
     """Flat `section.key=value` lines of UTF-8 text; unknown keys are errors."""
-    if not os.path.exists(path):
-        raise CliError(f"config file not found: {path}")
-    try:
-        with open(path, encoding="utf-8") as f:
-            lines = f.readlines()
-    except OSError as exc:
-        raise CliError(f"cannot read config file {path}: {exc.strerror}") from None
-    except UnicodeDecodeError as exc:
-        raise CliError(f"config file {path} is not UTF-8 (byte {exc.start})") from None
     out = {}
-    for ln, raw in enumerate(lines, 1):
+    for ln, raw in enumerate(_read_text(path, "config file").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -103,24 +110,24 @@ def echo_config(configs: dict, extra: dict | None = None, file=None):
         print(f"{k}={v}", file=out)
 
 
-def _read_corpus(args, block_size: int) -> Dataset:
-    """The --corpus file as a Dataset with a block_size window in each split.
+def _read_corpus(args, block_size: int, vocab: Vocab | None = None) -> Dataset:
+    """The --corpus file as a Dataset with a block_size window in each split,
+    encoded with `vocab`, or with a vocabulary built from the corpus if none.
 
     A missing or unreadable path, text that is not UTF-8, an empty file or
-    a split too short for block_size is an input error.
+    a split too short for block_size is an input error; a character outside
+    `vocab` is an artifact mismatch.
     """
     path = args.corpus
     if not path:
         raise CliError(f"{args.command} requires --corpus")
-    try:
-        text = load_corpus(path)
-    except OSError as exc:
-        raise CliError(f"cannot read corpus {path}: {exc.strerror}") from None
-    except UnicodeDecodeError as exc:
-        raise CliError(f"corpus {path} is not UTF-8 (byte {exc.start})") from None
+    text = _read_text(path, "corpus")
     if not text:
         raise CliError(f"corpus {path} is empty")
-    ds = Dataset.from_text(text)
+    try:
+        ds = Dataset.from_text(text, vocab)
+    except KeyError as exc:
+        raise CliError(f"corpus {path}: {exc.args[0]}", EXIT_MISMATCH) from None
     try:
         ds.check_block_size(block_size)
     except ValueError as exc:
@@ -147,7 +154,8 @@ def cmd_train(args) -> int:
     print(f"vocab_size={len(ds.vocab)} corpus_chars={len(ds.ids)} "
           f"params={param_count(model_cfg)}")
     _make_out_dir(args.out)
-    ds.vocab.save(os.path.join(args.out, "vocab.txt"))
+    with open(os.path.join(args.out, "vocab.txt"), "wb") as f:  # the sidecar: chars in id order
+        f.write("".join(ds.vocab.chars).encode("utf-8"))
     model = build_model(model_cfg)
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported below, once
@@ -164,11 +172,7 @@ def cmd_eval(args) -> int:
     model, vocab = _load_artifacts(args)
     if train_cfg.block_size > model.config.max_seq_len:
         train_cfg.block_size = model.config.max_seq_len  # fit the checkpoint
-    ds = _read_corpus(args, train_cfg.block_size)
-    if len(ds.vocab) != model.config.vocab_size:
-        raise CliError(
-            f"corpus vocab {len(ds.vocab)} does not match checkpoint vocab {model.config.vocab_size}",
-            EXIT_MISMATCH)
+    ds = _read_corpus(args, train_cfg.block_size, vocab)
     echo_config({"model": model.config, "train": train_cfg})
     tr, va = evaluate(model, ds, train_cfg)
     print(f"train_loss={tr:.4f} val_loss={va:.4f}")
@@ -176,24 +180,26 @@ def cmd_eval(args) -> int:
 
 
 def _load_artifacts(args):
-    if not args.checkpoint or not os.path.exists(args.checkpoint):
-        raise CliError(f"checkpoint not found: {args.checkpoint}")
+    """The --checkpoint model and its --vocab sidecar, the characters in id
+    order as UTF-8 text; a sidecar whose size is not the model's vocab size
+    is an artifact mismatch."""
+    for flag in ("checkpoint", "vocab"):
+        if not getattr(args, flag):
+            raise CliError(f"{args.command} requires --{flag}")
     try:
         model = load_checkpoint(args.checkpoint)
+    except OSError as exc:
+        raise CliError(f"cannot read checkpoint {args.checkpoint}: {exc.strerror}") from None
     except ValueError as exc:  # UnicodeDecodeError is a ValueError
         raise CliError(f"bad checkpoint {args.checkpoint}: {exc}") from None
-    vocab = None
-    if args.vocab:
-        if not os.path.exists(args.vocab):
-            raise CliError(f"vocab sidecar not found: {args.vocab}")
-        try:
-            vocab = Vocab.load(args.vocab)
-        except ValueError as exc:
-            raise CliError(f"bad vocab sidecar {args.vocab}: {exc}") from None
-        if len(vocab) != model.config.vocab_size:
-            raise CliError(
-                f"vocab size {len(vocab)} does not match checkpoint vocab "
-                f"{model.config.vocab_size}", EXIT_MISMATCH)
+    try:
+        vocab = Vocab(list(_read_text(args.vocab, "vocab sidecar")))
+    except ValueError as exc:
+        raise CliError(f"bad vocab sidecar {args.vocab}: {exc}") from None
+    if len(vocab) != model.config.vocab_size:
+        raise CliError(
+            f"vocab size {len(vocab)} does not match checkpoint vocab "
+            f"{model.config.vocab_size}", EXIT_MISMATCH)
     return model, vocab
 
 
@@ -205,17 +211,13 @@ def cmd_generate(args) -> int:
     if args.seed < 0:
         raise CliError(f"--seed must be >= 0, got {args.seed}")
     model, vocab = _load_artifacts(args)
-    if vocab is None:
-        raise CliError("generate requires --vocab")
     # config echo on stderr: stdout carries only the sampled characters
     echo_config({"model": model.config}, {"prompt": repr(args.prompt), "n_new": args.n_new},
                 file=sys.stderr)
     try:
-        prompt_ids = vocab.encode(args.prompt)
+        prompt_ids = vocab.encode(args.prompt or "\n")  # an empty prompt starts a line
     except KeyError as exc:
-        raise CliError(str(exc), EXIT_MISMATCH) from None
-    if prompt_ids.size == 0:
-        prompt_ids = vocab.encode("\n")
+        raise CliError(exc.args[0], EXIT_MISMATCH) from None
     rng = make_rng(args.seed)
     out = generate(model, prompt_ids, args.n_new, temperature=args.temperature,
                    rng=rng, argmax=args.argmax)  # CapacityError exits 4 in main

@@ -1,4 +1,4 @@
-"""Corpus ingestion, char-level vocab, and batch sampling."""
+"""Char-level vocab, the encoded corpus and its splits, and batch sampling."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import numpy as np
 
 
 class Vocab:
-    """Bijective char <-> id map, ids ordered by code point."""
+    """Bijective char <-> id map: a character's id is its index in `chars`."""
 
     def __init__(self, chars: list[str]):
         if not chars:
@@ -32,26 +32,6 @@ class Vocab:
     def decode(self, ids) -> str:
         return "".join(self.itos[int(i)] for i in ids)
 
-    def save(self, path) -> None:
-        """Sidecar: the characters themselves in id order, raw UTF-8, no framing."""
-        with open(path, "wb") as f:
-            f.write("".join(self.chars).encode("utf-8"))
-
-    @classmethod
-    def load(cls, path) -> "Vocab":
-        """Read a sidecar; ValueError if it is unreadable, not UTF-8, empty or
-        repeats a character."""
-        try:
-            with open(path, "rb") as f:
-                raw = f.read()
-        except OSError as exc:
-            raise ValueError(f"cannot read vocabulary: {exc.strerror}") from None
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"vocabulary is not UTF-8 (byte {exc.start})") from None
-        return cls(list(text))
-
 
 def build_vocab(text: str) -> Vocab:
     """Distinct characters of the corpus, sorted by code point."""
@@ -71,8 +51,10 @@ class Dataset:
         self.split_at = int(len(self.ids) * 0.9)
 
     @classmethod
-    def from_text(cls, text: str) -> "Dataset":
-        vocab = build_vocab(text)
+    def from_text(cls, text: str, vocab: Vocab | None = None) -> "Dataset":
+        """The text encoded with `vocab`, or with the vocabulary built from it
+        if none; KeyError names a character outside `vocab`."""
+        vocab = build_vocab(text) if vocab is None else vocab
         return cls(ids=vocab.encode(text), vocab=vocab)
 
     def split_ids(self, split: str) -> np.ndarray:
@@ -101,8 +83,3 @@ def sample_batch(ds: Dataset, split: str, batch_size: int, block_size: int,
     x = np.stack([ids[o:o + block_size] for o in offsets])
     y = np.stack([ids[o + 1:o + block_size + 1] for o in offsets])
     return x, y
-
-
-def load_corpus(path) -> str:
-    with open(path, "rb") as f:
-        return f.read().decode("utf-8")

@@ -463,8 +463,9 @@ def generate(model, prompt, n_new: int, temperature: float = 1.0, rng=None,
             if argmax:
                 nxt = int(np.argmax(z))
             else:
-                z = z / temperature
-                z -= z.max()
+                # the max first: at a tiny temperature the rest overflow to -inf, not inf - inf
+                with np.errstate(over="ignore"):
+                    z = (z - z.max()) / temperature
                 p = np.exp(z)
                 p /= p.sum()
                 nxt = int(rng.choice(len(p), p=p))

@@ -1,7 +1,8 @@
 """Property tests at the CLI boundary: whatever a config file, a checkpoint
 or a vocab sidecar holds, reading it either succeeds or raises CliError
 with exit code 2 (bad input) or 3 (artifact mismatch), never another
-exception. Examples are derandomized and no example database is kept, so
+exception; whatever flags `lmn generate` is given, it returns a documented
+exit code. Examples are derandomized and no example database is kept, so
 every run draws the same cases and nothing is written to the checkout."""
 
 import struct
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from lmn.cli import SECTIONS, CliError, _load_artifacts, build_configs
+from lmn.cli import SECTIONS, CliError, _load_artifacts, build_configs, main
 from lmn.model import ModelConfig, build_model, save_checkpoint
 
 # Hypothesis caches the constants it reads from local sources in its home
@@ -121,3 +122,25 @@ def test_any_vocab_sidecar_loads_or_exits_2_or_3(files, raw):
     files.vocab.write_bytes(raw)
     args = SimpleNamespace(checkpoint=str(files.good), vocab=str(files.vocab))
     returns_or_exits_documented(lambda: _load_artifacts(args))
+
+
+@PROPERTY
+@given(vocab=st.sampled_from([b"abcde", b"abcd\n"]), n_new=st.integers(-2, 20),
+       temperature=st.one_of(st.floats(), st.floats(-1e-300, 1e-300)),
+       seed=st.integers(-2, 2**70), prompt=st.text(st.sampled_from("abcde\n#é"), max_size=6),
+       argmax=st.booleans())
+def test_any_generate_flags_exit_documented(files, vocab, n_new, temperature, seed, prompt,
+                                            argmax):
+    # temperatures of any float, inf and nan among them, and as often near
+    # zero, subnormals included; the 16-position model ends each run by 16
+    # steps, and a prompt with n_new past 16 exits 4
+    files.vocab.write_bytes(vocab)
+    argv = ["generate", f"--checkpoint={files.good}", f"--vocab={files.vocab}",
+            f"--n-new={n_new}", f"--temperature={temperature!r}", f"--seed={seed}",
+            f"--prompt={prompt}", *(["--argmax"] if argmax else [])]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's own refusal of a flag
+        assert exc.code == 2
+    else:
+        assert code in (0, 2, 3, 4)

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import math
 import os
 import struct
 
@@ -11,6 +12,7 @@ import pytest
 from lmn.bench import lmn_score_mac_closed_form
 from lmn.cli import main, parse_config_file, CliError
 from lmn.corpus import generate_corpus
+from lmn.data import build_vocab
 from lmn.model import build_model, config_to_text, load_checkpoint, save_checkpoint
 
 from test_model import with_retired_keys, write_checkpoint
@@ -35,10 +37,14 @@ def trained(tmp_path_factory, corpus_file):
     return out
 
 
-def test_train_smoke_writes_artifacts(trained):
+def test_train_smoke_writes_artifacts(trained, corpus_file):
     for name in ("model_final.ckpt", "model_best.ckpt", "vocab.txt", "train_report.csv",
                  "train_steps.csv"):
         assert os.path.exists(os.path.join(trained, name)), name
+    # the vocab sidecar: the corpus's characters in id order, as raw UTF-8
+    sidecar = open(os.path.join(trained, "vocab.txt"), "rb").read().decode("utf-8")
+    corpus = open(corpus_file, "rb").read().decode("utf-8")
+    assert list(sidecar) == build_vocab(corpus).chars
 
 
 def test_train_missing_corpus_exit_2(tmp_path, capsys):
@@ -73,7 +79,19 @@ def test_generate_prompt_outside_vocab_exit_3(trained, capsys):
                  "--vocab", os.path.join(trained, "vocab.txt"),
                  "--prompt", "é", "--n-new", "5"])
     assert code == 3
-    assert "é" in capsys.readouterr().err
+    # after the config echo, one line with the character unquoted
+    assert capsys.readouterr().err.endswith("\nerror: character 'é' not in vocabulary\n")
+
+
+def test_generate_at_a_tiny_temperature_is_greedy(trained, capsys):
+    # logits / T overflow at T = 1e-310; the max is subtracted before the division
+    args = ["generate", "--checkpoint", os.path.join(trained, "model_final.ckpt"),
+            "--vocab", os.path.join(trained, "vocab.txt"), "--prompt", "KING", "--n-new", "30"]
+    assert main(args + ["--argmax"]) == 0
+    greedy = capsys.readouterr().out
+    for temperature in ("1e-310", "5e-324"):
+        assert main(args + ["--temperature", temperature]) == 0
+        assert capsys.readouterr().out == greedy
 
 
 def test_generate_beyond_capacity_exit_4(trained):
@@ -227,7 +245,7 @@ def test_bad_corpus_or_out_exits_2_with_one_line(trained, corpus_file, tmp_path,
     args = {"train": ["--corpus", str(corpus), "--out", str(out), "--embed", "8", "--banks", "1",
                       "--max-iters", "2", "--block-size", "32", "--max-seq-len", "32"],
             "eval": ["--checkpoint", os.path.join(trained, "model_final.ckpt"),
-                     "--corpus", str(corpus)],
+                     "--vocab", os.path.join(trained, "vocab.txt"), "--corpus", str(corpus)],
             "bench": ["--lengths", "8", "--variants", "logmem", "--embed", "8", "--banks", "1",
                       "--mode", "parallel", "--out", str(out)]}[command]
     assert main([command, *args]) == 2
@@ -235,6 +253,53 @@ def test_bad_corpus_or_out_exits_2_with_one_line(trained, corpus_file, tmp_path,
     _assert_one_error_line_in(err)
     assert str(out if case == "out-is-a-file" else corpus) in err
     assert not list(tmp_path.rglob("*.ckpt")) and not list(tmp_path.rglob("*.csv"))
+
+
+ARTIFACT_INPUTS = [(command, case) for command in ("eval", "generate")
+                   for case in ("checkpoint-directory", "checkpoint-missing", "checkpoint-omitted",
+                                "vocab-omitted")]
+ARTIFACT_INPUTS += [("eval", "corpus-outside-vocab"), ("eval", "corpus-uses-part-of-vocab")]
+
+
+@pytest.mark.parametrize("command,case", ARTIFACT_INPUTS,
+                         ids=[f"{c}-{k}" for c, k in ARTIFACT_INPUTS])
+def test_checkpoint_vocab_and_eval_corpus_inputs(trained, corpus_file, tmp_path, capsys,
+                                                 command, case):
+    flags = {"checkpoint": os.path.join(trained, "model_final.ckpt"),
+             "vocab": os.path.join(trained, "vocab.txt")}
+    if case == "checkpoint-directory":
+        flags["checkpoint"] = str(tmp_path)
+    elif case == "checkpoint-missing":
+        flags["checkpoint"] = str(tmp_path / "nope.ckpt")
+    elif case.endswith("-omitted"):
+        del flags[case.partition("-")[0]]
+    # the corpus with every 'a' made '#', which the vocab lacks, or with its 4 '$' removed
+    text = open(corpus_file, "rb").read().decode("utf-8")
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes({"corpus-outside-vocab": text.replace("a", "#"),
+                        "corpus-uses-part-of-vocab": text.replace("$", "")}.get(case, text)
+                       .encode("utf-8"))
+    args = [f"--{flag}={path}" for flag, path in flags.items()]
+    args += {"eval": ["--corpus", str(corpus), "--seed", "3"],
+             "generate": ["--prompt", "K", "--n-new", "5"]}[command]
+    code = main([command, *args])
+    captured = capsys.readouterr()
+    if case == "corpus-uses-part-of-vocab":
+        assert code == 0 and captured.err == ""
+        losses = dict(kv.split("=") for kv in captured.out.splitlines()[-1].split())
+        assert set(losses) == {"train_loss", "val_loss"}
+        assert all(math.isfinite(float(v)) for v in losses.values())
+        return
+    _assert_one_error_line_in(captured.err)
+    if case == "corpus-outside-vocab":
+        assert code == 3
+        assert f"corpus {corpus}: character '#' not in vocabulary" in captured.err
+    elif case.endswith("-omitted"):
+        assert code == 2
+        assert captured.err == f"error: {command} requires --{case.partition('-')[0]}\n"
+    else:
+        assert code == 2
+        assert f"cannot read checkpoint {flags['checkpoint']}" in captured.err
 
 
 def test_eval_subcommand(trained, corpus_file, capsys):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from lmn.corpus import VOCAB_65, generate_corpus
-from lmn.data import Dataset, Vocab, build_vocab, load_corpus, sample_batch
+from lmn.cli import _read_text
+from lmn.data import Dataset, Vocab, build_vocab, sample_batch
 from lmn.tensor import make_rng
 
 
@@ -46,11 +47,11 @@ def test_corpus_generation_is_deterministic():
 
 
 def test_vocab_sidecar_round_trip(tmp_path, corpus_text):
-    v = build_vocab(corpus_text)
+    # the sidecar format: the characters in id order as raw UTF-8, newline included
+    v = build_vocab(corpus_text + "é\r")
     path = tmp_path / "vocab.txt"
-    v.save(path)
-    loaded = Vocab.load(path)
-    assert loaded.chars == v.chars
+    path.write_bytes("".join(v.chars).encode("utf-8"))
+    assert Vocab(list(_read_text(path, "vocab sidecar"))).chars == v.chars
 
 
 def test_dataset_split_no_overlap(dataset):
@@ -96,7 +97,15 @@ def test_sample_batch_corpus_too_short():
 
 
 def test_load_corpus_round_trip(tmp_path):
-    text = "newlines\nand spaces preserved\n"
+    text = "newlines\nand spaces preserved,\r\nno newline translated\r"
     p = tmp_path / "c.txt"
     p.write_bytes(text.encode("utf-8"))
-    assert load_corpus(p) == text
+    assert _read_text(p, "corpus") == text
+
+
+def test_dataset_from_text_with_a_given_vocab():
+    v = build_vocab("abc$")
+    ds = Dataset.from_text("cab", v)  # a text may use part of the vocabulary
+    assert ds.vocab is v and ds.ids.tolist() == [3, 1, 2]  # ids by code point: $ a b c
+    with pytest.raises(KeyError, match="'#' not in vocabulary"):
+        Dataset.from_text("ab#", v)

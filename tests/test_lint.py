@@ -42,3 +42,35 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_no_unused_top_level_import(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+PATH_PROBES = {"exists", "isfile", "isdir", "is_file", "is_dir"}
+
+
+def path_probes(source: str) -> list[str]:
+    """Calls that ask whether a path exists or is a file or a directory
+    (``os.path.exists(p)``, ``isdir(p)``, ``Path(p).is_file()``).
+
+    A probe before an open lets through what it does not ask about (a
+    directory passes ``exists``); an input is opened, and the OSError of the
+    open is the one answer.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in PATH_PROBES:
+                found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+def test_checker_finds_a_path_probe():
+    source = ("import os\nfrom os.path import isdir\nos.path.exists('a')\nos.path.isfile('b')\n"
+              "isdir('c')\np.is_file()\nopen('d')\n")
+    assert path_probes(source) == ["line 3: exists", "line 4: isfile", "line 5: isdir",
+                                   "line 6: is_file"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_path_probe(module):
+    assert path_probes((SRC / module).read_text(encoding="utf-8")) == []
