@@ -1,11 +1,13 @@
 """Scaling harness: wall time, peak allocation, and counted operations.
 
 Forward timing uses a monotonic clock and the median of R >= 3 reps, run
-with glibc malloc at its defaults. One warm-up run before the reps is also
-the counted run and the memory pass: it runs under ``tracemalloc``, which
-sees every numpy buffer, and "peak bytes" is its traced peak above the
-traced bytes at its start (recurrent state plus activations; pre-existing
-weights excluded). The timed reps run untraced. Sequential rows measure
+with glibc malloc at its defaults. The first run is the counted run and the
+memory pass: it runs under ``tracemalloc``, which sees every numpy buffer,
+and "peak bytes" is its traced peak above the traced bytes at its start
+(recurrent state plus activations; pre-existing weights excluded). Untraced
+warm-up runs follow until ``WARM_UP_SECONDS`` have passed, at least one, so
+a machine that runs slowly for a while after an idle spell does not time
+its first reps slow. The timed reps run untraced. Sequential rows measure
 recurrent stepping (slot state or KV cache as the only carried state);
 parallel rows measure the one-shot forward. A ``MemoryError`` becomes a
 failure row, not a crash; a forward that the operating system kills ends
@@ -26,8 +28,10 @@ from pathlib import Path
 import numpy as np
 
 from .counters import COUNTER
-from .model import ModelConfig, build_model
+from .model import TILE, ModelConfig, build_model
 from .tensor import make_rng, no_grad
+
+WARM_UP_SECONDS = 1.0
 
 
 @dataclass
@@ -130,7 +134,7 @@ def peak_bytes(model, L: int, mode: str, seed: int = 0) -> int:
 
 
 def time_forward(model, L: int, mode: str, reps: int = 3, seed: int = 0) -> BenchRecord:
-    """Median wall time over reps (after one warm-up) for one forward pass.
+    """Median wall time over reps (after the warm-up) for one forward pass.
 
     mode="parallel" is the one-shot construction; mode="sequential" runs the
     recurrent stepping path token by token, the inference configuration.
@@ -140,9 +144,13 @@ def time_forward(model, L: int, mode: str, reps: int = 3, seed: int = 0) -> Benc
     runner, args = _forward_pass(model, L, mode, seed)
     try:
         COUNTER.reset()
-        # warm-up, counted run (counts repeat per run) and memory pass at once
+        # counted run (counts repeat per run) and memory pass at once
         peak = _traced_peak(runner, args)
         counts = COUNTER.snapshot()
+        warm_until = time.monotonic() + WARM_UP_SECONDS
+        runner(*args)
+        while time.monotonic() < warm_until:
+            runner(*args)
         times = []
         for _ in range(reps):
             t0 = time.monotonic()
@@ -178,12 +186,12 @@ def blas_threads() -> int | str:
 def environment_lines() -> list[str]:
     """CSV comment lines naming what the timings depend on: the numpy
     version, its BLAS build and the thread count it runs with, the BLAS
-    thread settings and the CPU count."""
+    thread settings, the CPU count and the parallel forward's tile size."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     env = {"numpy": np.__version__, "blas": blas.get("name", "unknown"),
            "blas_threads": blas_threads(),
            **{var: os.environ.get(var, "unset") for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
-           "cpu_count": os.cpu_count()}
+           "cpu_count": os.cpu_count(), "tile": TILE}
     return [f"# {key}={value}" for key, value in env.items()]
 
 

@@ -21,8 +21,8 @@ import numpy as np
 from .bench import BenchConfig, sweep
 from .data import Dataset, Vocab
 from .memory import CapacityError
-from .model import (MODES, ModelConfig, build_model, config_kwargs, config_to_text, generate,
-                    load_checkpoint, param_count)
+from .model import (MODES, ModelConfig, OutputError, build_model, config_kwargs, config_to_text,
+                    generate, load_checkpoint, param_count, write_file)
 from .tensor import make_rng
 from .training import DivergenceError, TrainConfig, evaluate, train
 from .verify import run_verify
@@ -154,8 +154,8 @@ def cmd_train(args) -> int:
     print(f"vocab_size={len(ds.vocab)} corpus_chars={len(ds.ids)} "
           f"params={param_count(model_cfg)}")
     _make_out_dir(args.out)
-    with open(os.path.join(args.out, "vocab.txt"), "wb") as f:  # the sidecar: chars in id order
-        f.write("".join(ds.vocab.chars).encode("utf-8"))
+    # the sidecar: chars in id order
+    write_file(os.path.join(args.out, "vocab.txt"), "".join(ds.vocab.chars).encode("utf-8"))
     model = build_model(model_cfg)
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported below, once
@@ -311,6 +311,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except OutputError as exc:  # a file of train's --out directory
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

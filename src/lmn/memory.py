@@ -10,15 +10,19 @@ older first, into one width-(w+k) block, either one pair at a time
 The carry chain is a binary counter, the recurrent state a model steps
 through: slot l is occupied iff bit l of the consumed count is set, and
 pushing a token triggers the carry chain of merges. The parallel forward
-builds the full pyramid of pair summaries bottom-up, flattens its levels
-into one row table and reads every position's memory from it in closed
-form (Fenwick bucketing): position t's level-l slot is block
-2 * (t >> (l+1)) of level l, so each level's read is a strided broadcast
-and its gradient a reshape-sum, with no index table and no scatter.
-``parallel_memory`` and ``sequential_memory`` (its stepped reference) both
-produce a [B, L, D, E] memory (row 0 = current token, then the w_l rows of
-each slot in level order, D = 1 + sum_l w_l) with an [L, D] validity mask;
-invalid rows are exactly zero.
+builds the full pyramid of pair summaries bottom-up over the whole
+sequence and flattens its levels once into one row table
+(``flatten_pyramid``). ``gather_memory`` then reads the memory of any
+range of positions from it in closed form (Fenwick bucketing): position
+t's level-l slot is block 2 * (t >> (l+1)) of level l, so each level's
+read is a strided broadcast and its gradient a reshape-sum, with no index
+table and no scatter. The model reads one tile of positions at a time, so
+no [B, L, D, E] memory of the whole sequence is ever held.
+``parallel_memory`` (one read of the whole sequence) and
+``sequential_memory`` (its stepped reference) both produce a [B, L, D, E]
+memory (row 0 = current token, then the w_l rows of each slot in level
+order, D = 1 + sum_l w_l) with an [L, D] validity mask; invalid rows are
+exactly zero.
 """
 
 from __future__ import annotations
@@ -146,11 +150,12 @@ class MemoryTensor:
     valid: np.ndarray
 
 
-def valid_mask(L: int, n_levels: int, k: int = 0) -> np.ndarray:
-    """Mask [L, D]: row 0 always valid, level l's w_l rows iff bit l of t set."""
-    t = np.arange(L, dtype=np.int64)
+def valid_mask(stop: int, n_levels: int, k: int = 0, start: int = 0) -> np.ndarray:
+    """Mask [stop - start, D] of positions t = start..stop-1: row 0 always
+    valid, level l's w_l rows iff bit l of t set."""
+    t = np.arange(start, stop, dtype=np.int64)
     widths = slot_widths(n_levels, k)
-    mask = np.zeros((L, 1 + sum(widths)), dtype=bool)
+    mask = np.zeros((t.size, 1 + sum(widths)), dtype=bool)
     mask[:, 0] = True
     col = 1
     for level, w in enumerate(widths):
@@ -203,64 +208,99 @@ def build_pyramid(x: Tensor, summarizer) -> Pyramid:
     return Pyramid(levels=levels, k=summarizer.k)
 
 
-def gather_memory(p: Pyramid, L: int) -> MemoryTensor:
-    """Assemble per-position rows from the pyramid in one closed-form read.
+@dataclass
+class RowTable:
+    """A pyramid's levels 0..S-1 flattened into one [B, rows, E] table, in
+    level order: level l's n_l blocks of w_l rows each follow level l-1's.
+    Row t of the table is token t, so it also holds the current-token rows."""
 
-    Levels 0..S-1 are flattened to [B, n_l * w_l, E] and joined into a
-    single row table. Row 0 of position t is table row t. For level l with
-    bit l of t set, the slot holds levels[l][2 * (t >> (l+1))], the lone
-    level-l block in the greedy binary decomposition of the prefix [0, t),
-    so blocks lie inside the real prefix and padding never leaks in. The
-    read is one op: a broadcast write per ``_level_reads`` pair, and a
-    backward that sums each pair's gradient over its positions into its
-    blocks. Every other slot row stays exactly zero and gets no gradient.
-    """
+    rows: Tensor
+    n_levels: int
+    k: int
+
+
+def flatten_pyramid(p: Pyramid) -> RowTable:
+    """The row table of a pyramid: one copy of every level below the root."""
     n_levels = len(p.levels) - 1
     b, _, _, e = p.levels[0].shape
-    widths = slot_widths(n_levels, p.k)
-    table = concat([reshape(lv, (b, lv.shape[1] * lv.shape[2], e)) for lv in p.levels[:n_levels]],
-                   axis=1)
-    out = np.zeros((b, L, 1 + sum(widths), e), dtype=table.dtype)
-    out[:, :, 0] = table.data[:, :L]
-    for mem, blocks in _level_reads(out, table.data, L, widths):
+    rows = concat([reshape(lv, (b, lv.shape[1] * lv.shape[2], e)) for lv in p.levels[:n_levels]],
+                  axis=1)
+    return RowTable(rows=rows, n_levels=n_levels, k=p.k)
+
+
+def gather_memory(table: RowTable, start: int, stop: int) -> MemoryTensor:
+    """The memory of positions start..stop-1, read from the row table in closed form.
+
+    Row 0 of position t is table row t. For level l with bit l of t set,
+    the slot holds levels[l][2 * (t >> (l+1))], the lone level-l block in
+    the greedy binary decomposition of the prefix [0, t), so blocks lie
+    inside the real prefix and padding never leaks in. The read is one op:
+    a broadcast write per ``_level_reads`` pair, and a backward that sums
+    each pair's gradient over its positions into its blocks. Every other
+    slot row stays exactly zero and gets no gradient. A range that starts
+    at a multiple of 2^(l+1) holds whole level-l groups; one that lies
+    inside a single group reads that group's block, or none.
+    """
+    rows = table.rows
+    b, _, e = rows.shape
+    widths = slot_widths(table.n_levels, table.k)
+    out = np.zeros((b, stop - start, 1 + sum(widths), e), dtype=rows.dtype)
+    out[:, :, 0] = rows.data[:, start:stop]
+    for mem, blocks in _level_reads(out, rows.data, start, widths):
         mem[...] = blocks
 
     def bwd(g):
-        grad = np.zeros(table.shape, dtype=g.dtype)
-        for mem, blocks in _level_reads(g, grad, L, widths):
+        grad = np.zeros(rows.shape, dtype=g.dtype)
+        for mem, blocks in _level_reads(g, grad, start, widths):
             np.sum(mem, axis=-3, keepdims=True, out=blocks)  # each block is read by one group
-        grad[:, :L] += g[:, :, 0]
+        grad[:, start:stop] += g[:, :, 0]
         return (grad,)
 
-    return MemoryTensor(data=_make(out, (table,), bwd), valid=valid_mask(L, n_levels, p.k))
+    return MemoryTensor(data=_make(out, (rows,), bwd),
+                        valid=valid_mask(stop, table.n_levels, table.k, start))
 
 
-def _level_reads(mem: np.ndarray, rows: np.ndarray, L: int, widths: list):
-    """(memory view, block view) pairs: the reads of every level's slot columns.
+def _level_reads(mem: np.ndarray, rows: np.ndarray, start: int, widths: list):
+    """(memory view, block view) pairs: the reads of every level's slot columns
+    by the positions start..start+n-1 that ``mem``'s n rows hold.
 
     Level l's positions fall in groups of R = 2^(l+1): the second half of
     group g reads block 2g of the level and the first half reads nothing.
-    Full groups give a [B, G, R/2, w, E] memory view against the
-    [B, G, 1, w, E] even blocks; a partial last group that reaches past its
-    half gives its tail against its one block. All are strided views, so
+    A group the range enters partway gives its positions in the range past
+    its half, if any, against its one block; the G whole groups that follow
+    give a [B, G, R/2, w, E] memory view against the [B, G, 1, w, E] even
+    blocks; a last group the range leaves partway gives its positions past
+    its half, if any, against its one block. All are strided views, so
     writes through them land in the arrays.
     """
-    b, _, d, e = mem.shape
+    b, n, d, e = mem.shape
+    stop = start + n
     n_levels = len(widths)
     off, col = 0, 1
     for level, w in enumerate(widths):
-        n, R = 1 << (n_levels - level), 2 << level
-        half, G = R >> 1, L // R
-        blocks = rows[:, off:off + n * w].reshape(b, n, w, e)
-        if G:
-            yield (mem[:, :G * R].reshape(b, G, R, d, e)[:, :, half:, col:col + w],
-                   blocks[:, 0:2 * G:2, None])
-        if L - G * R > half:
-            yield mem[:, G * R + half:L, col:col + w], blocks[:, 2 * G, None]
-        off += n * w
+        count, R = 1 << (n_levels - level), 2 << level
+        half = R >> 1
+        blocks = rows[:, off:off + count * w].reshape(b, count, w, e)
+        g = start // R
+        if start % R:
+            lo, hi = max(start, g * R + half), min(stop, g * R + R)
+            if lo < hi:
+                yield mem[:, lo - start:hi - start, col:col + w], blocks[:, 2 * g, None]
+            g += 1
+        G = (stop - g * R) // R
+        if G > 0:
+            lo = g * R - start
+            yield (mem[:, lo:lo + G * R].reshape(b, G, R, d, e)[:, :, half:, col:col + w],
+                   blocks[:, 2 * g:2 * (g + G):2, None])
+            g += G
+        lo = g * R + half
+        if stop > lo:
+            yield mem[:, lo - start:, col:col + w], blocks[:, 2 * g, None]
+        off += count * w
         col += w
 
 
 def parallel_memory(x: Tensor, summarizer) -> MemoryTensor:
-    """build_pyramid + gather_memory; agrees with sequential_memory."""
-    return gather_memory(build_pyramid(x, summarizer), x.shape[1])
+    """Every position's memory in one read of the whole sequence: the
+    reference for the model's tiled reads; agrees with sequential_memory."""
+    return gather_memory(flatten_pyramid(build_pyramid(x, summarizer)), 0, x.shape[1])

@@ -17,16 +17,25 @@ without one.
 
 The tree itself (carry chain, snapshot, validity mask, pyramid, gather) is
 written once in ``memory.py`` for every summarizer. The expander still
-enters it through three named functions below, ``parallel_expanded_memory``,
-``push_token_expanded`` and ``snapshot_expanded``, each a plain delegation:
-the benchmark's per-layer traces report expander time under those names,
-and ``build_memory`` picks the expander's by type.
+enters it through three named functions below, each a plain delegation:
+``parallel_expanded_memory`` is its range read of a flattened pyramid
+(``gather_memory``), and ``push_token_expanded`` and ``snapshot_expanded``
+are its steps. The benchmark's per-layer traces report expander time under
+those names, and ``read_memory`` picks the expander's read by type.
 """
 
 from __future__ import annotations
 
 from .counters import COUNTER
-from .memory import parallel_memory, push_token, snapshot
+from .memory import (
+    MemoryTensor,
+    RowTable,
+    build_pyramid,
+    flatten_pyramid,
+    gather_memory,
+    push_token,
+    snapshot,
+)
 from .tensor import (
     Tensor,
     add,
@@ -120,8 +129,8 @@ class ExpanderSummarizer:
         return conv_transpose1d(conv1d_k2s2(pair, self.conv_w), self.expand_w)
 
 
-def parallel_expanded_memory(x, es: ExpanderSummarizer):
-    return parallel_memory(x, es)
+def parallel_expanded_memory(table: RowTable, start: int, stop: int) -> MemoryTensor:
+    return gather_memory(table, start, stop)
 
 
 def push_token_expanded(state, x, es: ExpanderSummarizer):
@@ -132,7 +141,13 @@ def snapshot_expanded(state, x_current):
     return snapshot(state, x_current)
 
 
-def build_memory(x: Tensor, summarizer):
-    """One bank's [B, L, D, E] memory for the parallel forward, from the shared tree."""
-    build = parallel_expanded_memory if isinstance(summarizer, ExpanderSummarizer) else parallel_memory
-    return build(x, summarizer)
+def build_memory(x: Tensor, summarizer) -> RowTable:
+    """One bank's flattened pyramid over the whole sequence, from the shared tree."""
+    return flatten_pyramid(build_pyramid(x, summarizer))
+
+
+def read_memory(table: RowTable, summarizer, start: int, stop: int) -> MemoryTensor:
+    """The [B, stop - start, D, E] memory of positions start..stop-1 from one
+    bank's ``build_memory`` table."""
+    read = parallel_expanded_memory if isinstance(summarizer, ExpanderSummarizer) else gather_memory
+    return read(table, start, stop)

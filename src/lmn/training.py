@@ -9,6 +9,7 @@ during training.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 import time
@@ -18,7 +19,7 @@ import numpy as np
 
 from .data import Dataset, sample_batch
 from .model import loss as loss_fn
-from .model import save_checkpoint
+from .model import save_checkpoint, write_file
 from .tensor import make_rng, no_grad
 
 
@@ -140,10 +141,11 @@ class TrainReport:
         for name, header, rows in (
                 ("train_report.csv", ("step", "train_loss", "val_loss"), self.curve),
                 ("train_steps.csv", STEP_COLUMNS, self.steps)):
-            with open(os.path.join(out_dir, name), "w", newline="") as f:
-                w = csv.writer(f)
-                w.writerow(header)
-                w.writerows(rows)
+            text = io.StringIO()
+            w = csv.writer(text)
+            w.writerow(header)
+            w.writerows(rows)
+            write_file(os.path.join(out_dir, name), text.getvalue().encode("utf-8"))
 
 
 def train(model, ds: Dataset, cfg: TrainConfig, out_dir: str | None = None,

@@ -4,11 +4,13 @@ import csv
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import lmn.bench
 from lmn.bench import (
     BenchRecord,
     baseline_score_mac_closed_form,
@@ -22,6 +24,7 @@ from lmn.bench import (
     time_forward,
 )
 from lmn.counters import COUNTER
+from lmn.model import TILE
 from lmn.tensor import make_rng, no_grad
 
 
@@ -84,6 +87,34 @@ def test_time_forward_produces_record():
         time_forward(model, 32, "parallel", reps=2)
 
 
+def test_time_forward_warms_up_past_a_slow_start(monkeypatch):
+    # a runner slow for its first four calls, as a forward is for a while
+    # after an idle spell: the warm-up outlasts it, so no timed rep is slow
+    calls = []
+
+    def runner():
+        calls.append(time.monotonic())
+        time.sleep(0.2 if len(calls) <= 4 else 0.001)
+
+    monkeypatch.setattr(lmn.bench, "_forward_pass", lambda model, L, mode, seed: (runner, ()))
+    rec = time_forward(bench_model("logmem", 8, embed=8), 8, "parallel", reps=3)
+    assert rec.median_seconds < 0.1
+    assert calls[-3] - calls[1] >= lmn.bench.WARM_UP_SECONDS  # the untraced warm-up
+
+
+def test_time_forward_warms_up_once_when_a_run_outlasts_the_warm_up(monkeypatch):
+    calls = []
+
+    def runner():
+        calls.append(None)
+        time.sleep(0.02)
+
+    monkeypatch.setattr(lmn.bench, "WARM_UP_SECONDS", 0.01)
+    monkeypatch.setattr(lmn.bench, "_forward_pass", lambda model, L, mode, seed: (runner, ()))
+    time_forward(bench_model("logmem", 8, embed=8), 8, "parallel", reps=3)
+    assert len(calls) == 1 + 1 + 3  # the traced run, one warm-up, the reps
+
+
 def test_time_forward_oom_becomes_failure_row(monkeypatch):
     model = bench_model("logmem", 16, embed=8)
 
@@ -129,14 +160,15 @@ def test_sweep_writes_csv_with_footer(tmp_path):
     records = sweep([8, 16], ["logmem"], out, modes=("parallel",), reps=3, embed=8)
     assert len(records) == 2
     lines = out.read_text().splitlines()
-    env = dict(line[2:].split("=", 1) for line in lines[:6])
+    env = dict(line[2:].split("=", 1) for line in lines[:7])
     assert list(env) == ["numpy", "blas", "blas_threads", "OPENBLAS_NUM_THREADS",
-                         "OMP_NUM_THREADS", "cpu_count"]
+                         "OMP_NUM_THREADS", "cpu_count", "tile"]
     assert env["numpy"] == np.__version__ and env["cpu_count"] == str(os.cpu_count())
+    assert env["tile"] == str(TILE)  # sweeps of different tile sizes stay apart
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         assert env[var] == os.environ.get(var, "unset")
     assert env["blas"] and env["blas_threads"] == str(blas_threads())
-    header = lines[6].split(",")
+    header = lines[7].split(",")
     assert header == ["variant", "mode", "L", "reps", "median_seconds", "peak_bytes",
                       "score_macs", "summarizer_ops", "status"]
     with open(out) as f:

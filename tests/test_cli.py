@@ -470,6 +470,20 @@ def test_train_divergence_exits_2_with_one_line(tmp_path, corpus_file, capsys):
     assert "non-finite loss" in err and "grad_norm=0)" not in err
 
 
+@pytest.mark.parametrize("blocked", ["vocab.txt", "model_best.ckpt", "model_final.ckpt",
+                                     "train_steps.csv"])
+def test_unwritable_output_file_exits_2_with_one_line(tmp_path, corpus_file, capsys, blocked):
+    # a directory where train writes one of its files
+    out = tmp_path / "run"
+    (out / blocked).mkdir(parents=True)
+    code = main(["train", "--corpus", corpus_file, "--out", str(out), "--embed", "8",
+                 "--banks", "1", "--max-iters", "2", "--block-size", "32", "--max-seq-len", "32"])
+    assert code == 2
+    err = capsys.readouterr().err
+    _assert_one_error_line_in(err)
+    assert f"cannot write {out / blocked}" in err
+
+
 def test_config_file_parsing_and_override(tmp_path, corpus_file, capsys):
     p = tmp_path / "cfg.txt"
     p.write_text("# comment\nmodel.variant=logmem\nmodel.embed=8\nmodel.banks=1\n"

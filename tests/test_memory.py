@@ -12,6 +12,7 @@ from lmn.memory import (
     Pyramid,
     SlotState,
     build_pyramid,
+    flatten_pyramid,
     gather_memory,
     levels_for,
     parallel_memory,
@@ -200,7 +201,7 @@ def test_gather_closed_form_indices():
         summ = make_summ(e, seed=12) if k == 0 else make_summ(e, 12, variant="expsum", expansion=k)
         x = make_rng(7).standard_normal((b, L, e)).astype(np.float32)
         p = build_pyramid(Tensor(x), summ)
-        mem = gather_memory(p, L)
+        mem = gather_memory(flatten_pyramid(p), 0, L)
         assert mem.data.shape == (b, L, mem.valid.shape[1], e)
         assert np.array_equal(mem.data.data[:, :, 0], x)
         for t in range(L):
@@ -253,7 +254,8 @@ def test_gather_float64_gradients(L, k):
     p = leaf_pyramid(2, L, 3, k, seed=20 + L + k)
     d = valid_mask(L, levels_for(L), k).shape[1]
     target = Tensor(make_rng(21).standard_normal((2, L, d, 3)))
-    err = grad_check(lambda _: sum_axis(mul(gather_memory(p, L).data, target)), p.levels, eps=1e-5)
+    err = grad_check(lambda _: sum_axis(mul(gather_memory(flatten_pyramid(p), 0, L).data, target)),
+                     p.levels, eps=1e-5)
     assert err <= 1e-4
 
 
@@ -262,7 +264,7 @@ def test_gather_matches_index_select_oracle(k):
     # forward bit-equal; backward equal up to float64 summation order
     for L in (1, 2, 3, 5, 8, 13, 16, 37, 64):
         p = leaf_pyramid(2, L, 3, k, seed=30 + L)
-        got = gather_memory(p, L).data
+        got = gather_memory(flatten_pyramid(p), 0, L).data
         ref = index_select_gather(p, L)
         assert np.array_equal(got.data, ref.data)
         target = Tensor(make_rng(31 + L).standard_normal(got.shape))
@@ -276,6 +278,38 @@ def test_gather_matches_index_select_oracle(k):
                 assert g is None
             else:
                 assert np.abs(g - lv.grad).max() <= 1e-12
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_range_read_is_the_same_rows_as_the_oracle(k):
+    # a tile at every aligned start of an odd L, and every range of a short L:
+    # the rows of the whole-sequence oracle and of the whole mask, bit for bit
+    for L, ranges in ((37, [(start, min(start + size, 37)) for size in (1, 2, 4, 8, 16, 32)
+                            for start in range(0, 37, size)]),
+                      (13, itertools.combinations(range(14), 2))):
+        p = leaf_pyramid(2, L, 3, k, seed=40 + L + k)
+        table = flatten_pyramid(p)
+        ref = index_select_gather(p, L).data
+        valid = valid_mask(L, levels_for(L), k)
+        for start, stop in ranges:
+            mem = gather_memory(table, start, stop)
+            assert np.array_equal(mem.data.data, ref[:, start:stop]), (L, start, stop)
+            assert np.array_equal(mem.valid, valid[start:stop])
+
+
+@pytest.mark.parametrize("k", [0, 2])
+@pytest.mark.parametrize("start,stop", [(16, 32), (32, 37)])
+def test_range_read_float64_gradients(k, start, stop):
+    # a full tile and the short last one of L = 37 in tiles of 16
+    L = 37
+    p = leaf_pyramid(1, L, 2, k, seed=50 + start + k)
+    d = valid_mask(L, levels_for(L), k).shape[1]
+    target = Tensor(make_rng(51).standard_normal((1, stop - start, d, 2)))
+
+    def f(_):
+        return sum_axis(mul(gather_memory(flatten_pyramid(p), start, stop).data, target))
+
+    assert grad_check(f, p.levels, eps=1e-5) <= 1e-4
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+import lmn.model
 from lmn.memory import CapacityError
 from lmn.model import (
     MODES,
@@ -257,6 +258,42 @@ def test_tree_variant_gradient_check(kw):
         return loss_fn(model.forward(tokens, mode="parallel"), targets)
 
     assert grad_check(f, params, eps=1e-4) <= 1e-4
+
+
+TILED_CONFIGS = [
+    ("logmem", dict(variant="logmem", banks=2)),
+    ("tiny", dict(variant="tiny-logmem", banks=2)),
+    ("expsum", dict(variant="expsum", expansion=2)),
+    ("dsconv", dict(variant="logmem", banks=2, summarizer="dsconv")),
+    ("swapped", dict(variant="logmem", banks=2, score_orientation="swapped")),
+]
+
+
+def _logits_and_grads(cfg, tokens, targets, dtype):
+    model = build_model(cfg, dtype)
+    logits = model.forward(tokens)
+    loss_fn(logits, targets).backward()
+    return logits.data, {name: p.grad for name, p in model.params.items()}
+
+
+@pytest.mark.parametrize("name,kw", TILED_CONFIGS, ids=[n for n, _ in TILED_CONFIGS])
+@pytest.mark.parametrize("L", [16 + 37, 2 * 16])
+def test_tiled_forward_matches_one_tile(monkeypatch, name, kw, L):
+    # tiles of 16: a short last tile (L = T + 37) and whole tiles only (L = 2T),
+    # through two blocks, against the same model run as one tile
+    cfg = ModelConfig(vocab_size=11, embed=8, max_seq_len=64, n_blocks=2, seed=6, **kw)
+    rng = make_rng(10)
+    tokens = rng.integers(0, cfg.vocab_size, size=(2, L))
+    targets = rng.integers(0, cfg.vocab_size, size=(2, L))
+    runs = {}
+    for tile in (16, 64):
+        monkeypatch.setattr(lmn.model, "TILE", tile)
+        logits, _ = _logits_and_grads(cfg, tokens, targets, np.float32)
+        runs[tile] = logits, _logits_and_grads(cfg, tokens, targets, np.float64)[1]
+    (tiled, tiled_grads), (whole, whole_grads) = runs[16], runs[64]
+    assert np.abs(tiled - whole).max() <= 1e-6
+    for key, g in whole_grads.items():
+        assert np.abs(tiled_grads[key] - g).max() <= 1e-4, key
 
 
 # Table 1 comparison configs (documented in the README): 4 pre-norm blocks,
