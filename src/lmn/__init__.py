@@ -1,10 +1,10 @@
 """Logarithmic-tree memory sequence models.
 
-Hierarchical memory built in parallel (a pyramid over the whole sequence,
-read in tiles of positions: the training path) or stepped through a
-binary-counter carry chain (the recurrent inference path;
-``sequential_memory`` is its reference), read through single-vector
-attention. Includes multi-bank and expander variants, a
+Hierarchical memory built in parallel (``build_pyramid``: a pyramid over
+the whole sequence held as one row table, read in tiles of positions: the
+training path) or stepped through a binary-counter carry chain (the
+recurrent inference path; ``sequential_memory`` is its reference), read
+through single-vector attention. Includes multi-bank and expander variants, a
 causal-attention baseline, char-level training, and a scaling benchmark harness.
 """
 
@@ -12,11 +12,9 @@ from .tensor import Tensor, grad_check, make_rng, no_grad
 from .memory import (
     CapacityError,
     MemoryTensor,
-    Pyramid,
     RowTable,
     SlotState,
     build_pyramid,
-    flatten_pyramid,
     gather_memory,
     parallel_memory,
     push_token,
@@ -28,7 +26,6 @@ from .summarizers import (
     DsConvSummarizer,
     ExpanderSummarizer,
     LinearSummarizer,
-    build_memory,
     read_memory,
 )
 from .attention import AttentionOutput, QkvProjection, attend, multi_bank_combine
@@ -39,11 +36,10 @@ from .bench import BenchRecord, sweep, time_forward
 
 __all__ = [
     "Tensor", "grad_check", "make_rng", "no_grad",
-    "CapacityError", "MemoryTensor", "Pyramid", "RowTable", "SlotState",
-    "build_pyramid", "flatten_pyramid", "gather_memory", "parallel_memory", "push_token",
+    "CapacityError", "MemoryTensor", "RowTable", "SlotState",
+    "build_pyramid", "gather_memory", "parallel_memory", "push_token",
     "sequential_memory", "slot_widths", "snapshot",
-    "DsConvSummarizer", "ExpanderSummarizer", "LinearSummarizer",
-    "build_memory", "read_memory",
+    "DsConvSummarizer", "ExpanderSummarizer", "LinearSummarizer", "read_memory",
     "AttentionOutput", "QkvProjection", "attend", "multi_bank_combine",
     "ModelConfig", "build_model", "load_checkpoint", "param_count", "save_checkpoint",
     "Dataset", "Vocab", "build_vocab", "sample_batch",

@@ -11,13 +11,15 @@ its first reps slow. The timed reps run untraced. Sequential rows measure
 recurrent stepping (slot state or KV cache as the only carried state);
 parallel rows measure the one-shot forward. A ``MemoryError`` becomes a
 failure row, not a crash; a forward that the operating system kills ends
-the sweep, leaving the rows already written in the CSV.
+the sweep, leaving the rows already written in the CSV. A CSV path that
+cannot be written raises ``model.OutputError`` before the first timing.
 """
 
 from __future__ import annotations
 
 import csv
 import ctypes
+import io
 import os
 import re
 import time
@@ -28,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .counters import COUNTER
-from .model import TILE, ModelConfig, build_model
+from .model import TILE, ModelConfig, build_model, write_file
 from .tensor import make_rng, no_grad
 
 WARM_UP_SECONDS = 1.0
@@ -205,34 +207,40 @@ def loglog_slope(lengths, seconds) -> float:
 def sweep(lengths, variants, out_path, modes=("parallel", "sequential"),
           reps: int = 3, embed: int = 32, banks: int = 2, seed: int = 0,
           log=None) -> list[BenchRecord]:
-    """Cross product of lengths x variants x modes; CSV rows appended as each
-    measurement lands, the environment in a comment header and slope fits in
-    a comment footer."""
+    """Cross product of lengths x variants x modes, written to a CSV with
+    the environment in a comment header and slope fits in a comment footer.
+    The whole text is rewritten through ``model.write_file`` after the
+    header, after each row and after the footer."""
+    text = io.StringIO()
+
+    def save():
+        write_file(out_path, text.getvalue().encode("utf-8"))
+
+    text.writelines(line + "\n" for line in environment_lines())
+    w = csv.writer(text)
+    w.writerow(CSV_COLUMNS)
+    save()
     records = []
-    with open(out_path, "w", newline="") as f:
-        f.writelines(line + "\n" for line in environment_lines())
-        w = csv.writer(f)
-        w.writerow(CSV_COLUMNS)
-        f.flush()
-        for variant in variants:
-            for L in lengths:
-                model = bench_model(variant, L, embed=embed, banks=banks, seed=seed)
-                for mode in modes:
-                    rec = time_forward(model, L, mode, reps=reps, seed=seed)
-                    records.append(rec)
-                    w.writerow(rec.row())
-                    f.flush()
-                    if log:
-                        log(f"{variant} {mode} L={L}: {rec.median_seconds:.4f}s "
-                            f"peak={rec.peak_bytes}B status={rec.status}")
-                del model
-        for variant in variants:
+    for variant in variants:
+        for L in lengths:
+            model = bench_model(variant, L, embed=embed, banks=banks, seed=seed)
             for mode in modes:
-                sub = [r for r in records
-                       if r.variant == variant and r.mode == mode and r.status == "ok"]
-                if len(sub) >= 2:
-                    s = loglog_slope([r.L for r in sub], [r.median_seconds for r in sub])
-                    f.write(f"# slope variant={variant} mode={mode} slope={s:.3f}\n")
+                rec = time_forward(model, L, mode, reps=reps, seed=seed)
+                records.append(rec)
+                w.writerow(rec.row())
+                save()
+                if log:
+                    log(f"{variant} {mode} L={L}: {rec.median_seconds:.4f}s "
+                        f"peak={rec.peak_bytes}B status={rec.status}")
+            del model
+    for variant in variants:
+        for mode in modes:
+            sub = [r for r in records
+                   if r.variant == variant and r.mode == mode and r.status == "ok"]
+            if len(sub) >= 2:
+                s = loglog_slope([r.L for r in sub], [r.median_seconds for r in sub])
+                text.write(f"# slope variant={variant} mode={mode} slope={s:.3f}\n")
+    save()
     return records
 
 

@@ -311,7 +311,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except OutputError as exc:  # a file of train's --out directory
+    except OutputError as exc:  # a file in the --out directory of train or bench
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CapacityError as exc:

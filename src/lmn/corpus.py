@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .model import OutputError, write_file
+
 VOCAB_65 = "\n !$&',-.3:;?ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
 
 SPEAKERS = [
@@ -270,8 +272,10 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=1337)
     args = ap.parse_args(argv)
     text = generate_corpus(args.chars, args.seed)
-    with open(args.out, "wb") as f:
-        f.write(text.encode("utf-8"))
+    try:
+        write_file(args.out, text.encode("utf-8"))
+    except OutputError as exc:
+        ap.exit(2, f"error: {exc}\n")
     print(f"wrote {len(text)} chars, {len(set(text))} distinct, to {args.out}")
 
 

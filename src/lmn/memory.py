@@ -11,8 +11,8 @@ The carry chain is a binary counter, the recurrent state a model steps
 through: slot l is occupied iff bit l of the consumed count is set, and
 pushing a token triggers the carry chain of merges. The parallel forward
 builds the full pyramid of pair summaries bottom-up over the whole
-sequence and flattens its levels once into one row table
-(``flatten_pyramid``). ``gather_memory`` then reads the memory of any
+sequence, and ``build_pyramid`` returns its levels joined in one row table
+(``RowTable``). ``gather_memory`` then reads the memory of any
 range of positions from it in closed form (Fenwick bucketing): position
 t's level-l slot is block 2 * (t >> (l+1)) of level l, so each level's
 read is a strided broadcast and its gradient a reshape-sum, with no index
@@ -184,48 +184,37 @@ def sequential_memory(x: Tensor, summarizer) -> MemoryTensor:
 
 
 @dataclass
-class Pyramid:
-    """All pair summaries: levels[l] is [B, L_pad / 2^l, 1 + l*k, E], levels[0] = input."""
-
-    levels: list
-    k: int
-
-
-def build_pyramid(x: Tensor, summarizer) -> Pyramid:
-    """Bottom-up batched construction, zero-padding L to a power of two."""
-    b, L, e = x.shape
-    n_levels = levels_for(L)
-    L_pad = 1 << n_levels
-    if L < L_pad:
-        x = concat([x, zeros((b, L_pad - L, e), dtype=x.dtype)], axis=1)
-    cur = reshape(x, (b, L_pad, 1, e))
-    levels = [cur]
-    for _ in range(n_levels):
-        n_pairs = cur.shape[1] // 2
-        cur = summarizer.merge_level(cur)
-        COUNTER.summarizer_ops += n_pairs
-        levels.append(cur)
-    return Pyramid(levels=levels, k=summarizer.k)
-
-
-@dataclass
 class RowTable:
-    """A pyramid's levels 0..S-1 flattened into one [B, rows, E] table, in
-    level order: level l's n_l blocks of w_l rows each follow level l-1's.
-    Row t of the table is token t, so it also holds the current-token rows."""
+    """A pyramid's levels 0..S-1 in one [B, rows, E] table, in level order:
+    level l's L_pad >> l blocks of w_l rows each follow level l-1's. Row t of
+    the table is token t, so it also holds the current-token rows."""
 
     rows: Tensor
     n_levels: int
     k: int
 
 
-def flatten_pyramid(p: Pyramid) -> RowTable:
-    """The row table of a pyramid: one copy of every level below the root."""
-    n_levels = len(p.levels) - 1
-    b, _, _, e = p.levels[0].shape
-    rows = concat([reshape(lv, (b, lv.shape[1] * lv.shape[2], e)) for lv in p.levels[:n_levels]],
-                  axis=1)
-    return RowTable(rows=rows, n_levels=n_levels, k=p.k)
+def build_pyramid(x: Tensor, summarizer) -> RowTable:
+    """Bottom-up batched construction, zero-padding L to a power of two.
+
+    Level l is [B, L_pad >> l, w_l, E]; every level is merged up to the
+    root, and levels 0..S-1 are joined into the row table in one copy (the
+    root is a block no position reads).
+    """
+    b, L, e = x.shape
+    n_levels = levels_for(L)
+    L_pad = 1 << n_levels
+    if L < L_pad:
+        x = concat([x, zeros((b, L_pad - L, e), dtype=x.dtype)], axis=1)
+    cur = reshape(x, (b, L_pad, 1, e))
+    levels = []
+    for _ in range(n_levels):
+        levels.append(cur)
+        n_pairs = cur.shape[1] // 2
+        cur = summarizer.merge_level(cur)
+        COUNTER.summarizer_ops += n_pairs
+    rows = concat([reshape(lv, (b, lv.shape[1] * lv.shape[2], e)) for lv in levels], axis=1)
+    return RowTable(rows=rows, n_levels=n_levels, k=summarizer.k)
 
 
 def gather_memory(table: RowTable, start: int, stop: int) -> MemoryTensor:
@@ -303,4 +292,4 @@ def _level_reads(mem: np.ndarray, rows: np.ndarray, start: int, widths: list):
 def parallel_memory(x: Tensor, summarizer) -> MemoryTensor:
     """Every position's memory in one read of the whole sequence: the
     reference for the model's tiled reads; agrees with sequential_memory."""
-    return gather_memory(flatten_pyramid(build_pyramid(x, summarizer)), 0, x.shape[1])
+    return gather_memory(build_pyramid(x, summarizer), 0, x.shape[1])

@@ -8,11 +8,12 @@ merge path. The baseline is a standard decoder with a learned positional
 embedding and causal self-attention. One ``forward`` serves both: parallel
 mode runs the whole sequence at once, and sequential mode steps each
 stream through ``step``. An LMN model's parallel forward builds each
-block's pyramids over the whole sequence, then reads them, attends and
-runs the residual branches in tiles of ``TILE`` positions, and its last
-block unembeds tile by tile; a step reads its slot state through the same
-combine-attend-residual tail. The baseline runs each block's forward over
-the whole sequence, and steps by running it with a per-block KV cache.
+bank's row table over the whole sequence (``memory.build_pyramid``), then
+reads it, attends and runs the residual branches in tiles of ``TILE``
+positions, and its last block unembeds tile by tile; a step reads its slot
+state through the same combine-attend-residual tail (``LmnBlock._read``).
+The baseline runs each block's forward over the whole sequence, and steps
+by running it with a per-block KV cache.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .memory import (
     CapacityError,
     MemoryTensor,
     SlotState,
+    build_pyramid,
     levels_for,
     snapshot,
     push_token,
@@ -38,7 +40,6 @@ from .summarizers import (
     DsConvSummarizer,
     ExpanderSummarizer,
     LinearSummarizer,
-    build_memory,
     push_token_expanded,
     read_memory,
     snapshot_expanded,
@@ -255,13 +256,6 @@ class LmnBlock(_Block):
         self.qkv = QkvProjection(params[f"{p}.qkv.weight"], params[f"{p}.qkv.bias"])
         self.summarizers = [_make_summarizer(cfg, params, f"{p}.bank{j}") for j in range(cfg.banks)]
 
-    def read_tile(self, x: Tensor, n: Tensor, tables, start: int, stop: int) -> Tensor:
-        """Positions start..stop-1 of the parallel forward: x is their input
-        and n its layer norm; tables are the banks' ``build_memory`` tables
-        over the whole sequence."""
-        mems = [read_memory(t, s, start, stop) for t, s in zip(tables, self.summarizers)]
-        return self._read(x, n, mems)
-
     def fresh_states(self):
         return [SlotState.fresh(self.cfg.n_levels, s.k) for s in self.summarizers]
 
@@ -393,11 +387,13 @@ class LmnModel(_ModelBase):
         return embedding(self.embed_w, tokens)  # no positional table: path-through encoding
 
     def _parallel(self, tokens: np.ndarray) -> Tensor:
-        """Each block builds its banks' tables over the whole sequence and
-        runs everything after them tile by tile. A block before the last
-        joins its tiles, since the next block's pyramids need the whole
-        sequence; the last unembeds each tile before joining them. A
-        sequence of at most TILE positions is one tile and runs untouched."""
+        """Each block builds its banks' row tables over the whole sequence
+        (``build_pyramid``) and runs everything after them tile by tile: the
+        banks' reads of the tile, then the block's ``_read`` tail, as in
+        ``step``. A block before the last joins its tiles, since the next
+        block's tables need the whole sequence; the last unembeds each tile
+        before joining them. A sequence of at most TILE positions is one
+        tile and runs untouched."""
         x = self._embed(tokens, 0)
         L = x.shape[1]
         spans = [(start, min(start + TILE, L)) for start in range(0, L, TILE)]
@@ -407,11 +403,13 @@ class LmnModel(_ModelBase):
 
         for i, blk in enumerate(self.blocks):
             n = layer_norm(x, *blk.ln1)
-            tables = [build_memory(n, s) for s in blk.summarizers]
+            tables = [build_pyramid(n, s) for s in blk.summarizers]
             last = i == len(self.blocks) - 1
             outs = []
             for start, stop in spans:
-                y = blk.read_tile(tile(x, start, stop), tile(n, start, stop), tables, start, stop)
+                # the memories live only inside the call, so one tile's are freed before the next's
+                y = blk._read(tile(x, start, stop), tile(n, start, stop),
+                              [read_memory(t, s, start, stop) for t, s in zip(tables, blk.summarizers)])
                 outs.append(self._unembed(y) if last else y)
             x = outs[0] if len(outs) == 1 else concat(outs, axis=1)
         return x
@@ -576,9 +574,9 @@ class OutputError(RuntimeError):
 
 
 def write_file(path, data: bytes) -> None:
-    """Write one output file: a checkpoint, a training CSV or the vocab
-    sidecar. A path that cannot be written (a directory, no permission, a
-    full disk) raises OutputError naming it."""
+    """Write one output file: a checkpoint, a training or bench CSV, the
+    vocab sidecar or a generated corpus. A path that cannot be written (a
+    directory, no permission, a full disk) raises OutputError naming it."""
     try:
         with open(path, "wb") as f:
             f.write(data)

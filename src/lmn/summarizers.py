@@ -18,8 +18,8 @@ without one.
 The tree itself (carry chain, snapshot, validity mask, pyramid, gather) is
 written once in ``memory.py`` for every summarizer. The expander still
 enters it through three named functions below, each a plain delegation:
-``parallel_expanded_memory`` is its range read of a flattened pyramid
-(``gather_memory``), and ``push_token_expanded`` and ``snapshot_expanded``
+``parallel_expanded_memory`` is its range read of the row table that
+``build_pyramid`` returns (``gather_memory``), and ``push_token_expanded`` and ``snapshot_expanded``
 are its steps. The benchmark's per-layer traces report expander time under
 those names, and ``read_memory`` picks the expander's read by type.
 """
@@ -30,8 +30,6 @@ from .counters import COUNTER
 from .memory import (
     MemoryTensor,
     RowTable,
-    build_pyramid,
-    flatten_pyramid,
     gather_memory,
     push_token,
     snapshot,
@@ -141,13 +139,8 @@ def snapshot_expanded(state, x_current):
     return snapshot(state, x_current)
 
 
-def build_memory(x: Tensor, summarizer) -> RowTable:
-    """One bank's flattened pyramid over the whole sequence, from the shared tree."""
-    return flatten_pyramid(build_pyramid(x, summarizer))
-
-
 def read_memory(table: RowTable, summarizer, start: int, stop: int) -> MemoryTensor:
     """The [B, stop - start, D, E] memory of positions start..stop-1 from one
-    bank's ``build_memory`` table."""
+    bank's ``memory.build_pyramid`` table."""
     read = parallel_expanded_memory if isinstance(summarizer, ExpanderSummarizer) else gather_memory
     return read(table, start, stop)

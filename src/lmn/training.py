@@ -1,8 +1,8 @@
 """Training loop, periodic evaluation, and checkpointing.
 
-Adam with decoupled weight decay (off by default), a constant learning rate
-as in the paper, and global-norm gradient clipping to protect the 32-bit
-carry-chain recursion. Memory is always built in parallel mode
+Adam with fixed moment decays and epsilon and no weight decay, a constant
+learning rate as in the paper, and global-norm gradient clipping to protect
+the 32-bit carry-chain recursion. Memory is always built in parallel mode
 during training.
 """
 
@@ -23,6 +23,12 @@ from .model import save_checkpoint, write_file
 from .tensor import make_rng, no_grad
 
 
+# Adam's moment decays and epsilon
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 @dataclass
 class TrainConfig:
     batch_size: int = 16
@@ -32,10 +38,6 @@ class TrainConfig:
     eval_iters: int = 200
     eval_interval: int = 500
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.0
     grad_clip: float = 1.0
 
     def __post_init__(self):
@@ -46,14 +48,8 @@ class TrainConfig:
             raise ValueError("seed must be non-negative")
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
-        for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name} must be in [0, 1)")
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
-        for name in ("weight_decay", "grad_clip"):  # grad_clip 0 turns clipping off
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be non-negative")
+        if not self.grad_clip >= 0:  # 0 turns clipping off
+            raise ValueError("grad_clip must be non-negative")
 
 
 class DivergenceError(RuntimeError):
@@ -61,33 +57,31 @@ class DivergenceError(RuntimeError):
 
 
 class AdamW:
+    """Adam with the module's BETA1, BETA2 and EPS and no weight decay. The
+    learning rate comes with each ``step``; no field of ``cfg`` is read."""
+
     def __init__(self, params: dict, cfg: TrainConfig):
         self.params = params
-        self.cfg = cfg
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.t = 0
 
     def step(self, lr: float):
-        c = self.cfg
         self.t += 1
-        bc1 = 1.0 - c.beta1 ** self.t
-        bc2 = 1.0 - c.beta2 ** self.t
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
         for k, p in self.params.items():
             g = p.grad
             if g is None:
                 g = np.zeros_like(p.data)
             m = self.m[k]
             v = self.v[k]
-            m *= c.beta1
-            m += (1.0 - c.beta1) * g
-            v *= c.beta2
-            v += (1.0 - c.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + c.eps)
-            if c.weight_decay:
-                p.data = p.data - lr * (update + c.weight_decay * p.data)
-            else:
-                p.data = p.data - lr * update
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
+            p.data = p.data - lr * update
 
 
 def clip_grad_norm(params: dict, max_norm: float) -> float:
@@ -133,8 +127,6 @@ class TrainReport:
     final_train: float = float("nan")
     final_val: float = float("nan")
     best_val: float = float("inf")
-    checkpoint: str | None = None
-    best_checkpoint: str | None = None
 
     def write_csv(self, out_dir):
         """train_report.csv holds the eval curve, train_steps.csv the per-step telemetry."""
@@ -202,12 +194,10 @@ def train(model, ds: Dataset, cfg: TrainConfig, out_dir: str | None = None,
             if va < report.best_val:
                 report.best_val = va
                 if out_dir:
-                    report.best_checkpoint = os.path.join(out_dir, "model_best.ckpt")
-                    save_checkpoint(report.best_checkpoint, model)
+                    save_checkpoint(os.path.join(out_dir, "model_best.ckpt"), model)
 
     report.final_train, report.final_val = report.curve[-1][1], report.curve[-1][2]
     if out_dir:
-        report.checkpoint = os.path.join(out_dir, "model_final.ckpt")
-        save_checkpoint(report.checkpoint, model)
+        save_checkpoint(os.path.join(out_dir, "model_final.ckpt"), model)
         report.write_csv(out_dir)
     return report

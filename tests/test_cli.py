@@ -11,7 +11,7 @@ import pytest
 
 from lmn.bench import lmn_score_mac_closed_form
 from lmn.cli import main, parse_config_file, CliError
-from lmn.corpus import generate_corpus
+from lmn.corpus import generate_corpus, main as corpus_main
 from lmn.data import build_vocab
 from lmn.model import build_model, config_to_text, load_checkpoint, save_checkpoint
 
@@ -226,7 +226,9 @@ def test_generate_rejects_config_flags(trained, capsys, flags):
 BAD_RUN_INPUTS = [(command, case) for command in ("train", "eval")
                   for case in ("missing", "directory", "not-utf8", "empty", "short-split")
                   if (command, case) != ("train", "missing")]
-BAD_RUN_INPUTS += [("train", "out-is-a-file"), ("bench", "out-is-a-file")]
+OUT_CASES = ("out-is-a-file", "csv-is-a-directory")
+BAD_RUN_INPUTS += [("train", "out-is-a-file"), ("bench", "out-is-a-file"),
+                   ("bench", "csv-is-a-directory")]
 
 
 @pytest.mark.parametrize("command,case", BAD_RUN_INPUTS, ids=[f"{c}-{k}" for c, k in BAD_RUN_INPUTS])
@@ -235,13 +237,15 @@ def test_bad_corpus_or_out_exits_2_with_one_line(trained, corpus_file, tmp_path,
     corpus, out = tmp_path / "corpus.txt", tmp_path / "out"
     if case == "directory":
         corpus.mkdir()
-    elif case != "missing":
+    elif case not in ("missing", "csv-is-a-directory"):
         # 300 chars: a val split of 30 tokens, too short for block_size 32 (train) or 64 (eval)
         corpus.write_bytes({"not-utf8": b"ab\xff\n", "empty": b"",
                             "short-split": generate_corpus(300, seed=2)[:300].encode("utf-8"),
                             "out-is-a-file": open(corpus_file, "rb").read()}[case])
     if case == "out-is-a-file":
         out.write_text("not a directory\n")
+    elif case == "csv-is-a-directory":
+        (out / "bench.csv").mkdir(parents=True)
     args = {"train": ["--corpus", str(corpus), "--out", str(out), "--embed", "8", "--banks", "1",
                       "--max-iters", "2", "--block-size", "32", "--max-seq-len", "32"],
             "eval": ["--checkpoint", os.path.join(trained, "model_final.ckpt"),
@@ -251,8 +255,8 @@ def test_bad_corpus_or_out_exits_2_with_one_line(trained, corpus_file, tmp_path,
     assert main([command, *args]) == 2
     err = capsys.readouterr().err
     _assert_one_error_line_in(err)
-    assert str(out if case == "out-is-a-file" else corpus) in err
-    assert not list(tmp_path.rglob("*.ckpt")) and not list(tmp_path.rglob("*.csv"))
+    assert str(out if case in OUT_CASES else corpus) in err
+    assert not [p for p in tmp_path.rglob("*") if p.suffix in (".ckpt", ".csv") and p.is_file()]
 
 
 ARTIFACT_INPUTS = [(command, case) for command in ("eval", "generate")
@@ -482,6 +486,15 @@ def test_unwritable_output_file_exits_2_with_one_line(tmp_path, corpus_file, cap
     err = capsys.readouterr().err
     _assert_one_error_line_in(err)
     assert f"cannot write {out / blocked}" in err
+
+
+def test_corpus_main_unwritable_out_exits_2_with_one_line(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        corpus_main(["--out", str(tmp_path), "--chars", "100"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    _assert_one_error_line_in(err)
+    assert f"cannot write {tmp_path}" in err
 
 
 def test_config_file_parsing_and_override(tmp_path, corpus_file, capsys):

@@ -74,3 +74,48 @@ def test_checker_finds_a_path_probe():
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_no_path_probe(module):
     assert path_probes((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def open_calls(source: str) -> list[tuple[int, str]]:
+    """(line, enclosing function) of every call named ``open``: the builtin,
+    ``io.open``, ``os.open`` or ``Path(p).open()``. The function is the
+    dotted name of the functions and classes around the call, or
+    ``<module>`` at top level."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "open":
+            found.append((node.lineno, where or "<module>"))
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}" if where else child.name)
+            else:
+                visit(child, where)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_checker_finds_an_open_call():
+    source = ("import io\nopen('a')\ndef read(p):\n    with open(p) as f:\n        return f.read()\n"
+              "class C:\n    def save(self, p):\n        Path(p).open('w')\n        io.open(p)\n"
+              "opened('b')\n")
+    assert open_calls(source) == [(2, "<module>"), (4, "read"), (8, "C.save"), (9, "C.save")]
+
+
+# where the package opens files: every input text file is read by one
+# function, every output file written by one, and checkpoints read by one
+OPENERS = {"cli.py": {"_read_text"}, "model.py": {"write_file", "load_checkpoint"}}
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_files_are_opened_in_one_place(module):
+    calls = open_calls((SRC / module).read_text(encoding="utf-8"))
+    assert [f"line {line}: {where}" for line, where in calls
+            if where not in OPENERS.get(module, set())] == []
+
+
+def test_every_exported_name_resolves():
+    import lmn
+
+    assert [name for name in lmn.__all__ if not hasattr(lmn, name)] == []

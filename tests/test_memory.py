@@ -9,15 +9,15 @@ import pytest
 from lmn.counters import COUNTER
 from lmn.memory import (
     CapacityError,
-    Pyramid,
+    RowTable,
     SlotState,
     build_pyramid,
-    flatten_pyramid,
     gather_memory,
     levels_for,
     parallel_memory,
     push_token,
     sequential_memory,
+    slot_widths,
     snapshot,
     valid_mask,
 )
@@ -173,23 +173,60 @@ def test_valid_level_counts_are_popcount_plus_one():
     assert np.all(counts <= bound)
 
 
+def tree_summ(e, k, seed=0):
+    """A one-bank summarizer of expansion factor k: linear for 0, the expander otherwise."""
+    return make_summ(e, seed) if k == 0 else make_summ(e, seed, variant="expsum", expansion=k)
+
+
+def level_blocks(table, level):
+    """Level l of a row table as [B, (1 << S) >> l, w_l, E]."""
+    S, widths = table.n_levels, slot_widths(table.n_levels, table.k)
+    off = sum(((1 << S) >> lv) * w for lv, w in enumerate(widths[:level]))
+    n, w = (1 << S) >> level, widths[level]
+    b, _, e = table.rows.shape
+    return table.rows.data[:, off:off + n * w].reshape(b, n, w, e)
+
+
+# (L, k) -> rows of the table: levels 0..S-1 of the pyramid padded to 2^S,
+# level l holding 2^S >> l blocks of 1 + l*k rows; the root is left out
+TABLE_ROWS = {(1, 0): 2, (2, 0): 2, (5, 0): 8 + 4 + 2, (13, 0): 16 + 8 + 4 + 2,
+              (1, 2): 2, (2, 2): 2, (5, 2): 8 + 4 * 3 + 2 * 5, (13, 2): 16 + 8 * 3 + 4 * 5 + 2 * 7}
+
+
 def test_pyramid_level_sizes():
+    # L = 1 and 2 are one level (S = 1): a table of level 0 alone
     e = 2
-    summ = make_summ(e)
-    p4 = build_pyramid(Tensor(np.zeros((1, 4, e), dtype=np.float32)), summ)
-    assert [lvl.shape[1] for lvl in p4.levels] == [4, 2, 1]
-    p5 = build_pyramid(Tensor(np.zeros((1, 5, e), dtype=np.float32)), summ)
-    assert [lvl.shape[1] for lvl in p5.levels] == [8, 4, 2, 1]
+    for (L, k), n_rows in TABLE_ROWS.items():
+        summ = tree_summ(e, k)
+        x = make_rng(L).standard_normal((1, L, e)).astype(np.float32)
+        COUNTER.reset()
+        table = build_pyramid(Tensor(x), summ)
+        S = levels_for(L)
+        assert isinstance(table, RowTable) and (table.n_levels, table.k) == (S, k)
+        assert table.rows.shape == (1, n_rows, e), (L, k)
+        assert COUNTER.summarizer_ops == (1 << S) - 1  # merged up to the root
+        level0 = level_blocks(table, 0)[:, :, 0]
+        assert np.array_equal(level0[:, :L], x) and not level0[:, L:].any()
 
 
 def test_pyramid_pairing_definition():
+    # block j of level 1 merges tokens 2j and 2j+1, older first (padding is zeros)
     e = 2
-    summ = make_summ(e, seed=11)
-    rng = make_rng(6)
-    x = rng.standard_normal((1, 4, e)).astype(np.float32)
-    p = build_pyramid(Tensor(x), summ)
-    expect = summ.merge_pair(Tensor(x[:, 2]), Tensor(x[:, 3])).data
-    assert np.allclose(p.levels[1].data[0, 1], expect[0], atol=1e-6)
+    for L, k in TABLE_ROWS:
+        summ = tree_summ(e, k, seed=11)
+        x = make_rng(6).standard_normal((1, L, e)).astype(np.float32)
+        table = build_pyramid(Tensor(x), summ)
+        L_pad = 1 << levels_for(L)
+        if table.n_levels == 1:
+            assert table.rows.shape[1] == L_pad  # level 0 alone: no level-1 rows
+            continue
+        padded = np.concatenate([x, np.zeros((1, L_pad - L, e), dtype=np.float32)], axis=1)
+        blocks = level_blocks(table, 1)
+        assert blocks.shape == (1, L_pad // 2, 1 + k, e)
+        for j in range(L_pad // 2):
+            expect = summ.merge_pair(Tensor(padded[:, 2 * j:2 * j + 1]),
+                                     Tensor(padded[:, 2 * j + 1:2 * j + 2])).data
+            assert np.allclose(blocks[:, j], expect, atol=1e-6), (L, k, j)
 
 
 def test_gather_closed_form_indices():
@@ -198,20 +235,20 @@ def test_gather_closed_form_indices():
     # at B=2, a power-of-two and an odd (padded) L, one-row and widening blocks
     e, b = 3, 2
     for k, L in itertools.product((0, 2), (8, 13)):
-        summ = make_summ(e, seed=12) if k == 0 else make_summ(e, 12, variant="expsum", expansion=k)
+        summ = tree_summ(e, k, seed=12)
         x = make_rng(7).standard_normal((b, L, e)).astype(np.float32)
-        p = build_pyramid(Tensor(x), summ)
-        mem = gather_memory(flatten_pyramid(p), 0, L)
+        table = build_pyramid(Tensor(x), summ)
+        mem = gather_memory(table, 0, L)
         assert mem.data.shape == (b, L, mem.valid.shape[1], e)
         assert np.array_equal(mem.data.data[:, :, 0], x)
         for t in range(L):
             col = 1
-            for level in range(len(p.levels) - 1):
+            for level in range(table.n_levels):
                 w = 1 + level * k
                 got = mem.data.data[:, t, col:col + w]
                 if (t >> level) & 1:
                     assert mem.valid[t, col:col + w].all()
-                    assert np.array_equal(got, p.levels[level].data[:, 2 * (t >> (level + 1))])
+                    assert np.array_equal(got, level_blocks(table, level)[:, 2 * (t >> (level + 1))])
                 else:
                     assert not mem.valid[t, col:col + w].any()
                     assert np.array_equal(got, np.zeros_like(got))
@@ -219,43 +256,42 @@ def test_gather_closed_form_indices():
             assert col == mem.valid.shape[1]
 
 
-def index_select_gather(p, L):
+def index_select_gather(table, L):
     """The gather as one index_select over the row table with a zero row
     appended: an [L, D] table of row indices, empty slots pointing at the
     zero row. The reference for gather_memory's closed-form read."""
-    n_levels = len(p.levels) - 1
-    b, _, _, e = p.levels[0].shape
+    S, k, rows = table.n_levels, table.k, table.rows
+    b, _, e = rows.shape
     t = np.arange(L, dtype=np.int64)
-    mask = valid_mask(L, n_levels, p.k)
-    flat, cols, off = [], [t[:, None]], 0
-    for level in range(n_levels):
-        _, n, w, _ = p.levels[level].shape
-        flat.append(reshape(p.levels[level], (b, n * w, e)))
+    mask = valid_mask(L, S, k)
+    cols, off = [t[:, None]], 0
+    for level, w in enumerate(slot_widths(S, k)):
         cols.append((off + 2 * (t >> (level + 1)) * w)[:, None] + np.arange(w))
-        off += n * w
-    flat.append(zeros((b, 1, e), dtype=p.levels[0].dtype))
-    table = np.concatenate(cols, axis=1)
-    table[~mask] = off
-    data = index_select(concat(flat, axis=1), 1, table.reshape(-1))
+        off += ((1 << S) >> level) * w
+    assert off == rows.shape[1]
+    index = np.concatenate(cols, axis=1)
+    index[~mask] = off
+    data = index_select(concat([rows, zeros((b, 1, e), dtype=rows.dtype)], axis=1), 1,
+                        index.reshape(-1))
     return reshape(data, (b, L, mask.shape[1], e))
 
 
-def leaf_pyramid(b, L, e, k, seed):
-    """Random float64 leaf tensors in the shapes build_pyramid gives, root included."""
+def leaf_table(b, L, e, k, seed):
+    """A random float64 leaf row table in the shape build_pyramid gives."""
     S = levels_for(L)
-    rng = make_rng(seed)
-    return Pyramid([Tensor(rng.standard_normal((b, (1 << S) >> level, 1 + level * k, e)),
-                           requires_grad=True) for level in range(S + 1)], k)
+    n_rows = sum(((1 << S) >> level) * w for level, w in enumerate(slot_widths(S, k)))
+    rows = Tensor(make_rng(seed).standard_normal((b, n_rows, e)), requires_grad=True)
+    return RowTable(rows=rows, n_levels=S, k=k)
 
 
 @pytest.mark.parametrize("k", [0, 2])
 @pytest.mark.parametrize("L", [8, 13])
 def test_gather_float64_gradients(L, k):
-    p = leaf_pyramid(2, L, 3, k, seed=20 + L + k)
+    table = leaf_table(2, L, 3, k, seed=20 + L + k)
     d = valid_mask(L, levels_for(L), k).shape[1]
     target = Tensor(make_rng(21).standard_normal((2, L, d, 3)))
-    err = grad_check(lambda _: sum_axis(mul(gather_memory(flatten_pyramid(p), 0, L).data, target)),
-                     p.levels, eps=1e-5)
+    err = grad_check(lambda _: sum_axis(mul(gather_memory(table, 0, L).data, target)),
+                     [table.rows], eps=1e-5)
     assert err <= 1e-4
 
 
@@ -263,21 +299,15 @@ def test_gather_float64_gradients(L, k):
 def test_gather_matches_index_select_oracle(k):
     # forward bit-equal; backward equal up to float64 summation order
     for L in (1, 2, 3, 5, 8, 13, 16, 37, 64):
-        p = leaf_pyramid(2, L, 3, k, seed=30 + L)
-        got = gather_memory(flatten_pyramid(p), 0, L).data
-        ref = index_select_gather(p, L)
+        table = leaf_table(2, L, 3, k, seed=30 + L)
+        got = gather_memory(table, 0, L).data
+        ref = index_select_gather(table, L)
         assert np.array_equal(got.data, ref.data)
         target = Tensor(make_rng(31 + L).standard_normal(got.shape))
         sum_axis(mul(got, target)).backward()
-        grads = [lv.grad for lv in p.levels]
-        for lv in p.levels:
-            lv.grad = None
+        grad, table.rows.grad = table.rows.grad, None
         sum_axis(mul(ref, target)).backward()
-        for g, lv in zip(grads, p.levels):
-            if lv.grad is None:  # the root: read by neither
-                assert g is None
-            else:
-                assert np.abs(g - lv.grad).max() <= 1e-12
+        assert np.abs(grad - table.rows.grad).max() <= 1e-12
 
 
 @pytest.mark.parametrize("k", [0, 2])
@@ -287,9 +317,8 @@ def test_range_read_is_the_same_rows_as_the_oracle(k):
     for L, ranges in ((37, [(start, min(start + size, 37)) for size in (1, 2, 4, 8, 16, 32)
                             for start in range(0, 37, size)]),
                       (13, itertools.combinations(range(14), 2))):
-        p = leaf_pyramid(2, L, 3, k, seed=40 + L + k)
-        table = flatten_pyramid(p)
-        ref = index_select_gather(p, L).data
+        table = leaf_table(2, L, 3, k, seed=40 + L + k)
+        ref = index_select_gather(table, L).data
         valid = valid_mask(L, levels_for(L), k)
         for start, stop in ranges:
             mem = gather_memory(table, start, stop)
@@ -302,14 +331,14 @@ def test_range_read_is_the_same_rows_as_the_oracle(k):
 def test_range_read_float64_gradients(k, start, stop):
     # a full tile and the short last one of L = 37 in tiles of 16
     L = 37
-    p = leaf_pyramid(1, L, 2, k, seed=50 + start + k)
+    table = leaf_table(1, L, 2, k, seed=50 + start + k)
     d = valid_mask(L, levels_for(L), k).shape[1]
     target = Tensor(make_rng(51).standard_normal((1, stop - start, d, 2)))
 
     def f(_):
-        return sum_axis(mul(gather_memory(flatten_pyramid(p), start, stop).data, target))
+        return sum_axis(mul(gather_memory(table, start, stop).data, target))
 
-    assert grad_check(f, p.levels, eps=1e-5) <= 1e-4
+    assert grad_check(f, [table.rows], eps=1e-5) <= 1e-4
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -429,12 +458,12 @@ def test_one_block_tree_for_every_summarizer(name):
     with no_grad():
         par = parallel_memory(x, summ)
         seq = sequential_memory(x, summ)
-        p = build_pyramid(x, summ)
+        table = build_pyramid(x, summ)
     assert np.array_equal(par.valid, seq.valid)
     assert np.array_equal(par.valid, valid_mask(L, S, summ.k))
     assert np.abs(par.data.data - seq.data.data).max() <= 1e-5
-    assert [lvl.shape for lvl in p.levels] == [(b, 16 >> level, 1 + level * summ.k, e)
-                                               for level in range(S + 1)]
+    assert (table.n_levels, table.k) == (S, summ.k)
+    assert table.rows.shape == (b, sum((16 >> level) * (1 + level * summ.k) for level in range(S)), e)
     state = SlotState.fresh(S, summ.k)
     with no_grad():
         for t in range(L):
