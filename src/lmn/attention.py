@@ -3,32 +3,29 @@
 Each position attends over its own memory rows only: scores are dot
 products between per-level Q rows and the current token's K row (level 0),
 scaled by 1/sqrt(E), masked to valid levels, softmaxed, and used for a
-weighted sum of V. A config flag selects the mirrored score orientation
-(Q row 0 against per-level K rows).
+weighted sum of V.
 
 The projection y = m W + b is the block's ``qkv.weight`` and ``qkv.bias``
 from the parameter schema; every LMN block has both, so b is never absent.
 
 ``attend`` never projects the memory rows above level 0. With the
 projection split into (W_q, W_k, W_v) and (b_q, b_k, b_v), and m_i the
-memory row at level i, the literal score is
+memory row at level i, the score is
 
     q_i . k_0 = m_i . (k_0 W_q^T) + b_q . k_0
 
 The second term is the same at every level of a position, and softmax
 ignores a per-row shift, so it is dropped: one probe k_0 W_q^T per position
-is scored against the raw rows (the swapped orientation uses q_0 W_k^T and
-drops b_k . q_0). Because the weights sum to 1 and invalid levels get
-weight exactly 0, the values fold the same way:
+is scored against the raw rows. Because the weights sum to 1 and invalid
+levels get weight exactly 0, the values fold the same way:
 
     sum_i w_i v_i = (sum_i w_i m_i) W_v + b_v
 
 Only the level-0 rows go through ``qkv_project``, so the [B, L, D, 3E]
-projection of the whole memory is never built. The dropped bias (b_q in the
-literal orientation, b_k in the swapped one) gets an exactly zero gradient;
-no output ever depended on it. The parameters are the same as for the
-unfused chain qkv_project -> single_vector_scores -> mask_softmax ->
-weighted_sum, which ``lmn verify`` checks ``attend`` against.
+projection of the whole memory is never built. The dropped bias b_q gets an
+exactly zero gradient; no output ever depended on it. The parameters are
+the same as for the unfused chain qkv_project -> single_vector_scores ->
+mask_softmax -> weighted_sum, which ``lmn verify`` checks ``attend`` against.
 """
 
 from __future__ import annotations
@@ -55,9 +52,6 @@ from .tensor import (
     softmax_last,
     transpose,
 )
-
-ORIENTATIONS = ("literal", "swapped")
-
 
 class QkvProjection:
     """Per-entry affine map [E] -> [3E], split into Q, K, V; an LMN block's
@@ -91,24 +85,13 @@ def qkv_project(mem: MemoryTensor, proj: QkvProjection):
     return q, k, v
 
 
-def single_vector_scores(q: Tensor, k: Tensor, valid: np.ndarray,
-                         orientation: str = "literal") -> Tensor:
-    """Scores [B, L, D]: each level against the current token, scaled by 1/sqrt(E).
-
-    literal: score[b,t,i] = q[b,t,i] . k[b,t,0] / sqrt(E)
-    swapped: score[b,t,i] = q[b,t,0] . k[b,t,i] / sqrt(E)
-    """
-    if orientation not in ORIENTATIONS:
-        raise ValueError(f"unknown score orientation {orientation!r}")
+def single_vector_scores(q: Tensor, k: Tensor, valid: np.ndarray) -> Tensor:
+    """Scores [B, L, D]: each level's query against the current token's key,
+    score[b,t,i] = q[b,t,i] . k[b,t,0] / sqrt(E)."""
     e = q.shape[-1]
     b, L = q.shape[0], q.shape[1]
-    if orientation == "literal":
-        current = reshape(narrow(k, 2, 0, 1), (b, L, e))
-        scores = einsum_pair("blde,ble->bld", q, current)
-    else:
-        current = reshape(narrow(q, 2, 0, 1), (b, L, e))
-        scores = einsum_pair("ble,blde->bld", current, k)
-    scores = scale(scores, 1.0 / math.sqrt(e))
+    current = reshape(narrow(k, 2, 0, 1), (b, L, e))
+    scores = scale(einsum_pair("blde,ble->bld", q, current), 1.0 / math.sqrt(e))
     COUNTER.score_macs += int(e * valid.sum())  # per batch item; valid levels only
     return scores
 
@@ -144,8 +127,7 @@ def multi_bank_combine(memories: list[MemoryTensor]) -> MemoryTensor:
     return MemoryTensor(data=data, valid=valid)
 
 
-def attend(mem: MemoryTensor, current: Tensor, proj: QkvProjection,
-           orientation: str = "literal") -> AttentionOutput:
+def attend(mem: MemoryTensor, current: Tensor, proj: QkvProjection) -> AttentionOutput:
     """Full single-vector attention pass over a (possibly multi-bank) memory,
     with the projection folded into a per-position probe (module docstring).
 
@@ -155,14 +137,8 @@ def attend(mem: MemoryTensor, current: Tensor, proj: QkvProjection,
     """
     e = proj.embed
     b, L, _ = current.shape
-    q0, k0, _ = qkv_project(MemoryTensor(reshape(current, (b, L, 1, e)), mem.valid[:, :1]), proj)
-    if orientation == "literal":
-        own, w_score = k0, narrow(proj.weight, 1, 0, e)
-    elif orientation == "swapped":
-        own, w_score = q0, narrow(proj.weight, 1, e, e)
-    else:
-        raise ValueError(f"unknown score orientation {orientation!r}")
-    probe = matmul(own, transpose(w_score, (1, 0)))  # [B, L, 1, E]
+    _, k0, _ = qkv_project(MemoryTensor(reshape(current, (b, L, 1, e)), mem.valid[:, :1]), proj)
+    probe = matmul(k0, transpose(narrow(proj.weight, 1, 0, e), (1, 0)))  # [B, L, 1, E]
     scores = single_vector_scores(mem.data, probe, mem.valid)
     weights = mask_softmax(scores, mem.valid)
     values = add(matmul(weighted_sum(weights, mem.data), narrow(proj.weight, 1, 2 * e, e)),

@@ -9,7 +9,8 @@ warm-up runs follow until ``WARM_UP_SECONDS`` have passed, at least one, so
 a machine that runs slowly for a while after an idle spell does not time
 its first reps slow. The timed reps run untraced. Sequential rows measure
 recurrent stepping (slot state or KV cache as the only carried state);
-parallel rows measure the one-shot forward. A ``MemoryError`` becomes a
+parallel rows measure the one-shot forward. A ``MemoryError``, whether
+from building a point's model, drawing its tokens or running it, becomes a
 failure row, not a crash; a forward that the operating system kills ends
 the sweep, leaving the rows already written in the CSV. A CSV path that
 cannot be written raises ``model.OutputError`` before the first timing.
@@ -143,8 +144,8 @@ def time_forward(model, L: int, mode: str, reps: int = 3, seed: int = 0) -> Benc
     """
     if reps < 3:
         raise ValueError("reps must be >= 3")
-    runner, args = _forward_pass(model, L, mode, seed)
     try:
+        runner, args = _forward_pass(model, L, mode, seed)
         COUNTER.reset()
         # counted run (counts repeat per run) and memory pass at once
         peak = _traced_peak(runner, args)
@@ -162,8 +163,11 @@ def time_forward(model, L: int, mode: str, reps: int = 3, seed: int = 0) -> Benc
                            float(np.median(times)), peak,
                            counts["score_macs"], counts["summarizer_ops"])
     except MemoryError:
-        return BenchRecord(model.config.variant, mode, L, reps, float("nan"), 0, 0, 0,
-                           status="failed")
+        return _failed_record(model.config.variant, mode, L, reps)
+
+
+def _failed_record(variant: str, mode: str, L: int, reps: int) -> BenchRecord:
+    return BenchRecord(variant, mode, L, reps, float("nan"), 0, 0, 0, status="failed")
 
 
 # thread-count getters that the OpenBLAS builds numpy ships may export
@@ -223,9 +227,13 @@ def sweep(lengths, variants, out_path, modes=("parallel", "sequential"),
     records = []
     for variant in variants:
         for L in lengths:
-            model = bench_model(variant, L, embed=embed, banks=banks, seed=seed)
+            try:
+                model = bench_model(variant, L, embed=embed, banks=banks, seed=seed)
+            except MemoryError:  # every mode of this point fails
+                model = None
             for mode in modes:
-                rec = time_forward(model, L, mode, reps=reps, seed=seed)
+                rec = (_failed_record(variant, mode, L, reps) if model is None
+                       else time_forward(model, L, mode, reps=reps, seed=seed))
                 records.append(rec)
                 w.writerow(rec.row())
                 save()

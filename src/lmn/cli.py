@@ -151,12 +151,15 @@ def cmd_train(args) -> int:
     if model_cfg.max_seq_len < train_cfg.block_size:
         model_cfg = replace(model_cfg, max_seq_len=train_cfg.block_size)
     echo_config({"model": model_cfg, "train": train_cfg}, {"corpus": args.corpus, "out": args.out})
-    print(f"vocab_size={len(ds.vocab)} corpus_chars={len(ds.ids)} "
-          f"params={param_count(model_cfg)}")
+    n_params = param_count(model_cfg)
+    print(f"vocab_size={len(ds.vocab)} corpus_chars={len(ds.ids)} params={n_params}")
+    try:
+        model = build_model(model_cfg)
+    except MemoryError:
+        raise CliError(f"cannot allocate a model of {n_params} parameters") from None
     _make_out_dir(args.out)
     # the sidecar: chars in id order
     write_file(os.path.join(args.out, "vocab.txt"), "".join(ds.vocab.chars).encode("utf-8"))
-    model = build_model(model_cfg)
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported below, once
             report = train(model, ds, train_cfg, out_dir=args.out, log=print)
@@ -267,7 +270,7 @@ def make_parser() -> argparse.ArgumentParser:
     # no subcommand takes abbreviated flags: --variant must not pass for bench's --variants
     p_train = sub.add_parser("train", allow_abbrev=False, help="train a model on a corpus")
     config_flags(p_train, ("model", "train"), "variant", "embed", "banks", "expansion", "n_blocks",
-                 "max_seq_len", "score_orientation", "seed", "max_iters", "block_size")
+                 "max_seq_len", "seed", "max_iters", "block_size")
     p_train.add_argument("--corpus", default=None)
     p_train.add_argument("--out", default="out", help="output directory")
     p_train.set_defaults(fn=cmd_train)

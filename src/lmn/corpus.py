@@ -271,6 +271,10 @@ def main(argv=None):
     ap.add_argument("--chars", type=int, default=1_100_000)
     ap.add_argument("--seed", type=int, default=1337)
     args = ap.parse_args(argv)
+    if args.chars < 1:
+        ap.exit(2, f"error: --chars must be >= 1, got {args.chars}\n")
+    if args.seed < 0:
+        ap.exit(2, f"error: --seed must be >= 0, got {args.seed}\n")
     text = generate_corpus(args.chars, args.seed)
     try:
         write_file(args.out, text.encode("utf-8"))

@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .attention import ORIENTATIONS, QkvProjection, attend, multi_bank_combine
+from .attention import QkvProjection, attend, multi_bank_combine
 from .counters import COUNTER
 from .memory import (
     CapacityError,
@@ -82,8 +82,9 @@ TILE = 1024
 
 @dataclass
 class ModelConfig:
-    """What a model is. The rest is fixed, as in the paper's parameter table:
-    an untied unembedding, a biased qkv projection in LMN blocks, and a
+    """What a model is. The rest is fixed, as in the paper: an untied
+    unembedding, a biased qkv projection in LMN blocks whose attention scores
+    each memory level's query against the current token's key, and a
     feed-forward E -> 4E -> E (tiny-logmem: one shared [E, E] map)."""
 
     variant: str = "logmem"
@@ -97,11 +98,9 @@ class ModelConfig:
     seed: int = 0
     summarizer: str = "linear"          # one of SUMMARIZERS (bank summarizer form)
     summarizer_bias: bool = True
-    score_orientation: str = "literal"  # literal | swapped
 
     def __post_init__(self):
-        for name, allowed in (("variant", VARIANTS), ("summarizer", SUMMARIZERS),
-                              ("score_orientation", ORIENTATIONS)):
+        for name, allowed in (("variant", VARIANTS), ("summarizer", SUMMARIZERS)):
             if getattr(self, name) not in allowed:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}, expected one of {allowed}")
         for name in ("vocab_size", "embed", "max_seq_len", "banks", "expansion", "n_blocks", "n_heads"):
@@ -280,7 +279,7 @@ class LmnBlock(_Block):
     def _read(self, x: Tensor, n: Tensor, mems) -> Tensor:
         """The tail both modes share: combine the banks, attend with the
         layer-normed input n as the current tokens, then the residuals."""
-        att = attend(multi_bank_combine(mems), n, self.qkv, self.cfg.score_orientation)
+        att = attend(multi_bank_combine(mems), n, self.qkv)
         return self._residuals(x, att.values)
 
 
@@ -561,11 +560,16 @@ def config_to_text(cfg, prefix: str = "") -> str:
 # are dropped: a checkpoint that a non-default value shaped fails the tensor
 # schema check (a tied one lacks unembed.weight, one without a qkv bias lacks
 # block*.qkv.bias, a logmem one with ffn_mult=1 holds block*.ffn.weight).
-_RETIRED_KEYS = ("ffn_mult", "qkv_bias", "tie_embeddings")
+# score_orientation is the exception: a swapped checkpoint has the literal
+# one's tensors, so config_from_text refuses any value but literal itself.
+_RETIRED_KEYS = ("ffn_mult", "qkv_bias", "tie_embeddings", "score_orientation")
 
 
 def config_from_text(text: str) -> ModelConfig:
     pairs = [line.partition("=")[::2] for line in text.splitlines() if line.strip()]
+    for name, value in pairs:
+        if name == "score_orientation" and value != "literal":
+            raise ValueError(f"config key 'score_orientation' is {value!r}; only 'literal' exists")
     return ModelConfig(**config_kwargs(ModelConfig, [kv for kv in pairs if kv[0] not in _RETIRED_KEYS]))
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from .attention import (
-    ORIENTATIONS,
     QkvProjection,
     attend,
     mask_softmax,
@@ -155,11 +154,11 @@ def check_attention_masking(quick: bool):
     return ok, f"weight sums in [{sums.min():.8f}, {sums.max():.8f}], invalid levels exactly zero: {zeros_exact}"
 
 
-def unfused_attend(mem, proj: QkvProjection, orientation: str = "literal"):
+def unfused_attend(mem, proj: QkvProjection):
     """The attention chain with every memory row projected, as (values, weights):
     the reference that the folded ``attend`` must match."""
     q, k, v = qkv_project(mem, proj)
-    weights = mask_softmax(single_vector_scores(q, k, mem.valid, orientation), mem.valid)
+    weights = mask_softmax(single_vector_scores(q, k, mem.valid), mem.valid)
     return weighted_sum(weights, v), weights
 
 
@@ -170,13 +169,10 @@ def check_attention_fold(quick: bool):
     x = Tensor(rng.standard_normal((2, L, E)).astype(np.float32))
     with no_grad():
         mem = multi_bank_combine([parallel_memory(x, s) for s in block.summarizers])
-    gap_w = gap_v = 0.0
-    for orientation in ORIENTATIONS:
-        with no_grad():
-            out = attend(mem, x, block.qkv, orientation)
-            ref_v, ref_w = unfused_attend(mem, block.qkv, orientation)
-        gap_w = max(gap_w, float(np.abs(out.weights.data - ref_w.data).max()))
-        gap_v = max(gap_v, float(np.abs(out.values.data - ref_v.data).max()))
+        out = attend(mem, x, block.qkv)
+        ref_v, ref_w = unfused_attend(mem, block.qkv)
+    gap_w = float(np.abs(out.weights.data - ref_w.data).max())
+    gap_v = float(np.abs(out.values.data - ref_v.data).max())
     ok = gap_w <= 1e-5 and gap_v <= 1e-4
     return ok, f"folded vs unfused attention: weight gap {gap_w:.2e}, value gap {gap_v:.2e}"
 

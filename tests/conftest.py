@@ -109,7 +109,7 @@ def naive_softmax(row: np.ndarray) -> np.ndarray:
 
 
 def naive_single_vector_attention(mem: np.ndarray, valid: np.ndarray,
-                                  weight: np.ndarray, bias, orientation="literal"):
+                                  weight: np.ndarray, bias):
     """Per-position oracle over all levels: project, score, softmax, sum."""
     bsz, L, d, e = mem.shape
     out = np.zeros((bsz, L, e))
@@ -119,10 +119,7 @@ def naive_single_vector_attention(mem: np.ndarray, valid: np.ndarray,
             proj = mem[b, t].astype(np.float64) @ weight.astype(np.float64) + bias.astype(np.float64)
             proj[~valid[t]] = 0.0
             q, k, v = proj[:, :e], proj[:, e:2 * e], proj[:, 2 * e:]
-            if orientation == "literal":
-                scores = q @ k[0] / np.sqrt(e)
-            else:
-                scores = k @ q[0] / np.sqrt(e)
+            scores = q @ k[0] / np.sqrt(e)
             scores[~valid[t]] = -np.inf
             w = naive_softmax(scores)
             weights[b, t] = w

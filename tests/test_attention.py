@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from lmn.attention import (
-    ORIENTATIONS,
     QkvProjection,
     attend,
     mask_softmax,
@@ -110,18 +109,6 @@ def test_scores_match_naive_dot_oracle():
             for i in range(d):
                 expect = float(q[bi, t, i].astype(np.float64) @ k[bi, t, 0].astype(np.float64))
                 assert np.isclose(got[bi, t, i], expect / np.sqrt(e), atol=1e-5)
-
-
-def test_swapped_orientation():
-    rng = make_rng(8)
-    q = rng.standard_normal((1, 2, 3, 4)).astype(np.float32)
-    k = rng.standard_normal((1, 2, 3, 4)).astype(np.float32)
-    valid = np.ones((2, 3), dtype=bool)
-    got = single_vector_scores(Tensor(q), Tensor(k), valid, orientation="swapped").data
-    for t in range(2):
-        for i in range(3):
-            expect = float(q[0, t, 0] @ k[0, t, i]) / 2.0
-            assert np.isclose(got[0, t, i], expect, atol=1e-5)
 
 
 def test_mask_softmax_two_equal_valid_levels():
@@ -253,44 +240,35 @@ def two_bank_memory(L=13, e=4, seed=70, dtype=np.float32):
     return MemoryTensor(Tensor(mem.data.data.astype(dtype)), mem.valid)
 
 
-@pytest.mark.parametrize("orientation", ORIENTATIONS)
-def test_attend_equals_unfused_chain(orientation):
+def test_attend_equals_unfused_chain():
     mem = two_bank_memory()
     proj = block_layers(4, 71)[0]
-    out = attend(mem, own_rows(mem), proj, orientation)
-    ref_v, ref_w = unfused_attend(mem, proj, orientation)
+    out = attend(mem, own_rows(mem), proj)
+    ref_v, ref_w = unfused_attend(mem, proj)
     assert np.abs(out.weights.data - ref_w.data).max() <= 1e-5
     assert np.abs(out.values.data - ref_v.data).max() <= 1e-4
 
 
-def test_attend_rejects_unknown_orientation():
-    mem = random_memory()
-    with pytest.raises(ValueError):
-        attend(mem, own_rows(mem), block_layers(4, 72)[0], "sideways")
-
-
-def attend_loss(mem, current, proj, orientation, seed=73):
+def attend_loss(mem, current, proj, seed=73):
     target = make_rng(seed).standard_normal((mem.data.shape[0], mem.data.shape[1], proj.embed))
-    return sum_axis(mul(attend(mem, current, proj, orientation).values, Tensor(target)))
+    return sum_axis(mul(attend(mem, current, proj).values, Tensor(target)))
 
 
-@pytest.mark.parametrize("orientation", ORIENTATIONS)
-def test_attend_float64_gradients(orientation):
+def test_attend_float64_gradients():
     mem = two_bank_memory(L=13, e=3, seed=74, dtype=np.float64)
     mem.data.requires_grad = True
     current = own_rows(mem, requires_grad=True)
     proj = block_layers(3, 75, np.float64)[0]
     params = [proj.weight, proj.bias, mem.data, current]
-    err = grad_check(lambda _: attend_loss(mem, current, proj, orientation), params, eps=1e-5)
+    err = grad_check(lambda _: attend_loss(mem, current, proj), params, eps=1e-5)
     assert err <= 1e-4
 
 
-@pytest.mark.parametrize("orientation, dropped", [("literal", 0), ("swapped", 1)])
-def test_dropped_bias_gets_exactly_zero_gradient(orientation, dropped):
-    # b_q (literal) or b_k (swapped) only shifts every score of a position alike
+def test_dropped_bias_gets_exactly_zero_gradient():
+    # b_q only shifts every score of a position alike
     mem = two_bank_memory(seed=76)
     proj = block_layers(4, 77)[0]
-    attend_loss(mem, own_rows(mem), proj, orientation).backward()
+    attend_loss(mem, own_rows(mem), proj).backward()
     e = proj.embed
-    assert np.all(proj.bias.grad[dropped * e:(dropped + 1) * e] == 0.0)
+    assert np.all(proj.bias.grad[:e] == 0.0)
     assert np.all(proj.bias.grad[2 * e:] != 0.0)

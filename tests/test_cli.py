@@ -1,16 +1,18 @@
 """CLI contracts: subcommands, config handling, exit codes, artifacts."""
 
+import argparse
 import csv
 import dataclasses
 import math
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lmn.bench import lmn_score_mac_closed_form
-from lmn.cli import main, parse_config_file, CliError
+from lmn.cli import main, make_parser, parse_config_file, CliError
 from lmn.corpus import generate_corpus, main as corpus_main
 from lmn.data import build_vocab
 from lmn.model import build_model, config_to_text, load_checkpoint, save_checkpoint
@@ -189,6 +191,21 @@ def test_checkpoint_shaped_by_a_retired_value_exits_2_naming_the_tensor(trained,
     assert names in err
 
 
+def test_swapped_checkpoint_exits_2_naming_the_key(trained, tmp_path, capsys):
+    # a swapped checkpoint holds the literal one's tensors, so only its config tells them apart
+    model = load_checkpoint(os.path.join(trained, "model_final.ckpt"))
+    path = tmp_path / "swapped.ckpt"
+    write_checkpoint(path, with_retired_keys(config_to_text(model.config), ffn_mult=4,
+                                             score_orientation="swapped"),
+                     {name: p.data for name, p in model.params.items()})
+    code = main(["generate", "--checkpoint", str(path),
+                 "--vocab", os.path.join(trained, "vocab.txt"), "--n-new", "5"])
+    assert code == 2
+    err = capsys.readouterr().err
+    _assert_one_error_line_in(err)
+    assert "score_orientation" in err
+
+
 @pytest.mark.parametrize("kind,exit_code", [("empty", 2), ("not-utf8", 2), ("directory", 2),
                                             ("duplicate", 2), ("size-mismatch", 3)])
 def test_bad_vocab_exits_with_one_line(trained, tmp_path, capsys, kind, exit_code):
@@ -316,8 +333,7 @@ def test_eval_subcommand(trained, corpus_file, capsys):
 
 # model flags as train registers them; eval and verify never build a model from flags
 MODEL_FLAGS = [["--variant", "expsum"], ["--embed", "64"], ["--banks", "1"], ["--expansion", "2"],
-               ["--n-blocks", "2"], ["--max-seq-len", "64"], ["--mode", "sequential"],
-               ["--score-orientation", "swapped"]]
+               ["--n-blocks", "2"], ["--max-seq-len", "64"], ["--mode", "sequential"]]
 
 
 @pytest.mark.parametrize("flags", MODEL_FLAGS, ids=[f[0] for f in MODEL_FLAGS])
@@ -403,7 +419,7 @@ def test_bad_bench_input_exits_2_before_writing(tmp_path, capsys, bad, named):
 
 UNREAD_FLAGS = [("bench", ["--variant", "expsum"]), ("bench", ["--expansion", "2"]),
                 ("bench", ["--n-blocks", "3"]), ("bench", ["--max-seq-len", "64"]),
-                ("bench", ["--score-orientation", "swapped"]), ("train", ["--mode", "sequential"])]
+                ("train", ["--score-orientation", "swapped"]), ("train", ["--mode", "sequential"])]
 
 
 @pytest.mark.parametrize("command,flags", UNREAD_FLAGS,
@@ -444,6 +460,7 @@ def test_config_file_unknown_key_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("line", ["model.summarizer=dscnv", "model.score_orientation=sideways",
+                                  "model.score_orientation=literal",
                                   "model.summarizer_bias=flase", "model.tie_embeddings=true",
                                   "model.qkv_bias=True", "train.lr_schedule=constant",
                                   "model.embed=abc",
@@ -495,6 +512,59 @@ def test_corpus_main_unwritable_out_exits_2_with_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     _assert_one_error_line_in(err)
     assert f"cannot write {tmp_path}" in err
+
+
+@pytest.mark.parametrize("flags,named", [(["--chars", "-5"], "--chars"), (["--chars", "0"], "--chars"),
+                                         (["--seed", "-1"], "--seed")],
+                         ids=["chars-negative", "chars-zero", "seed-negative"])
+def test_corpus_main_bad_count_or_seed_exits_2_writing_nothing(tmp_path, capsys, flags, named):
+    out = tmp_path / "c.txt"
+    with pytest.raises(SystemExit) as exc:
+        corpus_main(["--out", str(out), "--chars", "10", *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    _assert_one_error_line_in(err)
+    assert named in err
+    assert not out.exists()
+
+
+def test_train_model_too_large_to_allocate_exits_2(corpus_file, tmp_path, capsys):
+    # the allocator refuses terabytes at once, so nothing is paged in
+    out = tmp_path / "run"
+    code = main(["train", "--corpus", corpus_file, "--out", str(out), "--embed", str(10**11),
+                 "--banks", "1", "--max-iters", "1", "--block-size", "32", "--max-seq-len", "32"])
+    assert code == 2
+    err = capsys.readouterr().err
+    _assert_one_error_line_in(err)
+    assert "cannot allocate a model of" in err
+    assert not out.exists()
+
+
+def test_bench_point_too_large_to_allocate_is_a_failed_row(tmp_path, capsys):
+    # baseline-attn cannot build its [L, E] position table, logmem cannot draw its tokens
+    huge = str(10**11)
+    code = main(["bench", "--lengths", f"8,{huge}", "--variants", "baseline-attn,logmem",
+                 "--embed", "8", "--banks", "1", "--mode", "parallel", "--out", str(tmp_path)])
+    assert code == 0
+    rows = _csv_rows(tmp_path / "bench.csv")
+    assert [(r["variant"], r["L"], r["status"]) for r in rows] == [
+        ("baseline-attn", "8", "ok"), ("baseline-attn", huge, "failed"),
+        ("logmem", "8", "ok"), ("logmem", huge, "failed")]
+
+
+def test_readme_cli_table_lists_every_flag_the_parser_registers():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    header = "| command | sections it runs | flags |"
+    rows = readme.partition(header)[2].split("\n\n")[0].splitlines()[2:]
+    documented = {}
+    for row in rows:
+        command, _, flags = [cell.strip() for cell in row.strip("|").split("|")]
+        documented[command.strip("`")] = set(flags.split("`")[1].split())
+    subparsers = next(a for a in make_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    registered = {name: {s for a in p._actions for s in a.option_strings
+                         if s.startswith("--") and s != "--help"}
+                  for name, p in subparsers.choices.items()}
+    assert documented == registered
 
 
 def test_config_file_parsing_and_override(tmp_path, corpus_file, capsys):

@@ -130,7 +130,7 @@ def test_forward_rejects_bad_tokens():
 
 @pytest.mark.parametrize("name,kw", VARIANT_CONFIGS + [
     ("dsconv", dict(variant="logmem", banks=2, summarizer="dsconv")),
-    ("swapped", dict(variant="logmem", banks=2, score_orientation="swapped")),
+    ("unbiased", dict(variant="logmem", banks=2, summarizer_bias=False)),  # Table 1's summarizers
     ("float64", dict(variant="logmem", banks=2, dtype=np.float64)),
     ("baseline-float64", dict(variant="baseline-attn", n_heads=2, dtype=np.float64)),
     ("logmem-2block", dict(variant="logmem", banks=2, n_blocks=2)),
@@ -265,7 +265,6 @@ TILED_CONFIGS = [
     ("tiny", dict(variant="tiny-logmem", banks=2)),
     ("expsum", dict(variant="expsum", expansion=2)),
     ("dsconv", dict(variant="logmem", banks=2, summarizer="dsconv")),
-    ("swapped", dict(variant="logmem", banks=2, score_orientation="swapped")),
 ]
 
 
@@ -360,20 +359,6 @@ def test_config_invariants():
         ModelConfig(variant="baseline-attn", embed=30, n_heads=4)
 
 
-def test_score_orientation_flag_changes_output():
-    base = build_model(small_cfg(dict(variant="logmem"), seed=3))
-    swapped = build_model(small_cfg(dict(variant="logmem"), seed=3,
-                                    score_orientation="swapped"))
-    tokens = make_rng(10).integers(0, 29, size=(1, 16))
-    with no_grad():
-        a = base.forward(tokens).data
-        b = swapped.forward(tokens).data
-    assert np.abs(a - b).max() > 1e-4
-    with no_grad():
-        seq = swapped.forward(tokens, mode="sequential").data
-    assert np.abs(b - seq).max() <= 1e-4
-
-
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     cfg = small_cfg(dict(variant="expsum", expansion=1), seed=21)
     model = build_model(cfg)
@@ -403,9 +388,10 @@ def test_checkpoint_config_rejects_bad_bool(value):
 
 
 def with_retired_keys(cfg_text: str, ffn_mult: int, qkv_bias: bool = True,
-                      tie_embeddings: bool = False) -> str:
-    """A config text as checkpoints wrote it while ffn_mult, qkv_bias and
-    tie_embeddings were ModelConfig fields, each in its field's place."""
+                      tie_embeddings: bool = False, score_orientation: str = "literal") -> str:
+    """A config text as checkpoints wrote it while ffn_mult, qkv_bias,
+    tie_embeddings and score_orientation were ModelConfig fields, each in its
+    field's place."""
     out = []
     for line in cfg_text.splitlines(keepends=True):
         out.append(line)
@@ -414,7 +400,7 @@ def with_retired_keys(cfg_text: str, ffn_mult: int, qkv_bias: bool = True,
             out.append(f"ffn_mult={ffn_mult}\n")
         elif key == "summarizer_bias":
             out.append(f"qkv_bias={qkv_bias}\n")
-    return "".join(out) + f"tie_embeddings={tie_embeddings}\n"
+    return "".join(out) + f"score_orientation={score_orientation}\ntie_embeddings={tie_embeddings}\n"
 
 
 def write_checkpoint(path, cfg_text: str, tensors: dict) -> None:
@@ -431,7 +417,7 @@ def test_checkpoint_with_retired_keys_at_written_values_loads_bit_identical(tmp_
     cfg = small_cfg(dict(variant=variant, n_heads=4), n_blocks=2)
     model = build_model(cfg)
     text = with_retired_keys(config_to_text(cfg), ffn_mult=1 if variant == "tiny-logmem" else 4)
-    assert text.count("=") == len(dataclasses.fields(ModelConfig)) + 3
+    assert text.count("=") == len(dataclasses.fields(ModelConfig)) + 4
     path = tmp_path / "old.ckpt"
     write_checkpoint(path, text, {name: p.data for name, p in model.params.items()})
     loaded = load_checkpoint(path)
