@@ -28,7 +28,7 @@ from .summarizers import (
     LinearSummarizer,
     read_memory,
 )
-from .attention import AttentionOutput, QkvProjection, attend, multi_bank_combine
+from .attention import attend, multi_bank_combine
 from .model import ModelConfig, build_model, load_checkpoint, param_count, save_checkpoint
 from .data import Dataset, Vocab, build_vocab, sample_batch
 from .training import TrainConfig, evaluate, train
@@ -40,7 +40,7 @@ __all__ = [
     "build_pyramid", "gather_memory", "parallel_memory", "push_token",
     "sequential_memory", "slot_widths", "snapshot",
     "DsConvSummarizer", "ExpanderSummarizer", "LinearSummarizer", "read_memory",
-    "AttentionOutput", "QkvProjection", "attend", "multi_bank_combine",
+    "attend", "multi_bank_combine",
     "ModelConfig", "build_model", "load_checkpoint", "param_count", "save_checkpoint",
     "Dataset", "Vocab", "build_vocab", "sample_batch",
     "TrainConfig", "evaluate", "train",

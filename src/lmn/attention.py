@@ -5,8 +5,9 @@ products between per-level Q rows and the current token's K row (level 0),
 scaled by 1/sqrt(E), masked to valid levels, softmaxed, and used for a
 weighted sum of V.
 
-The projection y = m W + b is the block's ``qkv.weight`` and ``qkv.bias``
-from the parameter schema; every LMN block has both, so b is never absent.
+The projection y = m W + b takes the block's ``qkv.weight`` [E, 3E] and
+``qkv.bias`` [3E] from the parameter schema as they are, E read off W;
+every LMN block has both, so b is never absent.
 
 ``attend`` never projects the memory rows above level 0. With the
 projection split into (W_q, W_k, W_v) and (b_q, b_k, b_v), and m_i the
@@ -31,7 +32,6 @@ mask_softmax -> weighted_sum, which ``lmn verify`` checks ``attend`` against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,32 +53,18 @@ from .tensor import (
     transpose,
 )
 
-class QkvProjection:
-    """Per-entry affine map [E] -> [3E], split into Q, K, V; an LMN block's
-    qkv weight and bias."""
 
-    def __init__(self, weight: Tensor, bias: Tensor):
-        self.weight = weight  # [E, 3E]
-        self.bias = bias      # [3E]
-        self.embed = weight.shape[0]
-
-
-@dataclass
-class AttentionOutput:
-    values: Tensor   # [B, L, E]
-    weights: Tensor  # [B, L, D], kept for tests
-
-
-def qkv_project(mem: MemoryTensor, proj: QkvProjection):
-    """Project memory entries, re-zero invalid levels, split into Q, K, V.
+def qkv_project(mem: MemoryTensor, weight: Tensor, bias: Tensor):
+    """Project memory entries by the [E, 3E] weight and [3E] bias, re-zero
+    invalid levels, split into Q, K, V.
 
     The bias leaks into padded levels, so the validity mask is re-applied
     after the affine map (fused into one pass).
     """
-    e = proj.embed
+    e = weight.shape[0]
     if mem.data.shape[-1] != e:
-        raise ShapeError(f"qkv_project: memory {mem.data.shape} vs weight {proj.weight.shape}")
-    y = affine_masked(mem.data, proj.weight, proj.bias, mem.valid[None, :, :])
+        raise ShapeError(f"qkv_project: memory {mem.data.shape} vs weight {weight.shape}")
+    y = affine_masked(mem.data, weight, bias, mem.valid[None, :, :])
     q = narrow(y, 3, 0, e)
     k = narrow(y, 3, e, e)
     v = narrow(y, 3, 2 * e, e)
@@ -127,20 +113,19 @@ def multi_bank_combine(memories: list[MemoryTensor]) -> MemoryTensor:
     return MemoryTensor(data=data, valid=valid)
 
 
-def attend(mem: MemoryTensor, current: Tensor, proj: QkvProjection) -> AttentionOutput:
+def attend(mem: MemoryTensor, current: Tensor, weight: Tensor, bias: Tensor):
     """Full single-vector attention pass over a (possibly multi-bank) memory,
-    with the projection folded into a per-position probe (module docstring).
+    with the projection folded into a per-position probe (module docstring);
+    returns (values [B, L, E], weights [B, L, D]).
 
     current [B, L, E] is each position's own token, the rows that level 0
     of the memory holds; it is projected directly, so no gradient passes
     through a slice of the memory.
     """
-    e = proj.embed
-    b, L, _ = current.shape
-    _, k0, _ = qkv_project(MemoryTensor(reshape(current, (b, L, 1, e)), mem.valid[:, :1]), proj)
-    probe = matmul(k0, transpose(narrow(proj.weight, 1, 0, e), (1, 0)))  # [B, L, 1, E]
-    scores = single_vector_scores(mem.data, probe, mem.valid)
-    weights = mask_softmax(scores, mem.valid)
-    values = add(matmul(weighted_sum(weights, mem.data), narrow(proj.weight, 1, 2 * e, e)),
-                 narrow(proj.bias, 0, 2 * e, e))
-    return AttentionOutput(values=values, weights=weights)
+    b, L, e = current.shape
+    _, k0, _ = qkv_project(MemoryTensor(reshape(current, (b, L, 1, e)), mem.valid[:, :1]), weight, bias)
+    probe = matmul(k0, transpose(narrow(weight, 1, 0, e), (1, 0)))  # [B, L, 1, E]
+    weights = mask_softmax(single_vector_scores(mem.data, probe, mem.valid), mem.valid)
+    values = add(matmul(weighted_sum(weights, mem.data), narrow(weight, 1, 2 * e, e)),
+                 narrow(bias, 0, 2 * e, e))
+    return values, weights

@@ -11,7 +11,8 @@ its first reps slow. The timed reps run untraced. Sequential rows measure
 recurrent stepping (slot state or KV cache as the only carried state);
 parallel rows measure the one-shot forward. A ``MemoryError``, whether
 from building a point's model, drawing its tokens or running it, becomes a
-failure row, not a crash; a forward that the operating system kills ends
+failure row, not a crash, and so does a model or a draw too large for
+numpy to index; a forward that the operating system kills ends
 the sweep, leaving the rows already written in the CSV. A CSV path that
 cannot be written raises ``model.OutputError`` before the first timing.
 """
@@ -32,7 +33,7 @@ import numpy as np
 
 from .counters import COUNTER
 from .model import TILE, ModelConfig, build_model, write_file
-from .tensor import make_rng, no_grad
+from .tensor import check_indexable, make_rng, no_grad
 
 WARM_UP_SECONDS = 1.0
 
@@ -125,6 +126,7 @@ def _traced_peak(runner, args) -> int:
 
 def _forward_pass(model, L: int, mode: str, seed: int):
     """The runner and its arguments for one forward pass over L seeded random tokens."""
+    check_indexable(L, 8, "the token draw")  # int64 ids
     tokens = make_rng(seed).integers(0, model.config.vocab_size, size=(1, L))
     if mode == "sequential":
         return _run_stepping, (model, tokens)

@@ -7,7 +7,7 @@ incremented from the forward paths; the bench harness resets and reads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 
 @dataclass
@@ -17,16 +17,12 @@ class OpCounter:
     expander_ops: int = 0
 
     def reset(self):
-        self.score_macs = 0
-        self.summarizer_ops = 0
-        self.expander_ops = 0
+        for f in fields(self):
+            setattr(self, f.name, f.default)
 
     def snapshot(self) -> dict:
-        return {
-            "score_macs": self.score_macs,
-            "summarizer_ops": self.summarizer_ops,
-            "expander_ops": self.expander_ops,
-        }
+        """Every count by field name, in field order."""
+        return asdict(self)
 
 
 COUNTER = OpCounter()

@@ -41,10 +41,11 @@ class CapacityError(RuntimeError):
 
 
 def levels_for(max_seq_len: int) -> int:
-    """Number of slot levels S = ceil(log2(max_seq_len))."""
+    """Number of slot levels S = ceil(log2(max_seq_len)), at least 1, in
+    integer arithmetic, so it is exact at any length."""
     if max_seq_len < 1:
         raise ValueError("max_seq_len must be positive")
-    return max(1, int(np.ceil(np.log2(max_seq_len))))
+    return max(1, (max_seq_len - 1).bit_length())
 
 
 def slot_widths(n_levels: int, k: int = 0) -> list[int]:
@@ -128,8 +129,10 @@ def push_token(state: SlotState, x: Tensor, summarizer) -> SlotState:
     return state
 
 
-def snapshot(state: SlotState, x_current: Tensor) -> tuple[Tensor, np.ndarray]:
-    """The [D, E] memory row seen by position t = state.consumed, and its [D] mask.
+def snapshot(state: SlotState, x_current: Tensor) -> MemoryTensor:
+    """The memory of position t = state.consumed: its [1, 1, D, E] rows and
+    [1, D] mask, the MemoryTensor that ``gather_memory`` returns for a tile
+    of one position.
 
     One copy of the row buffer with row 0 set to the current token; empty
     levels are already zero.
@@ -139,7 +142,7 @@ def snapshot(state: SlotState, x_current: Tensor) -> tuple[Tensor, np.ndarray]:
     rows[:1] = x_current.data
     valid = ((state.consumed >> state.row_level) & 1).astype(bool)
     valid[0] = True
-    return Tensor(rows[:valid.size].copy()), valid
+    return MemoryTensor(Tensor(rows[None, None, :valid.size].copy()), valid[None])
 
 
 @dataclass
@@ -178,7 +181,7 @@ def sequential_memory(x: Tensor, summarizer) -> MemoryTensor:
         state = SlotState.fresh(n_levels, summarizer.k)
         for t in range(L):
             xt = Tensor(x.data[bi, t:t + 1])
-            data[bi, t] = snapshot(state, xt)[0].data
+            data[bi, t] = snapshot(state, xt).data.data[0, 0]
             push_token(state, xt, summarizer)
     return MemoryTensor(data=Tensor(data), valid=valid)
 

@@ -21,15 +21,14 @@ from __future__ import annotations
 import itertools
 import math
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .attention import QkvProjection, attend, multi_bank_combine
+from .attention import attend, multi_bank_combine
 from .counters import COUNTER
 from .memory import (
     CapacityError,
-    MemoryTensor,
     SlotState,
     build_pyramid,
     levels_for,
@@ -48,6 +47,7 @@ from .tensor import (
     ContractError,
     Tensor,
     add,
+    check_indexable,
     concat,
     cross_entropy,
     embedding,
@@ -175,13 +175,25 @@ def param_schema(cfg: ModelConfig):
 
 
 def param_count(cfg: ModelConfig) -> int:
-    """Exact number of learnable scalars for a config."""
-    return sum(math.prod(shape) for _, shape, _, _ in param_schema(cfg))
+    """Exact number of learnable scalars for a config. Every block holds the
+    same tensors and every bank of a block too, so the count is read off the
+    schemas of three configs of at most two blocks or banks: a config of any
+    size is counted at once."""
+    def count(n_blocks: int, banks: int) -> int:
+        small = replace(cfg, n_blocks=n_blocks, banks=banks)
+        return sum(math.prod(shape) for _, shape, _, _ in param_schema(small))
+
+    one = count(1, 1)
+    per_block, per_bank = count(2, 1) - one, count(1, 2) - one
+    return one + (cfg.n_blocks - 1) * per_block + cfg.n_blocks * (cfg.banks - 1) * per_bank
 
 
 def init_params(cfg: ModelConfig, dtype=np.float32) -> dict:
     """Seeded parameter tensors; drawn in float32 then cast, so a float64
-    model carries exactly the float32 values."""
+    model carries exactly the float32 values. A model too large for numpy
+    to index raises MemoryError before any draw, as one too large for the
+    machine's memory does at its draw."""
+    check_indexable(param_count(cfg), 8, "model parameters")  # the draws are float64
     rng = make_rng(cfg.seed)
     params = {}
     for name, shape, kind, fan_in in param_schema(cfg):
@@ -230,13 +242,14 @@ def _make_summarizer(cfg: ModelConfig, params: dict, prefix: str):
 
 
 class _Block:
-    """What both block families share: the two pre-norms, the output
-    projection and the feed-forward branch."""
+    """What both block families share: the two pre-norms, the qkv weight,
+    the output projection and the feed-forward branch."""
 
     def __init__(self, cfg: ModelConfig, params: dict, index: int):
         p = f"block{index}"
         self.cfg = cfg
         self.ln1 = (params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"])
+        self.qkv_w = params[f"{p}.qkv.weight"]
         self.out_w = params[f"{p}.attn_out.weight"]
         self.out_b = params[f"{p}.attn_out.bias"]
         self.ln2 = (params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"])
@@ -252,7 +265,7 @@ class LmnBlock(_Block):
     def __init__(self, cfg: ModelConfig, params: dict, index: int):
         super().__init__(cfg, params, index)
         p = f"block{index}"
-        self.qkv = QkvProjection(params[f"{p}.qkv.weight"], params[f"{p}.qkv.bias"])
+        self.qkv_b = params[f"{p}.qkv.bias"]
         self.summarizers = [_make_summarizer(cfg, params, f"{p}.bank{j}") for j in range(cfg.banks)]
 
     def fresh_states(self):
@@ -267,11 +280,7 @@ class LmnBlock(_Block):
             take, push = snapshot, push_token
         n = layer_norm(x, *self.ln1)
         n_flat = reshape(n, (1, self.cfg.embed))
-        mems = []
-        for s in states:
-            row, valid = take(s, n_flat)
-            mems.append(MemoryTensor(reshape(row, (1, 1, row.shape[0], self.cfg.embed)), valid[None, :]))
-        x = self._read(x, n, mems)
+        x = self._read(x, n, [take(s, n_flat) for s in states])
         for s, summ in zip(states, self.summarizers):
             push(s, n_flat, summ)
         return x
@@ -279,15 +288,11 @@ class LmnBlock(_Block):
     def _read(self, x: Tensor, n: Tensor, mems) -> Tensor:
         """The tail both modes share: combine the banks, attend with the
         layer-normed input n as the current tokens, then the residuals."""
-        att = attend(multi_bank_combine(mems), n, self.qkv)
-        return self._residuals(x, att.values)
+        values, _ = attend(multi_bank_combine(mems), n, self.qkv_w, self.qkv_b)
+        return self._residuals(x, values)
 
 
 class BaselineBlock(_Block):
-    def __init__(self, cfg: ModelConfig, params: dict, index: int):
-        super().__init__(cfg, params, index)
-        self.qkv_w = params[f"block{index}.qkv.weight"]
-
     def attention(self, n: Tensor, cache=None, t: int = 0):
         """Causal multi-head self-attention of positions t..t+L-1; returns (values, weights).
 

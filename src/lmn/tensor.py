@@ -608,6 +608,14 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def check_indexable(count: int, itemsize: int, what: str) -> None:
+    """MemoryError for ``count`` items of ``itemsize`` bytes past the largest
+    array numpy can index: numpy would refuse it with a ValueError, and no
+    machine can allocate it."""
+    if count * itemsize > np.iinfo(np.intp).max:
+        raise MemoryError(f"{what}: {count} items of {itemsize} bytes are more than numpy can index")
+
+
 def zeros(shape, dtype=DEFAULT_DTYPE, requires_grad: bool = False) -> Tensor:
     return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from .attention import (
-    QkvProjection,
     attend,
     mask_softmax,
     multi_bank_combine,
@@ -146,18 +145,17 @@ def check_attention_masking(quick: bool):
     x = Tensor(rng.standard_normal((2, L, E)).astype(np.float32))
     with no_grad():
         mem = multi_bank_combine([parallel_memory(x, s) for s in block.summarizers])
-        out = attend(mem, x, block.qkv)
-    w = out.weights.data
+        w = attend(mem, x, block.qkv_w, block.qkv_b)[1].data
     sums = w.sum(axis=-1)
     zeros_exact = bool(np.all(w[~np.broadcast_to(mem.valid[None], w.shape)] == 0.0))
     ok = bool(np.all(np.abs(sums - 1.0) <= 1e-6) and zeros_exact)
     return ok, f"weight sums in [{sums.min():.8f}, {sums.max():.8f}], invalid levels exactly zero: {zeros_exact}"
 
 
-def unfused_attend(mem, proj: QkvProjection):
+def unfused_attend(mem, weight, bias):
     """The attention chain with every memory row projected, as (values, weights):
     the reference that the folded ``attend`` must match."""
-    q, k, v = qkv_project(mem, proj)
+    q, k, v = qkv_project(mem, weight, bias)
     weights = mask_softmax(single_vector_scores(q, k, mem.valid), mem.valid)
     return weighted_sum(weights, v), weights
 
@@ -169,10 +167,10 @@ def check_attention_fold(quick: bool):
     x = Tensor(rng.standard_normal((2, L, E)).astype(np.float32))
     with no_grad():
         mem = multi_bank_combine([parallel_memory(x, s) for s in block.summarizers])
-        out = attend(mem, x, block.qkv)
-        ref_v, ref_w = unfused_attend(mem, block.qkv)
-    gap_w = float(np.abs(out.weights.data - ref_w.data).max())
-    gap_v = float(np.abs(out.values.data - ref_v.data).max())
+        values, weights = attend(mem, x, block.qkv_w, block.qkv_b)
+        ref_v, ref_w = unfused_attend(mem, block.qkv_w, block.qkv_b)
+    gap_w = float(np.abs(weights.data - ref_w.data).max())
+    gap_v = float(np.abs(values.data - ref_v.data).max())
     ok = gap_w <= 1e-5 and gap_v <= 1e-4
     return ok, f"folded vs unfused attention: weight gap {gap_w:.2e}, value gap {gap_v:.2e}"
 

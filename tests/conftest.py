@@ -25,10 +25,10 @@ def dataset(corpus_text):
 
 
 def block_layers(embed, seed, dtype=np.float32, **cfg):
-    """(qkv projection, bank summarizers) of a one-block model: layers made the
-    one way every model's are, from the parameter schema."""
+    """((qkv weight, qkv bias), bank summarizers) of a one-block model: layers
+    made the one way every model's are, from the parameter schema."""
     block = build_model(ModelConfig(embed=embed, n_blocks=1, seed=seed, **cfg), dtype).blocks[0]
-    return block.qkv, block.summarizers
+    return (block.qkv_w, block.qkv_b), block.summarizers
 
 
 # -- oracles ----------------------------------------------------------------

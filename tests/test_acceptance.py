@@ -146,13 +146,12 @@ def test_criterion_05_attention_invariants():
         data = rng.standard_normal((b, L, mask.shape[1], e)).astype(np.float32)
         data[:, ~mask] = 0.0
         mem = MemoryTensor(Tensor(data), mask)
-        proj = block_layers(e, 1000 + cases)[0]
-        out = attend(mem, Tensor(data[:, :, 0]), proj)
-        w = out.weights.data
+        qkv_w, qkv_b = block_layers(e, 1000 + cases)[0]
+        w = attend(mem, Tensor(data[:, :, 0]), qkv_w, qkv_b)[1].data
         assert np.all(np.abs(w.sum(-1) - 1.0) <= 1e-6)
         assert np.all(w[:, ~mask] == 0.0)
         worst_sum = max(worst_sum, float(np.abs(w.sum(-1) - 1.0).max()))
-        q, k, v = qkv_project(mem, proj)
+        q, k, v = qkv_project(mem, qkv_w, qkv_b)
         scores = single_vector_scores(q, k, mask).data
         for bi in range(b):
             for t in range(L):
@@ -163,8 +162,8 @@ def test_criterion_05_attention_invariants():
                     assert gap <= 1e-5
                     worst_score = max(worst_score, gap)
         expect_vals, expect_w = naive_single_vector_attention(
-            data, mask, proj.weight.data, proj.bias.data)
-        assert np.abs(out.weights.data - expect_w).max() <= 1e-5
+            data, mask, qkv_w.data, qkv_b.data)
+        assert np.abs(w - expect_w).max() <= 1e-5
         cases += b * L
     report("5 attention invariants",
            f"{cases} cases: max |sum-1| {worst_sum:.2e}, max oracle gap {worst_score:.2e}")

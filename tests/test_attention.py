@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from lmn.attention import (
-    QkvProjection,
     attend,
     mask_softmax,
     multi_bank_combine,
@@ -36,46 +35,45 @@ def own_rows(mem, requires_grad=False):
 
 def identity_projection(e):
     w = np.concatenate([np.eye(e)] * 3, axis=1).astype(np.float32)
-    return QkvProjection(Tensor(w), Tensor(np.zeros(3 * e, dtype=np.float32)))
+    return Tensor(w), Tensor(np.zeros(3 * e, dtype=np.float32))
 
 
 def zero_bias_projection(e, seed):
     """A block's qkv weight with its bias replaced by zeros."""
-    return QkvProjection(block_layers(e, seed)[0].weight, Tensor(np.zeros(3 * e, dtype=np.float32)))
+    return block_layers(e, seed)[0][0], Tensor(np.zeros(3 * e, dtype=np.float32))
 
 
 def test_qkv_zero_memory_zero_bias_gives_zeros():
     mem = random_memory()
     mem.data.data[:] = 0.0
-    q, k, v = qkv_project(mem, zero_bias_projection(4, 1))
+    q, k, v = qkv_project(mem, *zero_bias_projection(4, 1))
     assert np.all(q.data == 0) and np.all(k.data == 0) and np.all(v.data == 0)
 
 
 def test_qkv_identity_weights_reproduce_memory():
     mem = random_memory(seed=2)
-    q, k, v = qkv_project(mem, identity_projection(4))
+    q, k, v = qkv_project(mem, *identity_projection(4))
     for part in (q, k, v):
         assert np.allclose(part.data, mem.data.data, atol=1e-6)
 
 
 def test_qkv_rezeroes_invalid_levels_after_bias():
     mem = random_memory(seed=3)
-    proj = block_layers(4, 4)[0]
-    q, k, v = qkv_project(mem, proj)
+    q, k, v = qkv_project(mem, *block_layers(4, 4)[0])
     for part in (q, k, v):
         assert np.all(part.data[:, ~mem.valid] == 0.0)
 
 
 def test_qkv_matches_per_entry_matvec():
     mem = random_memory(seed=5)
-    proj = block_layers(4, 6)[0]
-    q, k, v = qkv_project(mem, proj)
+    weight, bias = block_layers(4, 6)[0]
+    q, k, v = qkv_project(mem, weight, bias)
     b, L, d, e = mem.data.shape
     for bi in range(b):
         for t in range(L):
             for i in range(d):
-                full = mem.data.data[bi, t, i].astype(np.float64) @ proj.weight.data.astype(np.float64)
-                full += proj.bias.data
+                full = mem.data.data[bi, t, i].astype(np.float64) @ weight.data.astype(np.float64)
+                full += bias.data
                 if not mem.valid[t, i]:
                     full[:] = 0.0
                 assert np.allclose(q.data[bi, t, i], full[:e], atol=1e-5)
@@ -133,11 +131,11 @@ def test_mask_softmax_requires_level0_valid():
 
 def test_attention_at_t0_returns_current_token_value():
     mem = random_memory(b=1, L=1, seed=9)
-    proj = block_layers(4, 10)[0]
-    out = attend(mem, own_rows(mem), proj)
-    q, k, v = qkv_project(mem, proj)
-    assert np.allclose(out.values.data[0, 0], v.data[0, 0, 0], atol=1e-6)
-    assert np.allclose(out.weights.data[0, 0], [1, 0, 0, 0])
+    qkv = block_layers(4, 10)[0]
+    values, weights = attend(mem, own_rows(mem), *qkv)
+    q, k, v = qkv_project(mem, *qkv)
+    assert np.allclose(values.data[0, 0], v.data[0, 0, 0], atol=1e-6)
+    assert np.allclose(weights.data[0, 0], [1, 0, 0, 0])
 
 
 def test_weighted_sum_one_hot_and_uniform():
@@ -186,24 +184,22 @@ def test_multi_bank_combine_shape_error():
 def test_two_bank_attention_matches_naive_oracle():
     e, L = 4, 8
     rng = make_rng(15)
-    proj, banks = block_layers(e, 16, banks=2)
+    (weight, bias), banks = block_layers(e, 16, banks=2)
     x = Tensor(rng.standard_normal((2, L, e)).astype(np.float32))
     with no_grad():
         mem = multi_bank_combine([parallel_memory(x, s) for s in banks])
-    out = attend(mem, x, proj)
+    values, weights = attend(mem, x, weight, bias)
     expect_vals, expect_w = naive_single_vector_attention(
-        mem.data.data, mem.valid, proj.weight.data, proj.bias.data)
-    assert np.allclose(out.values.data, expect_vals, atol=1e-4)
-    assert np.allclose(out.weights.data, expect_w, atol=1e-5)
+        mem.data.data, mem.valid, weight.data, bias.data)
+    assert np.allclose(values.data, expect_vals, atol=1e-4)
+    assert np.allclose(weights.data, expect_w, atol=1e-5)
 
 
 def test_weights_sum_to_one_with_exact_zeros_many_cases():
     total_cases = 0
     for seed in range(4):
         mem = random_memory(b=4, L=16, seed=30 + seed)
-        proj = block_layers(4, 40 + seed)[0]
-        out = attend(mem, own_rows(mem), proj)
-        w = out.weights.data
+        w = attend(mem, own_rows(mem), *block_layers(4, 40 + seed)[0])[1].data
         assert np.all(np.abs(w.sum(-1) - 1.0) <= 1e-6)
         assert np.all(w[:, ~mem.valid] == 0.0)
         total_cases += w.shape[0] * w.shape[1]
@@ -212,8 +208,7 @@ def test_weights_sum_to_one_with_exact_zeros_many_cases():
 
 def test_argmax_level_invariant_under_positive_q_scaling():
     mem = random_memory(b=1, L=16, seed=50)
-    proj = zero_bias_projection(4, 51)
-    q, k, v = qkv_project(mem, proj)
+    q, k, v = qkv_project(mem, *zero_bias_projection(4, 51))
     base = single_vector_scores(q, k, mem.valid).data
     scaled = single_vector_scores(Tensor(q.data * 3.7), k, mem.valid).data
     base_masked = np.where(mem.valid[None], base, -np.inf)
@@ -224,8 +219,7 @@ def test_argmax_level_invariant_under_positive_q_scaling():
 def test_score_mac_counter_counts_valid_levels_only():
     e = 4
     mem = random_memory(b=3, L=16, e=e, seed=60)
-    proj = block_layers(e, 61)[0]
-    q, k, v = qkv_project(mem, proj)
+    q, k, v = qkv_project(mem, *block_layers(e, 61)[0])
     COUNTER.reset()
     single_vector_scores(q, k, mem.valid)
     assert COUNTER.score_macs == e * int(mem.valid.sum())
@@ -242,33 +236,33 @@ def two_bank_memory(L=13, e=4, seed=70, dtype=np.float32):
 
 def test_attend_equals_unfused_chain():
     mem = two_bank_memory()
-    proj = block_layers(4, 71)[0]
-    out = attend(mem, own_rows(mem), proj)
-    ref_v, ref_w = unfused_attend(mem, proj)
-    assert np.abs(out.weights.data - ref_w.data).max() <= 1e-5
-    assert np.abs(out.values.data - ref_v.data).max() <= 1e-4
+    qkv = block_layers(4, 71)[0]
+    values, weights = attend(mem, own_rows(mem), *qkv)
+    ref_v, ref_w = unfused_attend(mem, *qkv)
+    assert np.abs(weights.data - ref_w.data).max() <= 1e-5
+    assert np.abs(values.data - ref_v.data).max() <= 1e-4
 
 
-def attend_loss(mem, current, proj, seed=73):
-    target = make_rng(seed).standard_normal((mem.data.shape[0], mem.data.shape[1], proj.embed))
-    return sum_axis(mul(attend(mem, current, proj).values, Tensor(target)))
+def attend_loss(mem, current, weight, bias, seed=73):
+    target = make_rng(seed).standard_normal((mem.data.shape[0], mem.data.shape[1], weight.shape[0]))
+    return sum_axis(mul(attend(mem, current, weight, bias)[0], Tensor(target)))
 
 
 def test_attend_float64_gradients():
     mem = two_bank_memory(L=13, e=3, seed=74, dtype=np.float64)
     mem.data.requires_grad = True
     current = own_rows(mem, requires_grad=True)
-    proj = block_layers(3, 75, np.float64)[0]
-    params = [proj.weight, proj.bias, mem.data, current]
-    err = grad_check(lambda _: attend_loss(mem, current, proj), params, eps=1e-5)
+    weight, bias = block_layers(3, 75, np.float64)[0]
+    params = [weight, bias, mem.data, current]
+    err = grad_check(lambda _: attend_loss(mem, current, weight, bias), params, eps=1e-5)
     assert err <= 1e-4
 
 
 def test_dropped_bias_gets_exactly_zero_gradient():
     # b_q only shifts every score of a position alike
     mem = two_bank_memory(seed=76)
-    proj = block_layers(4, 77)[0]
-    attend_loss(mem, own_rows(mem), proj).backward()
-    e = proj.embed
-    assert np.all(proj.bias.grad[:e] == 0.0)
-    assert np.all(proj.bias.grad[2 * e:] != 0.0)
+    weight, bias = block_layers(4, 77)[0]
+    attend_loss(mem, own_rows(mem), weight, bias).backward()
+    e = weight.shape[0]
+    assert np.all(bias.grad[:e] == 0.0)
+    assert np.all(bias.grad[2 * e:] != 0.0)

@@ -23,9 +23,17 @@ from lmn.bench import (
     sweep,
     time_forward,
 )
-from lmn.counters import COUNTER
+from lmn.counters import COUNTER, OpCounter
 from lmn.model import TILE
 from lmn.tensor import make_rng, no_grad
+
+
+def test_counter_reset_and_snapshot_read_every_field_in_order():
+    counter = OpCounter(score_macs=1, summarizer_ops=2, expander_ops=3)
+    assert list(counter.snapshot().items()) == [
+        ("score_macs", 1), ("summarizer_ops", 2), ("expander_ops", 3)]
+    counter.reset()
+    assert counter == OpCounter() and list(counter.snapshot().values()) == [0, 0, 0]
 
 
 def test_lmn_closed_form_matches_brute_force():

@@ -1,10 +1,14 @@
 """Property tests at the CLI boundary: whatever a config file, a checkpoint
 or a vocab sidecar holds, reading it either succeeds or raises CliError
 with exit code 2 (bad input) or 3 (artifact mismatch), never another
-exception; whatever flags `lmn generate` is given, it returns a documented
-exit code. Examples are derandomized and no example database is kept, so
-every run draws the same cases and nothing is written to the checkout."""
+exception; whatever flags `lmn generate`, `train`, `eval` or `bench` is
+given, it returns a documented exit code, and `train`, `eval` and `bench`
+print one error line with it. Examples are derandomized and no example
+database is kept, so every run draws the same cases and nothing is
+written to the checkout."""
 
+import contextlib
+import io
 import struct
 import tempfile
 from dataclasses import fields
@@ -144,3 +148,74 @@ def test_any_generate_flags_exit_documented(files, vocab, n_new, temperature, se
         assert exc.code == 2
     else:
         assert code in (0, 2, 3, 4)
+
+
+# numbers a model could really be built with, or ones past what numpy can
+# index: none in between, so no example allocates a large model
+NUMBERS = st.one_of(st.integers(-2, 64), st.integers(2**63, 2**80)).map(str)
+FLAG_VALUES = st.one_of(NUMBERS, st.sampled_from(["", "x", "1.5", "8,16", "True"]))
+VARIANT_NAMES = st.sampled_from(["logmem", "tiny-logmem", "expsum", "baseline-attn", "swapped", ""])
+MODEL_SIZES = ("embed", "banks", "expansion", "n-blocks", "max-seq-len")
+
+
+def run_flags(argv):
+    """main(argv) with its output captured: (exit code, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own refusal of a flag
+            code = exc.code
+    return code, err.getvalue()
+
+
+def assert_exits_documented(code, err):
+    assert code in (0, 2, 3, 4), err
+    assert "Traceback" not in err
+    assert sum("error:" in line for line in err.splitlines()) == (code != 0), err
+
+
+def as_argv(flags: dict) -> list[str]:
+    return [f"--{name}={value}" for name, value in flags.items()]
+
+
+@pytest.fixture(scope="module")
+def run_files(files):
+    """A corpus long enough for any small block size, and a file where an
+    output directory would go, so every run ends before training or timing."""
+    corpus = files.good.parent / "corpus.txt"
+    corpus.write_text("abcde fghij\n" * 600, encoding="utf-8")  # past the default block size
+    blocked = files.good.parent / "blocked"
+    blocked.write_text("")
+    return SimpleNamespace(corpus=corpus, blocked=blocked)
+
+
+@PROPERTY
+@given(flags=st.fixed_dictionaries({}, optional={
+    "variant": VARIANT_NAMES, **{name: NUMBERS for name in MODEL_SIZES},
+    "seed": FLAG_VALUES, "max-iters": FLAG_VALUES, "block-size": FLAG_VALUES}))
+def test_any_train_flags_exit_documented(run_files, flags):
+    assert_exits_documented(*run_flags(["train", f"--corpus={run_files.corpus}",
+                                        f"--out={run_files.blocked}", *as_argv(flags)]))
+
+
+@PROPERTY
+@given(flags=st.fixed_dictionaries({}, optional={
+    "seed": FLAG_VALUES, "block-size": FLAG_VALUES,
+    "vocab": st.sampled_from(["vocab.txt", "missing.txt"]),
+    "corpus": st.sampled_from(["corpus.txt", "missing.txt"])}))
+def test_any_eval_flags_exit_documented(run_files, flags):
+    for name in ("vocab", "corpus"):
+        if name in flags:
+            flags[name] = run_files.corpus.parent / flags[name]
+    assert_exits_documented(*run_flags(["eval", *as_argv(flags)]))
+
+
+@PROPERTY
+@given(flags=st.fixed_dictionaries({}, optional={
+    "lengths": st.lists(NUMBERS, min_size=1, max_size=3).map(",".join) | FLAG_VALUES,
+    "variants": st.lists(VARIANT_NAMES, min_size=1, max_size=3).map(",".join),
+    "embed": NUMBERS, "banks": NUMBERS, "seed": FLAG_VALUES,
+    "mode": st.sampled_from(["parallel", "sequential", "stepped"])}))
+def test_any_bench_flags_exit_documented(run_files, flags):
+    assert_exits_documented(*run_flags(["bench", f"--out={run_files.blocked}", *as_argv(flags)]))

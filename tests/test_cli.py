@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import math
 import os
+import re
 import struct
 from pathlib import Path
 
@@ -540,6 +541,26 @@ def test_train_model_too_large_to_allocate_exits_2(corpus_file, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--embed", str(10**20)],
+    ["--variant", "baseline-attn", "--max-seq-len", str(10**20)],
+    ["--n-blocks", str(2**63)],
+    ["--banks", str(2**63)],
+    ["--variant", "expsum", "--expansion", str(2**63)],
+], ids=["embed", "baseline-max-seq-len", "n-blocks", "banks", "expansion"])
+def test_train_model_numpy_cannot_index_exits_2(corpus_file, tmp_path, capsys, flags):
+    # sizes past what numpy can index are refused before any draw, and counted
+    # without walking every block and bank
+    out = tmp_path / "run"
+    code = main(["train", "--corpus", corpus_file, "--out", str(out), "--max-iters", "1",
+                 "--block-size", "32", *flags])
+    assert code == 2
+    err = capsys.readouterr().err
+    _assert_one_error_line_in(err)
+    assert re.fullmatch(r"error: cannot allocate a model of \d+ parameters\n", err), err
+    assert not out.exists()
+
+
 def test_bench_point_too_large_to_allocate_is_a_failed_row(tmp_path, capsys):
     # baseline-attn cannot build its [L, E] position table, logmem cannot draw its tokens
     huge = str(10**11)
@@ -550,6 +571,28 @@ def test_bench_point_too_large_to_allocate_is_a_failed_row(tmp_path, capsys):
     assert [(r["variant"], r["L"], r["status"]) for r in rows] == [
         ("baseline-attn", "8", "ok"), ("baseline-attn", huge, "failed"),
         ("logmem", "8", "ok"), ("logmem", huge, "failed")]
+
+
+@pytest.mark.parametrize("flags", [["--embed", str(10**20)], ["--banks", str(2**63)]],
+                         ids=["embed", "banks"])
+def test_bench_model_numpy_cannot_index_is_a_failed_row(tmp_path, capsys, flags):
+    code = main(["bench", "--lengths", "8", "--variants", "logmem", "--out", str(tmp_path), *flags])
+    assert code == 0
+    rows = _csv_rows(tmp_path / "bench.csv")
+    assert [(r["mode"], r["status"]) for r in rows] == [("parallel", "failed"), ("sequential", "failed")]
+
+
+def test_bench_length_numpy_cannot_index_is_a_failed_row(tmp_path, capsys):
+    # logmem builds its model but cannot draw the tokens; baseline-attn cannot
+    # build its position table
+    lengths = [str(2**63 - 1), str(10**20)]
+    code = main(["bench", "--lengths", ",".join(lengths), "--variants", "logmem,baseline-attn",
+                 "--embed", "8", "--banks", "1", "--out", str(tmp_path)])
+    assert code == 0
+    rows = _csv_rows(tmp_path / "bench.csv")
+    assert [(r["variant"], r["L"], r["mode"], r["status"]) for r in rows] == [
+        (variant, L, mode, "failed") for variant in ("logmem", "baseline-attn")
+        for L in lengths for mode in ("parallel", "sequential")]
 
 
 def test_readme_cli_table_lists_every_flag_the_parser_registers():

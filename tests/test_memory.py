@@ -55,6 +55,13 @@ def identity_summarizer(e, which="older"):
     return LinearSummarizer(Tensor(w))
 
 
+@pytest.mark.parametrize("L,S", [(1, 1), (2, 1), (3, 2), (1024, 10), (1025, 11), (2**49 + 1, 50),
+                                 (2**63, 63), (10**20, 67)])
+def test_levels_for_is_exact_at_any_length(L, S):
+    # a float log2 rounds 2**49 + 1 down to a power of two, and numpy takes no int past 2**64
+    assert levels_for(L) == S
+
+
 def test_push_token_first_three_examples():
     e = 3
     summ = make_summ(e)
@@ -111,12 +118,13 @@ def test_snapshot_validity_patterns(t, expect_valid):
     for _ in range(t):
         push_token(state, Tensor(rng.standard_normal((1, e)).astype(np.float32)), summ)
     cur = Tensor(rng.standard_normal((1, e)).astype(np.float32))
-    row, valid = snapshot(state, cur)
-    assert valid.tolist() == expect_valid
-    assert np.array_equal(row.data[0], cur.data[0])
+    mem = snapshot(state, cur)
+    row = mem.data.data[0, 0]
+    assert mem.valid.tolist() == [expect_valid]
+    assert np.array_equal(row[0], cur.data[0])
     for i, v in enumerate(expect_valid[1:], start=1):
         if not v:
-            assert np.all(row.data[i] == 0.0)
+            assert np.all(row[i] == 0.0)
 
 
 def test_snapshot_t5_contents():
@@ -128,11 +136,11 @@ def test_snapshot_t5_contents():
     state = SlotState.fresh(3)
     for x in xs[:5]:
         push_token(state, x, summ)
-    row, valid = snapshot(state, xs[5])
+    row = snapshot(state, xs[5]).data.data[0, 0]
     merge = linear_merge_fn(summ.weight.data, summ.bias.data)
     xs_np = np.stack([x.data[0] for x in xs[:5]])
-    assert np.allclose(row.data[1], xs_np[4], atol=1e-6)
-    assert np.allclose(row.data[3], tree_summary(xs_np, 2, 0, merge), atol=1e-5)
+    assert np.allclose(row[1], xs_np[4], atol=1e-6)
+    assert np.allclose(row[3], tree_summary(xs_np, 2, 0, merge), atol=1e-5)
 
 
 def test_sequential_memory_single_token():
@@ -468,9 +476,11 @@ def test_one_block_tree_for_every_summarizer(name):
     with no_grad():
         for t in range(L):
             xt = Tensor(x.data[0, t:t + 1])
-            row, valid = snapshot(state, xt)
-            assert row.shape == (par.valid.shape[1], e)
-            assert np.array_equal(valid, par.valid[t])
+            mem = snapshot(state, xt)  # the MemoryTensor of a one-position tile
+            tile = gather_memory(table, t, t + 1)
+            assert mem.data.shape == (1, 1, par.valid.shape[1], e)
+            assert np.array_equal(mem.valid, tile.valid)
+            assert np.abs(mem.data.data - tile.data.data[:1]).max() <= 1e-5
             push_token(state, xt, summ)
 
 
@@ -487,11 +497,11 @@ def test_snapshot_and_state_share_no_memory(name):
         for _ in range(3):
             push_token(state, Tensor(rng.standard_normal((1, e)).astype(np.float32)), summ)
         x = Tensor(rng.standard_normal((1, e)).astype(np.float32))
-        row, valid = snapshot(state, x)
-        kept_row, kept_valid = row.data.copy(), valid.copy()
+        mem = snapshot(state, x)
+        kept_row, kept_valid = mem.data.data.copy(), mem.valid.copy()
         push_token(state, x, summ)  # t = 3 -> 4: merges levels 0 and 1 into level 2
-        assert np.array_equal(row.data, kept_row) and np.array_equal(valid, kept_valid)
-        after, _ = snapshot(state, x)
+        assert np.array_equal(mem.data.data, kept_row) and np.array_equal(mem.valid, kept_valid)
+        after = snapshot(state, x).data.data
         x.data[:] = 7.0
-        again, _ = snapshot(state, Tensor(after.data[:1].copy()))
-    assert np.array_equal(again.data, after.data)
+        again = snapshot(state, Tensor(after[0, 0, :1].copy())).data.data
+    assert np.array_equal(again, after)

@@ -321,6 +321,25 @@ def test_param_count_is_pure_and_matches_built_model():
     assert param_count(cfg) == total == param_count(cfg)
 
 
+@pytest.mark.parametrize("kw", [dict(variant="logmem", banks=3), dict(variant="tiny-logmem", banks=2),
+                                dict(variant="logmem", banks=3, summarizer="dsconv", summarizer_bias=False),
+                                dict(variant="expsum", expansion=2), dict(variant="baseline-attn")],
+                         ids=["logmem", "tiny", "dsconv-unbiased", "expsum", "baseline"])
+def test_param_count_closed_form_matches_every_block_and_bank(kw):
+    # counted from one- and two-block schemas, so a config of any size is counted at once
+    cfg = small_cfg(kw, embed=8, n_blocks=3)
+    assert param_count(cfg) == sum(p.data.size for p in build_model(cfg).params.values())
+    assert param_count(dataclasses.replace(cfg, n_blocks=2**63)) > 2**63
+
+
+def test_lmn_model_steps_at_a_max_seq_len_past_2_64():
+    # the slot state's level count is exact integer arithmetic at any length
+    model = build_model(small_cfg(dict(variant="logmem", banks=1), embed=4, max_seq_len=10**20))
+    with no_grad():
+        logits = model.step(model.start_state(), 3)
+    assert logits.shape == (29,) and np.all(np.isfinite(logits.data))
+
+
 def test_no_positional_table_in_lmn_variants():
     for _, kw in VARIANT_CONFIGS:
         cfg = small_cfg(kw)

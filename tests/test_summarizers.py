@@ -131,13 +131,12 @@ def test_snapshot_expanded_valid_rows():
     state = SlotState.fresh(3, 1)
     for _ in range(5):
         push_token(state, Tensor(rng.standard_normal((1, e)).astype(np.float32)), es)
-    row, valid = snapshot(state, Tensor(rng.standard_normal((1, e)).astype(np.float32)))
+    mem = snapshot(state, Tensor(rng.standard_normal((1, e)).astype(np.float32)))
     # t=5 = 101b with widths 1+l: 1 (current) + w0 + w2 = 5 valid rows
-    assert valid.sum() == 5
-    assert row.shape == (1 + 1 + 2 + 3, e)
+    assert mem.valid.sum() == 5
+    assert mem.data.shape == (1, 1, 1 + 1 + 2 + 3, e)
     state0 = SlotState.fresh(3, 1)
-    _, valid0 = snapshot(state0, Tensor(np.zeros((1, e), dtype=np.float32)))
-    assert valid0.sum() == 1
+    assert snapshot(state0, Tensor(np.zeros((1, e), dtype=np.float32))).valid.sum() == 1
 
 
 def test_expanded_valid_counts_match_oracle():
