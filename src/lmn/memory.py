@@ -7,22 +7,27 @@ linear and dsconv summarizers (every block is one row), k for the expander
 older first, into one width-(w+k) block, either one pair at a time
 (``merge_pair``) or a whole pyramid level at once (``merge_level``).
 
+A block's banks see the same tokens, so their trees share shape and
+occupancy and differ only in what their summarizers write: one slot state,
+one row table and one memory hold every bank, rows bank after bank, under
+one shared validity mask.
+
 The carry chain is a binary counter, the recurrent state a model steps
 through: slot l is occupied iff bit l of the consumed count is set, and
-pushing a token triggers the carry chain of merges. The parallel forward
-builds the full pyramid of pair summaries bottom-up over the whole
-sequence, and ``build_pyramid`` returns its levels joined in one row table
-(``RowTable``). ``gather_memory`` then reads the memory of any
-range of positions from it in closed form (Fenwick bucketing): position
-t's level-l slot is block 2 * (t >> (l+1)) of level l, so each level's
-read is a strided broadcast and its gradient a reshape-sum, with no index
-table and no scatter. The model reads one tile of positions at a time, so
-no [B, L, D, E] memory of the whole sequence is ever held.
-``parallel_memory`` (one read of the whole sequence) and
-``sequential_memory`` (its stepped reference) both produce a [B, L, D, E]
-memory (row 0 = current token, then the w_l rows of each slot in level
-order, D = 1 + sum_l w_l) with an [L, D] validity mask; invalid rows are
-exactly zero.
+pushing a token triggers one carry chain of merges, each bank merging its
+own blocks. The parallel forward builds every bank's full pyramid of pair
+summaries bottom-up over the whole sequence, and ``build_pyramid`` returns
+their levels joined in one row table (``RowTable``). ``gather_memory``
+then reads the memory of any range of positions from it in closed form
+(Fenwick bucketing): position t's level-l slot is block 2 * (t >> (l+1))
+of level l, so each level's read is a strided broadcast and its gradient a
+reshape-sum, with no index table and no scatter. The model reads one tile
+of positions at a time, so no [B, L, banks*D, E] memory of the whole
+sequence is ever held. ``parallel_memory`` (one read of the whole
+sequence) and ``sequential_memory`` (its stepped reference) both produce a
+[B, L, banks*D, E] memory (per bank: row 0 = current token, then the w_l
+rows of each slot in level order, D = 1 + sum_l w_l) with the banks' [L, D]
+validity mask; invalid rows are exactly zero.
 """
 
 from __future__ import annotations
@@ -64,37 +69,40 @@ def slot_widths(n_levels: int, k: int = 0) -> list[int]:
 
 @dataclass
 class SlotState:
-    """Binary-counter memory state of one stream, held in one row buffer.
+    """Binary-counter memory state of one stream for all of a block's banks,
+    held in one row buffer.
 
-    ``rows`` is a [D + w_S, E] array, allocated at first use with the dtype of
-    the token it is given. Row 0 holds the current token and level l owns
-    rows ``bounds[l]``, in snapshot order; level S, the tree root that the
-    final push of a full sequence writes, lies past the D rows a snapshot
-    reads. Level l is occupied iff bit l of ``consumed`` is set, and the rows
-    of an empty level are zero. Single-owner and mutable: the recurrent state
-    during generation. Inference-only: the rows are plain arrays, so no
-    gradient flows through them.
+    ``rows`` is a [banks, D + w_S, E] array, allocated at first use with the
+    dtype of the token it is given. In each bank's rows, row 0 holds the
+    current token and level l owns rows ``bounds[l]``, in snapshot order;
+    level S, the tree root that the final push of a full sequence writes,
+    lies past the D rows a snapshot reads. The banks share one count: level
+    l of every bank is occupied iff bit l of ``consumed`` is set, and the
+    rows of an empty level are zero. Single-owner and mutable: the recurrent
+    state during generation. Inference-only: the rows are plain arrays, so
+    no gradient flows through them.
     """
 
     n_levels: int
     bounds: list           # (first row, end row) of each level, the root included
     row_level: np.ndarray  # [D] level of each snapshot row (row 0: the current token)
+    banks: int = 1
     consumed: int = 0
     rows: np.ndarray | None = None
 
     @classmethod
-    def fresh(cls, n_levels: int, k: int = 0) -> "SlotState":
+    def fresh(cls, n_levels: int, k: int = 0, banks: int = 1) -> "SlotState":
         widths = slot_widths(n_levels + 1, k)  # the last is the root's
         ends = list(itertools.accumulate(widths, initial=1))
         row_level = [0] + [level for level, w in enumerate(widths[:-1]) for _ in range(w)]
-        return cls(n_levels, list(zip(ends[:-1], ends[1:])), np.array(row_level, dtype=np.int64))
+        return cls(n_levels, list(zip(ends[:-1], ends[1:])), np.array(row_level, dtype=np.int64), banks)
 
     def occupied(self, level: int) -> bool:
         return (self.consumed >> level) & 1 == 1
 
     def _buffer(self, x: Tensor) -> np.ndarray:
         if self.rows is None:
-            self.rows = np.zeros((self.bounds[-1][1], x.shape[-1]), dtype=x.dtype)
+            self.rows = np.zeros((self.banks, self.bounds[-1][1], x.shape[-1]), dtype=x.dtype)
         return self.rows
 
 
@@ -107,47 +115,55 @@ def _check_step(state: SlotState, x: Tensor, what: str) -> None:
                             "the gradient; run it under no_grad()")
 
 
-def push_token(state: SlotState, x: Tensor, summarizer) -> SlotState:
+def push_token(state: SlotState, x: Tensor, summarizers) -> SlotState:
     """Push one [1, E] node through the carry chain, mutating the state.
 
-    Merges always take the older block first; the final carry lands in the
-    first empty level, and each merged level's rows are zeroed.
+    The banks share the occupancy, so one chain serves them all: at each
+    occupied level, each bank merges its own block, the older, with its own
+    carry through its own summarizer, and the level's rows are zeroed; the
+    final carries land in the first empty level.
     """
     _check_step(state, x, "push_token")
+    if len(summarizers) != state.banks:
+        raise ValueError(f"push_token: {len(summarizers)} summarizers for {state.banks} banks")
     rows = state._buffer(x)
-    carry = x
+    carries = [x] * state.banks
     level = 0
     while state.occupied(level):
         lo, hi = state.bounds[level]
-        carry = summarizer.merge_pair(Tensor(rows[lo:hi]), carry)
-        COUNTER.summarizer_ops += 1
-        rows[lo:hi] = 0.0
+        carries = [s.merge_pair(Tensor(r[lo:hi]), c) for s, r, c in zip(summarizers, rows, carries)]
+        COUNTER.summarizer_ops += state.banks
+        rows[:, lo:hi] = 0.0
         level += 1
     lo, hi = state.bounds[level]
-    rows[lo:hi] = carry.data
+    for r, carry in zip(rows, carries):
+        r[lo:hi] = carry.data
     state.consumed += 1
     return state
 
 
 def snapshot(state: SlotState, x_current: Tensor) -> MemoryTensor:
-    """The memory of position t = state.consumed: its [1, 1, D, E] rows and
-    [1, D] mask, the MemoryTensor that ``gather_memory`` returns for a tile
-    of one position.
+    """The memory of position t = state.consumed: every bank's D rows,
+    bank-major, as [1, 1, banks*D, E], and the banks' [1, D] mask, the
+    MemoryTensor that ``gather_memory`` returns for a tile of one position.
 
-    One copy of the row buffer with row 0 set to the current token; empty
-    levels are already zero.
+    One copy of the row buffer with each bank's row 0 set to the current
+    token; empty levels are already zero.
     """
     _check_step(state, x_current, "snapshot")
     rows = state._buffer(x_current)
-    rows[:1] = x_current.data
+    rows[:, :1] = x_current.data
     valid = ((state.consumed >> state.row_level) & 1).astype(bool)
     valid[0] = True
-    return MemoryTensor(Tensor(rows[None, None, :valid.size].copy()), valid[None])
+    data = rows[:, :valid.size].copy()  # a view of the buffer for one bank: copy, then reshape
+    return MemoryTensor(Tensor(data.reshape(1, 1, -1, rows.shape[-1])), valid[None])
 
 
 @dataclass
 class MemoryTensor:
-    """Per-position memory: data [B, L, D, E], validity mask [L, D]."""
+    """Per-position memory: data [B, L, banks*D, E], bank-major, and the
+    banks' shared validity mask [L, D]; ``attention.multi_bank_combine``
+    widens the mask to every row."""
 
     data: Tensor
     valid: np.ndarray
@@ -167,7 +183,7 @@ def valid_mask(stop: int, n_levels: int, k: int = 0, start: int = 0) -> np.ndarr
     return mask
 
 
-def sequential_memory(x: Tensor, summarizer) -> MemoryTensor:
+def sequential_memory(x: Tensor, summarizers) -> MemoryTensor:
     """Iterative construction, the reference for parallel_memory: snapshot
     position t, then push x_t (inference-only)."""
     b, L, e = x.shape
@@ -175,86 +191,101 @@ def sequential_memory(x: Tensor, summarizer) -> MemoryTensor:
     if records_grad(x):
         raise ContractError("sequential memory is inference-only and would cut the "
                             "gradient; run it under no_grad()")
-    valid = valid_mask(L, n_levels, summarizer.k)
-    data = np.empty((b, L, valid.shape[1], e), dtype=x.dtype)
+    k, banks = summarizers[0].k, len(summarizers)
+    valid = valid_mask(L, n_levels, k)
+    data = np.empty((b, L, banks * valid.shape[1], e), dtype=x.dtype)
     for bi in range(b):
-        state = SlotState.fresh(n_levels, summarizer.k)
+        state = SlotState.fresh(n_levels, k, banks)
         for t in range(L):
             xt = Tensor(x.data[bi, t:t + 1])
             data[bi, t] = snapshot(state, xt).data.data[0, 0]
-            push_token(state, xt, summarizer)
+            push_token(state, xt, summarizers)
     return MemoryTensor(data=Tensor(data), valid=valid)
 
 
 @dataclass
 class RowTable:
-    """A pyramid's levels 0..S-1 in one [B, rows, E] table, in level order:
-    level l's L_pad >> l blocks of w_l rows each follow level l-1's. Row t of
-    the table is token t, so it also holds the current-token rows."""
+    """The pyramid levels 0..S-1 of a block's banks in one [B, banks*R, E]
+    table: each bank's R rows hold its levels in level order (level l's
+    L_pad >> l blocks of w_l rows follow level l-1's), bank after bank.
+    Row t of each bank's rows is token t, so it also holds the current-token
+    rows."""
 
     rows: Tensor
     n_levels: int
     k: int
+    banks: int = 1
 
 
-def build_pyramid(x: Tensor, summarizer) -> RowTable:
+def build_pyramid(x: Tensor, summarizers) -> RowTable:
     """Bottom-up batched construction, zero-padding L to a power of two.
 
-    Level l is [B, L_pad >> l, w_l, E]; every level is merged up to the
-    root, and levels 0..S-1 are joined into the row table in one copy (the
-    root is a block no position reads).
+    Level l is [B, L_pad >> l, w_l, E]; level 0 is the padded input for
+    every bank, each bank merges its levels up to the root, and every bank's
+    levels 0..S-1 are joined into the row table in one copy (the root is a
+    block no position reads).
     """
     b, L, e = x.shape
     n_levels = levels_for(L)
     L_pad = 1 << n_levels
     if L < L_pad:
         x = concat([x, zeros((b, L_pad - L, e), dtype=x.dtype)], axis=1)
-    cur = reshape(x, (b, L_pad, 1, e))
+    leaves = reshape(x, (b, L_pad, 1, e))
     levels = []
-    for _ in range(n_levels):
-        levels.append(cur)
-        n_pairs = cur.shape[1] // 2
-        cur = summarizer.merge_level(cur)
-        COUNTER.summarizer_ops += n_pairs
+    for summarizer in summarizers:
+        cur = leaves
+        for _ in range(n_levels):
+            levels.append(cur)
+            n_pairs = cur.shape[1] // 2
+            cur = summarizer.merge_level(cur)
+            COUNTER.summarizer_ops += n_pairs
     rows = concat([reshape(lv, (b, lv.shape[1] * lv.shape[2], e)) for lv in levels], axis=1)
-    return RowTable(rows=rows, n_levels=n_levels, k=summarizer.k)
+    return RowTable(rows=rows, n_levels=n_levels, k=summarizers[0].k, banks=len(summarizers))
 
 
 def gather_memory(table: RowTable, start: int, stop: int) -> MemoryTensor:
     """The memory of positions start..stop-1, read from the row table in closed form.
 
-    Row 0 of position t is table row t. For level l with bit l of t set,
-    the slot holds levels[l][2 * (t >> (l+1))], the lone level-l block in
-    the greedy binary decomposition of the prefix [0, t), so blocks lie
-    inside the real prefix and padding never leaks in. The read is one op:
-    a broadcast write per ``_level_reads`` pair, and a backward that sums
-    each pair's gradient over its positions into its blocks. Every other
-    slot row stays exactly zero and gets no gradient. A range that starts
-    at a multiple of 2^(l+1) holds whole level-l groups; one that lies
-    inside a single group reads that group's block, or none.
+    Every bank's reads fill one [B, stop - start, banks*D, E] buffer from
+    its column offset on. Row 0 of position t is the bank's table row t. For level l with bit l of t set, the slot holds
+    levels[l][2 * (t >> (l+1))], the lone level-l block in the greedy
+    binary decomposition of the prefix [0, t), so blocks lie inside the
+    real prefix and padding never leaks in. The read is one op: a broadcast
+    write per ``_level_reads`` pair, and a backward that sums each pair's
+    gradient over its positions into its blocks, each bank's into its own
+    slice of one table gradient. Every other slot row stays exactly zero
+    and gets no gradient. A range that starts at a multiple of 2^(l+1)
+    holds whole level-l groups; one that lies inside a single group reads
+    that group's block, or none.
     """
     rows = table.rows
-    b, _, e = rows.shape
+    b, n_rows, e = rows.shape
     widths = slot_widths(table.n_levels, table.k)
-    out = np.zeros((b, stop - start, 1 + sum(widths), e), dtype=rows.dtype)
-    out[:, :, 0] = rows.data[:, start:stop]
-    for mem, blocks in _level_reads(out, rows.data, start, widths):
-        mem[...] = blocks
+    d, per_bank = 1 + sum(widths), n_rows // table.banks
+    out = np.zeros((b, stop - start, table.banks * d, e), dtype=rows.dtype)
+    for j in range(table.banks):
+        bank = rows.data[:, j * per_bank:(j + 1) * per_bank]
+        out[:, :, j * d] = bank[:, start:stop]
+        for mem, blocks in _level_reads(out, bank, start, widths, j * d + 1):
+            mem[...] = blocks
 
     def bwd(g):
         grad = np.zeros(rows.shape, dtype=g.dtype)
-        for mem, blocks in _level_reads(g, grad, start, widths):
-            np.sum(mem, axis=-3, keepdims=True, out=blocks)  # each block is read by one group
-        grad[:, start:stop] += g[:, :, 0]
+        for j in range(table.banks):
+            bank = grad[:, j * per_bank:(j + 1) * per_bank]
+            for mem, blocks in _level_reads(g, bank, start, widths, j * d + 1):
+                np.sum(mem, axis=-3, keepdims=True, out=blocks)  # each block is read by one group
+            bank[:, start:stop] += g[:, :, j * d]
         return (grad,)
 
     return MemoryTensor(data=_make(out, (rows,), bwd),
                         valid=valid_mask(stop, table.n_levels, table.k, start))
 
 
-def _level_reads(mem: np.ndarray, rows: np.ndarray, start: int, widths: list):
-    """(memory view, block view) pairs: the reads of every level's slot columns
-    by the positions start..start+n-1 that ``mem``'s n rows hold.
+def _level_reads(mem: np.ndarray, rows: np.ndarray, start: int, widths: list, col: int):
+    """(memory view, block view) pairs: the reads of one bank's slot columns,
+    from column ``col`` on, by the positions start..start+n-1 that ``mem``'s
+    n rows hold, out of that bank's table rows ``rows``.
 
     Level l's positions fall in groups of R = 2^(l+1): the second half of
     group g reads block 2g of the level and the first half reads nothing.
@@ -268,7 +299,7 @@ def _level_reads(mem: np.ndarray, rows: np.ndarray, start: int, widths: list):
     b, n, d, e = mem.shape
     stop = start + n
     n_levels = len(widths)
-    off, col = 0, 1
+    off = 0
     for level, w in enumerate(widths):
         count, R = 1 << (n_levels - level), 2 << level
         half = R >> 1
@@ -292,7 +323,7 @@ def _level_reads(mem: np.ndarray, rows: np.ndarray, start: int, widths: list):
         col += w
 
 
-def parallel_memory(x: Tensor, summarizer) -> MemoryTensor:
+def parallel_memory(x: Tensor, summarizers) -> MemoryTensor:
     """Every position's memory in one read of the whole sequence: the
     reference for the model's tiled reads; agrees with sequential_memory."""
-    return gather_memory(build_pyramid(x, summarizer), 0, x.shape[1])
+    return gather_memory(build_pyramid(x, summarizers), 0, x.shape[1])

@@ -2,17 +2,18 @@
 
 All variants share the block skeleton (pre-norm attention + residual,
 pre-norm feed-forward + residual, final norm, unembed). LMN variants build
-per-bank tree memories and apply single-vector attention over memory
-levels; no positional table exists, position is carried by each token's
-merge path. The baseline is a standard decoder with a learned positional
-embedding and causal self-attention. One ``forward`` serves both: parallel
-mode runs the whole sequence at once, and sequential mode steps each
-stream through ``step``. An LMN model's parallel forward builds each
-bank's row table over the whole sequence (``memory.build_pyramid``), then
-reads it, attends and runs the residual branches in tiles of ``TILE``
-positions, and its last block unembeds tile by tile; a step reads its slot
-state through the same combine-attend-residual tail (``LmnBlock._read``).
-The baseline runs each block's forward over the whole sequence, and steps
+one tree memory per block, shared by its banks, and apply single-vector
+attention over memory levels; no positional table exists, position is
+carried by each token's merge path. The baseline is a standard decoder
+with a learned positional embedding and causal self-attention. One
+``forward`` serves both: parallel mode runs the whole sequence at once,
+and sequential mode steps each stream through ``step``. An LMN model's
+parallel forward builds each block's one row table, every bank's levels
+in it, over the whole sequence (``memory.build_pyramid``), then reads it,
+attends and runs the residual branches in tiles of ``TILE`` positions,
+and its last block unembeds tile by tile; a step reads the block's one
+slot state through the same combine-attend-residual tail
+(``LmnBlock._read``). The baseline runs each block's forward over the whole sequence, and steps
 by running it with a per-block KV cache.
 """
 
@@ -21,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import struct
+import zlib
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -69,7 +71,7 @@ VARIANTS = ("logmem", "tiny-logmem", "expsum", "baseline-attn")
 MODES = ("parallel", "sequential")
 SUMMARIZERS = ("linear", "dsconv")
 CKPT_MAGIC = b"LMNCKPT"
-CKPT_VERSION = 1
+CKPT_VERSION = 2  # version 1 has no CRC32 trailer; it still loads
 
 # Positions per tile of an LMN model's parallel forward: a power of two, so
 # tiles start at multiples of it and hold whole groups of every level that
@@ -268,10 +270,11 @@ class LmnBlock(_Block):
         self.qkv_b = params[f"{p}.qkv.bias"]
         self.summarizers = [_make_summarizer(cfg, params, f"{p}.bank{j}") for j in range(cfg.banks)]
 
-    def fresh_states(self):
-        return [SlotState.fresh(self.cfg.n_levels, s.k) for s in self.summarizers]
+    def fresh_state(self) -> SlotState:
+        """The one slot state of the block's banks."""
+        return SlotState.fresh(self.cfg.n_levels, self.summarizers[0].k, len(self.summarizers))
 
-    def step(self, x: Tensor, states) -> Tensor:
+    def step(self, x: Tensor, state: SlotState) -> Tensor:
         """One position: x [1, 1, E]; snapshots, attends, then pushes (inference-only)."""
         # the expander's named entry points into the shared tree
         if self.cfg.variant == "expsum":
@@ -280,15 +283,14 @@ class LmnBlock(_Block):
             take, push = snapshot, push_token
         n = layer_norm(x, *self.ln1)
         n_flat = reshape(n, (1, self.cfg.embed))
-        x = self._read(x, n, [take(s, n_flat) for s in states])
-        for s, summ in zip(states, self.summarizers):
-            push(s, n_flat, summ)
+        x = self._read(x, n, take(state, n_flat))
+        push(state, n_flat, self.summarizers)
         return x
 
-    def _read(self, x: Tensor, n: Tensor, mems) -> Tensor:
+    def _read(self, x: Tensor, n: Tensor, mem) -> Tensor:
         """The tail both modes share: combine the banks, attend with the
         layer-normed input n as the current tokens, then the residuals."""
-        values, _ = attend(multi_bank_combine(mems), n, self.qkv_w, self.qkv_b)
+        values, _ = attend(multi_bank_combine(mem), n, self.qkv_w, self.qkv_b)
         return self._residuals(x, values)
 
 
@@ -391,11 +393,11 @@ class LmnModel(_ModelBase):
         return embedding(self.embed_w, tokens)  # no positional table: path-through encoding
 
     def _parallel(self, tokens: np.ndarray) -> Tensor:
-        """Each block builds its banks' row tables over the whole sequence
-        (``build_pyramid``) and runs everything after them tile by tile: the
-        banks' reads of the tile, then the block's ``_read`` tail, as in
-        ``step``. A block before the last joins its tiles, since the next
-        block's tables need the whole sequence; the last unembeds each tile
+        """Each block builds its one row table over the whole sequence
+        (``build_pyramid``) and runs everything after it tile by tile: the
+        read of the tile, then the block's ``_read`` tail, as in ``step``.
+        A block before the last joins its tiles, since the next block's
+        table needs the whole sequence; the last unembeds each tile
         before joining them. A sequence of at most TILE positions is one
         tile and runs untouched."""
         x = self._embed(tokens, 0)
@@ -407,23 +409,23 @@ class LmnModel(_ModelBase):
 
         for i, blk in enumerate(self.blocks):
             n = layer_norm(x, *blk.ln1)
-            tables = [build_pyramid(n, s) for s in blk.summarizers]
+            table = build_pyramid(n, blk.summarizers)
             last = i == len(self.blocks) - 1
             outs = []
             for start, stop in spans:
-                # the memories live only inside the call, so one tile's are freed before the next's
+                # the memory lives only inside the call, so one tile's is freed before the next's
                 y = blk._read(tile(x, start, stop), tile(n, start, stop),
-                              [read_memory(t, s, start, stop) for t, s in zip(tables, blk.summarizers)])
+                              read_memory(table, blk.summarizers, start, stop))
                 outs.append(self._unembed(y) if last else y)
             x = outs[0] if len(outs) == 1 else concat(outs, axis=1)
         return x
 
     def start_state(self):
-        return [blk.fresh_states() for blk in self.blocks]
+        return [blk.fresh_state() for blk in self.blocks]
 
     def step(self, state, token: int) -> Tensor:
         """Next-token logits [V] after one token, from the slot state (inference-only)."""
-        x = self._step_input(state[0][0].consumed, token)
+        x = self._step_input(state[0].consumed, token)
         for blk, st in zip(self.blocks, state):
             x = blk.step(x, st)
         return reshape(self._unembed(x), (self.config.vocab_size,))
@@ -520,8 +522,8 @@ def generate(model, prompt, n_new: int, temperature: float = 1.0, rng=None,
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: magic, version, config text, then raw named tensors; every
-# output file is written through write_file.
+# Checkpoints: magic, version, config text, raw named tensors, then a CRC32
+# of everything before it; every output file is written through write_file.
 # ---------------------------------------------------------------------------
 
 _SCALARS = {"int": int, "float": float, "str": str}
@@ -596,7 +598,8 @@ def write_file(path, data: bytes) -> None:
 def save_checkpoint(path, model) -> None:
     """Binary format: magic, u32 version, u32-length config text, then per
     tensor: u32 name length, name, u32 rank, u32 extents, little-endian
-    float32 data. Round-trips bit-exactly."""
+    float32 data; last, the u32 ``zlib.crc32`` of every byte before it.
+    Round-trips bit-exactly."""
     cfg_text = config_to_text(model.config).encode("utf-8")
     parts = [CKPT_MAGIC, struct.pack("<II", CKPT_VERSION, len(cfg_text)), cfg_text]
     for name, p in model.params.items():
@@ -604,26 +607,29 @@ def save_checkpoint(path, model) -> None:
         parts += [struct.pack("<I", len(nb)), nb,
                   struct.pack(f"<I{p.data.ndim}I", p.data.ndim, *p.data.shape),
                   np.ascontiguousarray(p.data, dtype="<f4").tobytes()]
-    write_file(path, b"".join(parts))
+    body = b"".join(parts)
+    write_file(path, body + struct.pack("<I", zlib.crc32(body)))
 
 
 def load_checkpoint(path):
     """Read a save_checkpoint file back into a model.
 
-    Every length is checked against the bytes left in the file before it
-    sizes a read, and the model is built only once the tensors read match
-    its config's schema one for one in name and shape, so a damaged file
-    raises ValueError and never asks for a read or an allocation larger
-    than the file, whatever its config says.
+    A version-2 file whose CRC32 does not match its bytes raises
+    ValueError naming the file; a version-1 file, written before the CRC,
+    has none to check. Every length is checked against the bytes left in
+    the file before it sizes a read, and the model is built only once the
+    tensors read match its config's schema one for one in name and shape,
+    so a damaged file raises ValueError and never asks for a read or an
+    allocation larger than the file, whatever its config says.
     """
     with open(path, "rb") as f:
-        blob = f.read()
-    pos = 0
+        blob = memoryview(f.read())
+    pos, end = 0, len(blob)
 
-    def take(n: int, what: str) -> bytes:
+    def take(n: int, what: str) -> memoryview:
         nonlocal pos
-        if n > len(blob) - pos:
-            raise ValueError(f"checkpoint truncated: {what} needs {n} bytes, {len(blob) - pos} left")
+        if n > end - pos:
+            raise ValueError(f"checkpoint truncated: {what} needs {n} bytes, {end - pos} left")
         pos += n
         return blob[pos - n:pos]
 
@@ -634,12 +640,16 @@ def load_checkpoint(path):
         raise ValueError(f"not a checkpoint file: {path}")
     pos = len(CKPT_MAGIC)
     version = u32("the version")
-    if version != CKPT_VERSION:
+    if version not in (1, CKPT_VERSION):
         raise ValueError(f"unsupported checkpoint version {version}")
-    cfg = config_from_text(take(u32("the config length"), "the config").decode("utf-8"))
+    if version == CKPT_VERSION:
+        end -= 4
+        if end < pos or struct.unpack("<I", blob[end:])[0] != zlib.crc32(blob[:end]):
+            raise ValueError(f"checkpoint {path} is damaged: its CRC32 does not match its bytes")
+    cfg = config_from_text(str(take(u32("the config length"), "the config"), "utf-8"))
     tensors = {}
-    while pos < len(blob):
-        name = take(u32("a tensor name length"), "a tensor name").decode("utf-8")
+    while pos < end:
+        name = str(take(u32("a tensor name length"), "a tensor name"), "utf-8")
         if name in tensors:
             raise ValueError(f"checkpoint tensor {name!r} appears twice")
         rank = u32(f"the rank of {name!r}")

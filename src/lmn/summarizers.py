@@ -16,12 +16,14 @@ bias is optional because ``model.summarizer_bias=False`` builds them
 without one.
 
 The tree itself (carry chain, snapshot, validity mask, pyramid, gather) is
-written once in ``memory.py`` for every summarizer. The expander still
-enters it through three named functions below, each a plain delegation:
-``parallel_expanded_memory`` is its range read of the row table that
-``build_pyramid`` returns (``gather_memory``), and ``push_token_expanded`` and ``snapshot_expanded``
-are its steps. The benchmark's per-layer traces report expander time under
-those names, and ``read_memory`` picks the expander's read by type.
+written once in ``memory.py`` for every summarizer, and holds all of a
+block's banks at once: each function below takes the block's summarizers,
+one per bank. The expander still enters it through three named functions
+below, each a plain delegation: ``parallel_expanded_memory`` is its range
+read of the row table that ``build_pyramid`` returns (``gather_memory``),
+and ``push_token_expanded`` and ``snapshot_expanded`` are its steps. The
+benchmark's per-layer traces report expander time under those names, and
+``read_memory`` picks the expander's read by type.
 """
 
 from __future__ import annotations
@@ -131,16 +133,17 @@ def parallel_expanded_memory(table: RowTable, start: int, stop: int) -> MemoryTe
     return gather_memory(table, start, stop)
 
 
-def push_token_expanded(state, x, es: ExpanderSummarizer):
-    return push_token(state, x, es)
+def push_token_expanded(state, x, summarizers):
+    return push_token(state, x, summarizers)
 
 
 def snapshot_expanded(state, x_current):
     return snapshot(state, x_current)
 
 
-def read_memory(table: RowTable, summarizer, start: int, stop: int) -> MemoryTensor:
-    """The [B, stop - start, D, E] memory of positions start..stop-1 from one
-    bank's ``memory.build_pyramid`` table."""
-    read = parallel_expanded_memory if isinstance(summarizer, ExpanderSummarizer) else gather_memory
+def read_memory(table: RowTable, summarizers, start: int, stop: int) -> MemoryTensor:
+    """The [B, stop - start, banks*D, E] memory of positions start..stop-1
+    from a block's ``memory.build_pyramid`` table over its banks'
+    summarizers."""
+    read = parallel_expanded_memory if isinstance(summarizers[0], ExpanderSummarizer) else gather_memory
     return read(table, start, stop)

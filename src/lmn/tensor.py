@@ -417,29 +417,43 @@ def sum_axis(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _make(np.asarray(out, dtype=a.dtype), (a,), bwd)
 
 
+# Attention's contractions as batched matmuls of each position's [D, E]
+# rows. Per einsum_pair call, one BLAS thread, 2-CPU x86, float32, einsum ->
+# matmul: score 0.44 -> 0.23 ms and weighted sum 0.46 -> 0.17 ms at
+# [16, 256, 18, 32]; 0.140 -> 0.072 and 0.149 -> 0.057 ms at [1, 1024, 26, 32];
+# 2.5 -> 2.0 us at one step, [1, 1, 22, 32]. The outer products stay on
+# einsum: as broadcast multiplies they were slower.
+_MATMUL_SPECS = {
+    "blde,ble->bld": lambda a, b: np.matmul(a, b[..., None])[..., 0],
+    "ble,blde->bld": lambda a, b: np.matmul(b, a[..., None])[..., 0],
+    "bld,blde->ble": lambda a, b: np.matmul(a[..., None, :], b)[..., 0, :],
+    "blde,bld->ble": lambda a, b: np.matmul(b[..., None, :], a)[..., 0, :],
+}
+
+
+def _einsum(spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    run = _MATMUL_SPECS.get(spec)
+    return np.einsum(spec, a, b) if run is None else run(a, b)
+
+
 def einsum_pair(spec: str, a: Tensor, b: Tensor) -> Tensor:
     """Two-operand einsum with autodiff.
 
     Requires every index to appear at most once per operand (no within-operand
     traces), which makes each gradient another einsum with permuted specs.
-
-    Runs numpy's plain einsum loop, without ``optimize=True``, whose path
-    planner ran on every call. Measured with one BLAS thread on a 2-CPU Xeon,
-    float32, planner on -> off: at one-token stepping shapes ([1, 1, 22, 32]
-    memory rows) every spec took 22-31 us -> 3-5 us; at prefill shapes
-    (B=1, L=3000, D=26, E=32) 2.1-2.3 ms -> 0.7-1.5 ms. At the training shape
-    (B=16, L=256, D=18) the backward's outer product "bld,ble->blde" took
-    2.4 -> 1.2 ms while the four contractions took 0.09-0.19 ms more each,
-    so the six einsums of one attention pass, forward and backward, took
-    7.9 -> 6.1 ms.
+    The contractions in ``_MATMUL_SPECS`` run as batched matmuls; every
+    other spec, the outer products among them, runs numpy's plain einsum
+    loop without ``optimize=True``, whose path planner ran on every call
+    (22-31 us -> 3-5 us per einsum at one-token stepping shapes, one BLAS
+    thread on a 2-CPU Xeon).
     """
     ins, out_spec = spec.split("->")
     a_spec, b_spec = ins.split(",")
-    out = np.einsum(spec, a.data, b.data)
+    out = _einsum(spec, a.data, b.data)
 
     def bwd(g):
-        ga = np.einsum(f"{out_spec},{b_spec}->{a_spec}", g, b.data)
-        gb = np.einsum(f"{a_spec},{out_spec}->{b_spec}", a.data, g)
+        ga = _einsum(f"{out_spec},{b_spec}->{a_spec}", g, b.data)
+        gb = _einsum(f"{a_spec},{out_spec}->{b_spec}", a.data, g)
         return ga, gb
 
     return _make(out, (a, b), bwd)

@@ -85,8 +85,8 @@ def _tree_gap(summarizers, L: int, E: int, rng) -> float:
     for summ in summarizers:
         x = Tensor(rng.standard_normal((2, L, E)).astype(np.float32))
         with no_grad():
-            par = parallel_memory(x, summ).data.data
-            seq = sequential_memory(x, summ).data.data
+            par = parallel_memory(x, [summ]).data.data
+            seq = sequential_memory(x, [summ]).data.data
         gap = max(gap, float(np.abs(par - seq).max()))
     return gap
 
@@ -144,7 +144,7 @@ def check_attention_masking(quick: bool):
     rng = make_rng(31)
     x = Tensor(rng.standard_normal((2, L, E)).astype(np.float32))
     with no_grad():
-        mem = multi_bank_combine([parallel_memory(x, s) for s in block.summarizers])
+        mem = multi_bank_combine(parallel_memory(x, block.summarizers))
         w = attend(mem, x, block.qkv_w, block.qkv_b)[1].data
     sums = w.sum(axis=-1)
     zeros_exact = bool(np.all(w[~np.broadcast_to(mem.valid[None], w.shape)] == 0.0))
@@ -166,7 +166,7 @@ def check_attention_fold(quick: bool):
     block = _block(E, 37, banks=2)
     x = Tensor(rng.standard_normal((2, L, E)).astype(np.float32))
     with no_grad():
-        mem = multi_bank_combine([parallel_memory(x, s) for s in block.summarizers])
+        mem = multi_bank_combine(parallel_memory(x, block.summarizers))
         values, weights = attend(mem, x, block.qkv_w, block.qkv_b)
         ref_v, ref_w = unfused_attend(mem, block.qkv_w, block.qkv_b)
     gap_w = float(np.abs(weights.data - ref_w.data).max())

@@ -97,9 +97,9 @@ def fd_grad(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     return g
 
 
-def slot_blocks(state):
-    """Each level's [w_l, E] block of a SlotState's rows, or None when the level is empty."""
-    return [state.rows[lo:hi] if state.occupied(level) else None
+def slot_blocks(state, bank=0):
+    """Each level's [w_l, E] block of a bank's SlotState rows, or None when the level is empty."""
+    return [state.rows[bank, lo:hi] if state.occupied(level) else None
             for level, (lo, hi) in enumerate(state.bounds)]
 
 

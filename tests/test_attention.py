@@ -165,9 +165,10 @@ def test_weighted_sum_matches_triple_loop():
 
 def test_multi_bank_combine_identity_and_concat():
     m1 = random_memory(seed=13)
-    assert multi_bank_combine([m1]) is m1
+    assert multi_bank_combine(m1) is m1
     m2 = random_memory(seed=14)
-    combined = multi_bank_combine([m1, m2])
+    combined = multi_bank_combine(MemoryTensor(Tensor(np.concatenate([m1.data.data, m2.data.data], axis=2)),
+                                               m1.valid))
     d = m1.data.shape[2]
     assert combined.data.shape[2] == 2 * d
     assert np.array_equal(combined.valid[:, :d], m1.valid)
@@ -178,7 +179,17 @@ def test_multi_bank_combine_identity_and_concat():
 
 def test_multi_bank_combine_shape_error():
     with pytest.raises(ShapeError):
-        multi_bank_combine([random_memory(e=4), random_memory(e=8, seed=1)])
+        multi_bank_combine(MemoryTensor(random_memory(e=4).data, valid_mask(8, 2)))
+
+
+def test_two_bank_combine_makes_no_copy():
+    _, banks = block_layers(4, 17, banks=2)
+    x = Tensor(make_rng(18).standard_normal((2, 13, 4)).astype(np.float32))
+    with no_grad():
+        mem = parallel_memory(x, banks)
+    combined = multi_bank_combine(mem)
+    assert combined.data is mem.data
+    assert np.array_equal(combined.valid, np.concatenate([mem.valid, mem.valid], axis=1))
 
 
 def test_two_bank_attention_matches_naive_oracle():
@@ -187,7 +198,7 @@ def test_two_bank_attention_matches_naive_oracle():
     (weight, bias), banks = block_layers(e, 16, banks=2)
     x = Tensor(rng.standard_normal((2, L, e)).astype(np.float32))
     with no_grad():
-        mem = multi_bank_combine([parallel_memory(x, s) for s in banks])
+        mem = multi_bank_combine(parallel_memory(x, banks))
     values, weights = attend(mem, x, weight, bias)
     expect_vals, expect_w = naive_single_vector_attention(
         mem.data.data, mem.valid, weight.data, bias.data)
@@ -230,7 +241,7 @@ def two_bank_memory(L=13, e=4, seed=70, dtype=np.float32):
     _, banks = block_layers(e, seed, banks=2)
     x = Tensor(rng.standard_normal((2, L, e)).astype(np.float32))
     with no_grad():
-        mem = multi_bank_combine([parallel_memory(x, s) for s in banks])
+        mem = multi_bank_combine(parallel_memory(x, banks))
     return MemoryTensor(Tensor(mem.data.data.astype(dtype)), mem.valid)
 
 

@@ -22,6 +22,8 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from lmn.cli import SECTIONS, CliError, _load_artifacts, build_configs, main
 from lmn.model import ModelConfig, build_model, save_checkpoint
 
+from test_model import resealed
+
 # Hypothesis caches the constants it reads from local sources in its home
 # directory, .hypothesis/ in the working directory unless told otherwise. Its
 # pytest plugin reads them while collecting, so the home is set at import.
@@ -89,7 +91,15 @@ def _config_span(blob: bytes) -> tuple[int, int]:
 @st.composite
 def damaged_checkpoints(draw, good: bytes):
     """The good checkpoint truncated, with bits flipped, with bytes
-    overwritten, or with one config value replaced."""
+    overwritten, or with one config value replaced; half of them resealed
+    with the CRC32 of their damaged bytes, so the damage reaches the checks
+    behind the CRC's."""
+    blob = draw(_damaged(good))
+    return resealed(blob) if draw(st.booleans()) else blob
+
+
+@st.composite
+def _damaged(draw, good: bytes):
     lo, hi = _config_span(good)
     at = draw(st.one_of(st.integers(0, hi - 1), st.integers(0, len(good) - 1)))
     kind = draw(st.sampled_from(["truncate", "flip", "overwrite", "config-value"]))

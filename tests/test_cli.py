@@ -18,7 +18,7 @@ from lmn.corpus import generate_corpus, main as corpus_main
 from lmn.data import build_vocab
 from lmn.model import build_model, config_to_text, load_checkpoint, save_checkpoint
 
-from test_model import with_retired_keys, write_checkpoint
+from test_model import resealed, with_retired_keys, write_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -128,15 +128,20 @@ def _bad_checkpoints(trained):
     cfg_len = struct.unpack_from("<I", good, 11)[0]
     huge_cfg = good[15:15 + cfg_len].replace(b"\nembed=8\n", b"\nembed=100000000000\n", 1)
     assert len(huge_cfg) > cfg_len
+    # each resealed, so it passes the CRC32 and meets the check it was made for
     return {
-        "half-length": good[: len(good) // 2],
-        "garbage": b"LMNCKPT" + b"\xff" * 64,
-        "bad-bool": good.replace(b"summarizer_bias=True\n", b"summarizer_bias=Ture\n", 1),
+        "half-length": (resealed(good[: len(good) // 2]), "checkpoint truncated"),
+        "garbage": (b"LMNCKPT" + b"\xff" * 64, "unsupported checkpoint version"),
+        "bad-bool": (resealed(good.replace(b"summarizer_bias=True\n", b"summarizer_bias=Ture\n", 1)),
+                     "'summarizer_bias'"),
         # sized reads of 4 GiB and 14.4 GB if the fields were trusted
-        "huge-rank": good[:rank_at] + struct.pack("<I", 1 << 30) + good[rank_at + 4:],
-        "huge-shape": good[:rank_at + 4] + struct.pack("<2I", 60000, 60000) + good[rank_at + 12:],
+        "huge-rank": (resealed(good[:rank_at] + struct.pack("<I", 1 << 30) + good[rank_at + 4:]),
+                      "the shape of 'embed.weight' needs 4294967296 bytes"),
+        "huge-shape": (resealed(good[:rank_at + 4] + struct.pack("<2I", 60000, 60000) + good[rank_at + 12:]),
+                       "the data of 'embed.weight' needs 14400000000 bytes"),
         # a model no machine could allocate, refused before it is built
-        "huge-config": good[:11] + struct.pack("<I", len(huge_cfg)) + huge_cfg + good[15 + cfg_len:],
+        "huge-config": (resealed(good[:11] + struct.pack("<I", len(huge_cfg)) + huge_cfg
+                                 + good[15 + cfg_len:]), "checkpoint tensor 'embed.weight' shape"),
     }
 
 
@@ -153,11 +158,36 @@ def _assert_one_error_line_in(err):
                                   "huge-config"])
 def test_bad_checkpoint_exits_2_with_one_line(trained, tmp_path, capsys, kind):
     path = tmp_path / "bad.ckpt"
-    path.write_bytes(_bad_checkpoints(trained)[kind])
+    blob, message = _bad_checkpoints(trained)[kind]
+    path.write_bytes(blob)
     code = main(["generate", "--checkpoint", str(path),
                  "--vocab", os.path.join(trained, "vocab.txt"), "--n-new", "5"])
     assert code == 2
-    _assert_one_error_line(capsys)
+    err = capsys.readouterr().err
+    _assert_one_error_line_in(err)
+    assert message in err
+
+
+@pytest.mark.parametrize("command", ["generate", "eval"])
+def test_checkpoint_with_a_bit_flipped_in_a_tensor_exits_2(trained, corpus_file, tmp_path, capsys,
+                                                           command):
+    # the lengths and the config still read; only the CRC32 shows the damage
+    good = open(os.path.join(trained, "model_final.ckpt"), "rb").read()
+    name_at = 7 + 4 + 4 + struct.unpack_from("<I", good, 11)[0]
+    rank_at = name_at + 4 + struct.unpack_from("<I", good, name_at)[0]
+    data_at = rank_at + 4 + 4 * 2  # embed.weight: rank 2, two extents, then its data
+    flipped = bytearray(good)
+    flipped[data_at + 5] ^= 0x10
+    path = tmp_path / "flipped.ckpt"
+    path.write_bytes(bytes(flipped))
+    args = {"eval": ["--corpus", corpus_file, "--seed", "3"],
+            "generate": ["--prompt", "K", "--n-new", "5"]}[command]
+    code = main([command, "--checkpoint", str(path), "--vocab", os.path.join(trained, "vocab.txt"),
+                 *args])
+    assert code == 2
+    err = capsys.readouterr().err
+    _assert_one_error_line_in(err)
+    assert f"checkpoint {path} is damaged" in err
 
 
 @pytest.mark.parametrize("retired,names", [

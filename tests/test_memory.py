@@ -67,12 +67,12 @@ def test_push_token_first_three_examples():
     summ = make_summ(e)
     state = SlotState.fresh(3)
     x0 = Tensor(np.arange(e, dtype=np.float32).reshape(1, e))
-    push_token(state, x0, summ)
+    push_token(state, x0, [summ])
     assert state.consumed == 1
     assert np.array_equal(slot_blocks(state)[0], x0.data)
 
     x1 = Tensor((np.arange(e) + 10).astype(np.float32).reshape(1, e))
-    push_token(state, x1, summ)
+    push_token(state, x1, [summ])
     assert state.consumed == 2
     assert slot_blocks(state)[0] is None
     expect = summ.merge_pair(x0, x1).data
@@ -86,7 +86,7 @@ def test_push_token_carry_chain_t3():
     xs = [Tensor(rng.standard_normal((1, e)).astype(np.float32)) for _ in range(4)]
     state = SlotState.fresh(3)
     for x in xs:
-        push_token(state, x, summ)
+        push_token(state, x, [summ])
     assert state.consumed == 4
     assert slot_blocks(state)[:2] == [None, None]
     s01 = summ.merge_pair(xs[0], xs[1])
@@ -99,10 +99,19 @@ def test_push_overflow_raises_capacity():
     summ = make_summ(2)
     state = SlotState.fresh(1)
     x = Tensor(np.ones((1, 2), dtype=np.float32))
-    push_token(state, x, summ)
-    push_token(state, x, summ)  # fills level 1 (the root)
+    push_token(state, x, [summ])
+    push_token(state, x, [summ])  # fills level 1 (the root)
     with pytest.raises(CapacityError):
-        push_token(state, x, summ)
+        push_token(state, x, [summ])
+
+
+def test_push_token_refuses_a_summarizer_count_that_is_not_the_banks():
+    # zip would run the chain for the shorter of the two, silently
+    summ = make_summ(2)
+    state = SlotState.fresh(3, 0, 2)
+    with pytest.raises(ValueError, match="1 summarizers for 2 banks"):
+        push_token(state, Tensor(np.ones((1, 2), dtype=np.float32)), [summ])
+    assert state.consumed == 0
 
 
 @pytest.mark.parametrize("t,expect_valid", [
@@ -116,7 +125,7 @@ def test_snapshot_validity_patterns(t, expect_valid):
     state = SlotState.fresh(3)
     rng = make_rng(3)
     for _ in range(t):
-        push_token(state, Tensor(rng.standard_normal((1, e)).astype(np.float32)), summ)
+        push_token(state, Tensor(rng.standard_normal((1, e)).astype(np.float32)), [summ])
     cur = Tensor(rng.standard_normal((1, e)).astype(np.float32))
     mem = snapshot(state, cur)
     row = mem.data.data[0, 0]
@@ -135,7 +144,7 @@ def test_snapshot_t5_contents():
     xs = [Tensor(rng.standard_normal((1, e)).astype(np.float32)) for _ in range(6)]
     state = SlotState.fresh(3)
     for x in xs[:5]:
-        push_token(state, x, summ)
+        push_token(state, x, [summ])
     row = snapshot(state, xs[5]).data.data[0, 0]
     merge = linear_merge_fn(summ.weight.data, summ.bias.data)
     xs_np = np.stack([x.data[0] for x in xs[:5]])
@@ -146,7 +155,7 @@ def test_snapshot_t5_contents():
 def test_sequential_memory_single_token():
     e = 4
     x = Tensor(np.arange(e, dtype=np.float32).reshape(1, 1, e))
-    mem = sequential_memory(x, make_summ(e))
+    mem = sequential_memory(x, [make_summ(e)])
     assert mem.valid.tolist() == [[True, False]]
     assert np.array_equal(mem.data.data[0, 0, 0], x.data[0, 0])
     assert np.all(mem.data.data[0, 0, 1] == 0.0)
@@ -158,7 +167,7 @@ def test_sequential_memory_matches_prefix_decomposition_oracle():
     summ = make_summ(e, seed=9)
     rng = make_rng(5)
     x = rng.standard_normal((1, L, e)).astype(np.float32)
-    mem = sequential_memory(Tensor(x), summ)
+    mem = sequential_memory(Tensor(x), [summ])
     merge = linear_merge_fn(summ.weight.data, summ.bias.data)
     S = levels_for(L)
     for t in range(L):
@@ -208,7 +217,7 @@ def test_pyramid_level_sizes():
         summ = tree_summ(e, k)
         x = make_rng(L).standard_normal((1, L, e)).astype(np.float32)
         COUNTER.reset()
-        table = build_pyramid(Tensor(x), summ)
+        table = build_pyramid(Tensor(x), [summ])
         S = levels_for(L)
         assert isinstance(table, RowTable) and (table.n_levels, table.k) == (S, k)
         assert table.rows.shape == (1, n_rows, e), (L, k)
@@ -223,7 +232,7 @@ def test_pyramid_pairing_definition():
     for L, k in TABLE_ROWS:
         summ = tree_summ(e, k, seed=11)
         x = make_rng(6).standard_normal((1, L, e)).astype(np.float32)
-        table = build_pyramid(Tensor(x), summ)
+        table = build_pyramid(Tensor(x), [summ])
         L_pad = 1 << levels_for(L)
         if table.n_levels == 1:
             assert table.rows.shape[1] == L_pad  # level 0 alone: no level-1 rows
@@ -245,7 +254,7 @@ def test_gather_closed_form_indices():
     for k, L in itertools.product((0, 2), (8, 13)):
         summ = tree_summ(e, k, seed=12)
         x = make_rng(7).standard_normal((b, L, e)).astype(np.float32)
-        table = build_pyramid(Tensor(x), summ)
+        table = build_pyramid(Tensor(x), [summ])
         mem = gather_memory(table, 0, L)
         assert mem.data.shape == (b, L, mem.valid.shape[1], e)
         assert np.array_equal(mem.data.data[:, :, 0], x)
@@ -284,12 +293,12 @@ def index_select_gather(table, L):
     return reshape(data, (b, L, mask.shape[1], e))
 
 
-def leaf_table(b, L, e, k, seed):
+def leaf_table(b, L, e, k, seed, banks=1):
     """A random float64 leaf row table in the shape build_pyramid gives."""
     S = levels_for(L)
     n_rows = sum(((1 << S) >> level) * w for level, w in enumerate(slot_widths(S, k)))
-    rows = Tensor(make_rng(seed).standard_normal((b, n_rows, e)), requires_grad=True)
-    return RowTable(rows=rows, n_levels=S, k=k)
+    rows = Tensor(make_rng(seed).standard_normal((b, banks * n_rows, e)), requires_grad=True)
+    return RowTable(rows=rows, n_levels=S, k=k, banks=banks)
 
 
 @pytest.mark.parametrize("k", [0, 2])
@@ -368,8 +377,8 @@ def test_parallel_equals_sequential_random():
     rng = make_rng(8)
     x = Tensor(rng.standard_normal((b, L, e)).astype(np.float32))
     with no_grad():
-        par = parallel_memory(x, summ)
-        seq = sequential_memory(x, summ)
+        par = parallel_memory(x, [summ])
+        seq = sequential_memory(x, [summ])
     assert np.array_equal(par.valid, seq.valid)
     assert np.abs(par.data.data - seq.data.data).max() <= 1e-5
 
@@ -379,8 +388,8 @@ def test_parallel_equals_sequential_non_power_of_two():
     summ = make_summ(e, seed=14)
     x = Tensor(make_rng(9).standard_normal((1, L, e)).astype(np.float32))
     with no_grad():
-        par = parallel_memory(x, summ)
-        seq = sequential_memory(x, summ)
+        par = parallel_memory(x, [summ])
+        seq = sequential_memory(x, [summ])
     assert np.abs(par.data.data - seq.data.data).max() <= 1e-5
 
 
@@ -389,12 +398,12 @@ def test_parallel_single_token_and_zero_input():
     summ = make_summ(e, summarizer_bias=False)
     x = Tensor(np.zeros((1, 1, e), dtype=np.float32))
     with no_grad():
-        par = parallel_memory(x, summ)
-        seq = sequential_memory(x, summ)
+        par = parallel_memory(x, [summ])
+        seq = sequential_memory(x, [summ])
     assert np.array_equal(par.data.data, seq.data.data)
     zero = Tensor(np.zeros((2, 8, e), dtype=np.float32))
     with no_grad():
-        mem = parallel_memory(zero, summ)
+        mem = parallel_memory(zero, [summ])
     assert np.all(mem.data.data == 0.0)
 
 
@@ -408,8 +417,8 @@ def test_memory_causality_bit_exact():
     y[0, t + 1:] = rng.standard_normal((L - t - 1, e))
     with no_grad():
         for build in (parallel_memory, sequential_memory):
-            a = build(Tensor(x), summ).data.data[:, : t + 1]
-            b = build(Tensor(y), summ).data.data[:, : t + 1]
+            a = build(Tensor(x), [summ]).data.data[:, : t + 1]
+            b = build(Tensor(y), [summ]).data.data[:, : t + 1]
             assert np.array_equal(a, b)
 
 
@@ -420,11 +429,11 @@ def test_summarizer_application_counts():
         x = Tensor(make_rng(L).standard_normal((1, L, e)).astype(np.float32))
         COUNTER.reset()
         with no_grad():
-            sequential_memory(x, summ)
+            sequential_memory(x, [summ])
         assert COUNTER.summarizer_ops == L - bin(L).count("1")
         COUNTER.reset()
         with no_grad():
-            parallel_memory(x, summ)
+            parallel_memory(x, [summ])
         L_pad = 1 << levels_for(L)
         assert COUNTER.summarizer_ops == L_pad - 1
     # for powers of two the sequential count is the spec's L - 1
@@ -438,12 +447,12 @@ def test_identity_summarizers_expose_merge_order():
     rng = make_rng(17)
     x = rng.standard_normal((1, 8, e)).astype(np.float32)
     with no_grad():
-        mem = sequential_memory(Tensor(x), older)
+        mem = sequential_memory(Tensor(x), [older])
     # at t=4, slot 2 summarizes x0..x3; picking "older" at every merge -> x0
     assert np.allclose(mem.data.data[0, 4, 3], x[0, 0], atol=1e-6)
     newer = identity_summarizer(e, "newer")
     with no_grad():
-        mem2 = sequential_memory(Tensor(x), newer)
+        mem2 = sequential_memory(Tensor(x), [newer])
     assert np.allclose(mem2.data.data[0, 4, 3], x[0, 3], atol=1e-6)
 
 
@@ -464,9 +473,9 @@ def test_one_block_tree_for_every_summarizer(name):
     x = Tensor(rng.standard_normal((b, L, e)).astype(np.float32))
     S = levels_for(L)
     with no_grad():
-        par = parallel_memory(x, summ)
-        seq = sequential_memory(x, summ)
-        table = build_pyramid(x, summ)
+        par = parallel_memory(x, [summ])
+        seq = sequential_memory(x, [summ])
+        table = build_pyramid(x, [summ])
     assert np.array_equal(par.valid, seq.valid)
     assert np.array_equal(par.valid, valid_mask(L, S, summ.k))
     assert np.abs(par.data.data - seq.data.data).max() <= 1e-5
@@ -481,7 +490,7 @@ def test_one_block_tree_for_every_summarizer(name):
             assert mem.data.shape == (1, 1, par.valid.shape[1], e)
             assert np.array_equal(mem.valid, tile.valid)
             assert np.abs(mem.data.data - tile.data.data[:1]).max() <= 1e-5
-            push_token(state, xt, summ)
+            push_token(state, xt, [summ])
 
 
 @pytest.mark.parametrize("name", ["linear", "expander-k1"])
@@ -495,13 +504,92 @@ def test_snapshot_and_state_share_no_memory(name):
     state = SlotState.fresh(3, summ.k)
     with no_grad():
         for _ in range(3):
-            push_token(state, Tensor(rng.standard_normal((1, e)).astype(np.float32)), summ)
+            push_token(state, Tensor(rng.standard_normal((1, e)).astype(np.float32)), [summ])
         x = Tensor(rng.standard_normal((1, e)).astype(np.float32))
         mem = snapshot(state, x)
         kept_row, kept_valid = mem.data.data.copy(), mem.valid.copy()
-        push_token(state, x, summ)  # t = 3 -> 4: merges levels 0 and 1 into level 2
+        push_token(state, x, [summ])  # t = 3 -> 4: merges levels 0 and 1 into level 2
         assert np.array_equal(mem.data.data, kept_row) and np.array_equal(mem.valid, kept_valid)
         after = snapshot(state, x).data.data
         x.data[:] = 7.0
         again = snapshot(state, Tensor(after[0, 0, :1].copy())).data.data
     assert np.array_equal(again, after)
+
+
+def bank_summs(name, banks, e, seed):
+    """One summarizer of the named kind per bank, each with its own weights."""
+    return [make_summ(e, seed + j, **SUMMARIZERS[name]) for j in range(banks)]
+
+
+@pytest.mark.parametrize("banks", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(SUMMARIZERS))
+def test_bank_tree_read_is_the_one_bank_reads_joined(name, banks):
+    # one table for every bank: each range's read is the banks' own reads,
+    # bank after bank, bit for bit, under the one mask they share; tiles of
+    # 16 across groups, and ranges that start inside a group of every level
+    b, L, e = 2, 37, 3
+    summs = bank_summs(name, banks, e, 60)
+    x = Tensor(make_rng(61).standard_normal((b, L, e)).astype(np.float32))
+    with no_grad():
+        table = build_pyramid(x, summs)
+        singles = [build_pyramid(x, [s]) for s in summs]
+    assert (table.banks, table.rows.shape[1]) == (banks, banks * singles[0].rows.shape[1])
+    for start, stop in [(0, 37), (0, 16), (16, 32), (32, 37), (5, 12), (3, 30), (21, 22)]:
+        mem = gather_memory(table, start, stop)
+        parts = [gather_memory(t, start, stop) for t in singles]
+        assert np.array_equal(mem.data.data, np.concatenate([p.data.data for p in parts], axis=2))
+        assert all(np.array_equal(mem.valid, p.valid) for p in parts), (start, stop)
+
+
+@pytest.mark.parametrize("banks", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(SUMMARIZERS))
+def test_bank_slot_state_snapshot_is_the_one_bank_snapshots_joined(name, banks):
+    # one carry chain for every bank: after T pushes the snapshot is the
+    # banks' own snapshots, bank after bank, and each level merged counts once per bank
+    e, S = 3, 5
+    summs = bank_summs(name, banks, e, 70)
+    rng = make_rng(71)
+    xs = [Tensor(rng.standard_normal((1, e)).astype(np.float32)) for _ in range(17)]
+    for T in (0, 1, 5, 15, 16):
+        state = SlotState.fresh(S, summs[0].k, banks)
+        singles = [SlotState.fresh(S, s.k) for s in summs]
+        with no_grad():
+            COUNTER.reset()
+            for x in xs[:T]:
+                push_token(state, x, summs)
+            assert COUNTER.summarizer_ops == banks * (T - bin(T).count("1"))
+            for st, s in zip(singles, summs):
+                for x in xs[:T]:
+                    push_token(st, x, [s])
+            mem = snapshot(state, xs[T])
+            parts = [snapshot(st, xs[T]) for st in singles]
+        assert mem.data.shape == (1, 1, banks * parts[0].data.shape[2], e)
+        assert np.array_equal(mem.data.data, np.concatenate([p.data.data for p in parts], axis=2)), T
+        assert all(np.array_equal(mem.valid, p.valid) for p in parts)
+
+
+@pytest.mark.parametrize("k", [0, 2])
+@pytest.mark.parametrize("start,stop", [(0, 13), (5, 11)])
+def test_two_bank_read_float64_gradients(k, start, stop):
+    # odd L: the table is padded; each bank's gradient lands in its own rows
+    L = 13
+    table = leaf_table(2, L, 3, k, seed=80 + k, banks=2)
+    d = valid_mask(L, levels_for(L), k).shape[1]
+    target = Tensor(make_rng(81).standard_normal((2, stop - start, 2 * d, 3)))
+
+    def f(_):
+        return sum_axis(mul(gather_memory(table, start, stop).data, target))
+
+    assert grad_check(f, [table.rows], eps=1e-5) <= 1e-4
+
+
+@pytest.mark.parametrize("summarizer", ["linear", "dsconv"])
+def test_three_bank_parallel_logits_match_stepping(summarizer):
+    cfg = ModelConfig(variant="logmem", vocab_size=23, embed=8, max_seq_len=64, n_blocks=2,
+                      banks=3, summarizer=summarizer, seed=5)
+    model = build_model(cfg)
+    tokens = make_rng(6).integers(0, cfg.vocab_size, size=(2, 37))
+    with no_grad():
+        par = model.forward(tokens, mode="parallel").data
+        seq = model.forward(tokens, mode="sequential").data
+    assert np.abs(par - seq).max() <= 1e-4

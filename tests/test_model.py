@@ -3,6 +3,8 @@ accounting against the published comparison table, and checkpoints."""
 
 import dataclasses
 import struct
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -392,6 +394,25 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         assert np.array_equal(model.forward(tokens).data, loaded.forward(tokens).data)
 
 
+def test_version_1_checkpoint_loads_bit_identical(tmp_path):
+    # version 1 is version 2 without the CRC32 trailer
+    cfg = small_cfg(dict(variant="logmem", banks=2), seed=22)
+    model = build_model(cfg)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model)
+    blob = path.read_bytes()
+    assert struct.unpack_from("<I", blob, 7)[0] == 2
+    assert struct.unpack("<I", blob[-4:])[0] == zlib.crc32(blob[:-4])
+    path.write_bytes(blob[:7] + struct.pack("<I", 1) + blob[11:-4])
+    loaded = load_checkpoint(path)
+    assert loaded.config == cfg
+    for name, p in model.params.items():
+        assert np.array_equal(loaded.params[name].data, p.data), name
+    tokens = make_rng(13).integers(0, cfg.vocab_size, size=(1, 8))
+    with no_grad():
+        assert np.array_equal(model.forward(tokens).data, loaded.forward(tokens).data)
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"not a checkpoint")
@@ -423,12 +444,20 @@ def with_retired_keys(cfg_text: str, ffn_mult: int, qkv_bias: bool = True,
 
 
 def write_checkpoint(path, cfg_text: str, tensors: dict) -> None:
-    """The checkpoint byte format, written apart from save_checkpoint."""
+    """The version-1 checkpoint byte format, which has no CRC32, written
+    apart from save_checkpoint."""
     with open(path, "wb") as f:
         f.write(b"LMNCKPT" + struct.pack("<II", 1, len(cfg_text)) + cfg_text.encode())
         for name, a in tensors.items():
             f.write(struct.pack("<I", len(name)) + name.encode())
             f.write(struct.pack(f"<{1 + a.ndim}I", a.ndim, *a.shape) + a.astype("<f4").tobytes())
+
+
+def resealed(blob: bytes) -> bytes:
+    """A version-2 checkpoint's bytes with the last four replaced by the
+    CRC32 of the rest, so damage done before them passes the CRC check and
+    reaches the checks behind it."""
+    return blob[:-4] + struct.pack("<I", zlib.crc32(blob[:-4]))
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -444,3 +473,24 @@ def test_checkpoint_with_retired_keys_at_written_values_loads_bit_identical(tmp_
     tokens = make_rng(12).integers(0, cfg.vocab_size, size=(2, 19))
     with no_grad():
         assert np.array_equal(loaded.forward(tokens).data, model.forward(tokens).data)
+
+
+def test_stepping_keeps_nothing_alive_per_token():
+    # an allocation that outlives its step grows with the number of steps:
+    # 4N steps may leave no more behind than N do. No gc.collect(): garbage
+    # that waits for the cycle collector counts too (a bank mask widened
+    # with np.tile left 56 bytes of it per step)
+    cfg = ModelConfig(variant="logmem", vocab_size=29, embed=16, max_seq_len=512, banks=2,
+                      n_blocks=1, seed=3)
+    model = build_model(cfg)
+    generate(model, [1, 2, 3], 16, argmax=True)
+    n = 100
+    tracemalloc.start()
+    try:
+        generate(model, [1], n, argmax=True)
+        after_n = tracemalloc.get_traced_memory()[0]
+        generate(model, [1], 4 * n, argmax=True)
+        after_4n = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after_4n - after_n < 4096

@@ -118,7 +118,7 @@ def test_expander_block_widths_follow_formula():
     state = SlotState.fresh(4, 1)
     rng = make_rng(6)
     for _ in range(12):
-        push_token(state, Tensor(rng.standard_normal((1, e)).astype(np.float32)), es)
+        push_token(state, Tensor(rng.standard_normal((1, e)).astype(np.float32)), [es])
     for level in range(4):
         if state.occupied(level):
             assert slot_blocks(state)[level].shape == (1 + level, e)
@@ -130,7 +130,7 @@ def test_snapshot_expanded_valid_rows():
     rng = make_rng(8)
     state = SlotState.fresh(3, 1)
     for _ in range(5):
-        push_token(state, Tensor(rng.standard_normal((1, e)).astype(np.float32)), es)
+        push_token(state, Tensor(rng.standard_normal((1, e)).astype(np.float32)), [es])
     mem = snapshot(state, Tensor(rng.standard_normal((1, e)).astype(np.float32)))
     # t=5 = 101b with widths 1+l: 1 (current) + w0 + w2 = 5 valid rows
     assert mem.valid.sum() == 5
@@ -153,8 +153,8 @@ def test_expanded_parallel_equals_sequential():
     es = expander(e, 9, 1)
     x = Tensor(make_rng(10).standard_normal((2, L, e)).astype(np.float32))
     with no_grad():
-        par = parallel_memory(x, es)
-        seq = sequential_memory(x, es)
+        par = parallel_memory(x, [es])
+        seq = sequential_memory(x, [es])
     assert np.array_equal(par.valid, seq.valid)
     assert np.abs(par.data.data - seq.data.data).max() <= 1e-5
 
@@ -164,8 +164,8 @@ def test_expanded_parallel_equals_sequential_k2_ragged():
     es = expander(e, 11, 2)
     x = Tensor(make_rng(12).standard_normal((1, L, e)).astype(np.float32))
     with no_grad():
-        par = parallel_memory(x, es)
-        seq = sequential_memory(x, es)
+        par = parallel_memory(x, [es])
+        seq = sequential_memory(x, [es])
     assert np.abs(par.data.data - seq.data.data).max() <= 1e-5
 
 
