@@ -5,8 +5,8 @@ the whole sequence held as one row table, read in tiles of positions: the
 training path) or stepped through a binary-counter carry chain (the
 recurrent inference path; ``sequential_memory`` is its reference), read
 through single-vector attention. A block's banks share one tree: one row
-table, one slot state and one read buffer, each bank's rows beside the
-others'. Includes multi-bank and expander variants, a causal-attention
+table, one slot state and one read buffer, with the banks on one axis of
+each. Includes multi-bank and expander variants, a causal-attention
 baseline, char-level training, and a scaling benchmark harness.
 """
 

@@ -99,24 +99,18 @@ def weighted_sum(weights: Tensor, v: Tensor) -> Tensor:
 
 
 def multi_bank_combine(mem: MemoryTensor) -> MemoryTensor:
-    """Widen the banks' shared validity mask to every row of the memory.
-
-    A block's banks are one tree (``memory``), so its memory already holds
-    every bank's rows, bank-major, and its [L, D] mask serves them all. The
-    rows are never copied: one bank's memory is returned as it is, and for
-    k banks the result holds the same data Tensor with the mask repeated k
-    times. Every bank's level 0 holds the current token, so each gets its own
-    softmax term. Rows that are not whole banks of the mask raise ShapeError.
-    """
-    L, d = mem.valid.shape
-    banks, rest = divmod(mem.data.shape[2], d)
-    if rest or mem.data.shape[1] != L:
+    """Flatten the bank axis of a [B, L, banks, D, E] memory into its rows,
+    [B, L, banks*D, E], by a reshape that copies no row, and widen the
+    [L, D] mask the banks share to match. Every bank's level 0 holds the
+    current token, so each gets its own softmax term. A mask that is not
+    [L, D] raises ShapeError."""
+    b, L, banks, d, e = mem.data.shape
+    if mem.valid.shape != (L, d):
         raise ShapeError(f"multi_bank_combine: memory {mem.data.shape} vs mask {mem.valid.shape}")
-    if banks == 1:
-        return mem
     # np.concatenate, not np.tile: np.tile left 56 bytes per call for the
     # cycle collector, which doubled the traced peak of a stepped generate
-    return MemoryTensor(data=mem.data, valid=np.concatenate([mem.valid] * banks, axis=1))
+    return MemoryTensor(data=reshape(mem.data, (b, L, banks * d, e)),
+                        valid=np.concatenate([mem.valid] * banks, axis=1))
 
 
 def attend(mem: MemoryTensor, current: Tensor, weight: Tensor, bias: Tensor):

@@ -1,9 +1,11 @@
 """Scaling harness: wall time, peak allocation, and counted operations.
 
-Forward timing uses a monotonic clock and the median of R >= 3 reps, run
-with glibc malloc at its defaults. The first run is the counted run and the
-memory pass: it runs under ``tracemalloc``, which sees every numpy buffer,
-and "peak bytes" is its traced peak above the traced bytes at its start
+Forward timing uses a monotonic clock and the median of at least R >= 3
+reps, timed until they add up to ``MIN_TIMED_SECONDS``, run with glibc
+malloc at its defaults; each row records the reps it timed and their
+interquartile range. The first run is the counted run and the memory
+pass: it runs under ``tracemalloc``, which sees every numpy buffer, and
+"peak bytes" is its traced peak above the traced bytes at its start
 (recurrent state plus activations; pre-existing weights excluded). Untraced
 warm-up runs follow until ``WARM_UP_SECONDS`` have passed, at least one, so
 a machine that runs slowly for a while after an idle spell does not time
@@ -36,6 +38,7 @@ from .model import TILE, ModelConfig, build_model, write_file
 from .tensor import check_indexable, make_rng, no_grad
 
 WARM_UP_SECONDS = 1.0
+MIN_TIMED_SECONDS = 0.25
 
 
 @dataclass
@@ -45,6 +48,7 @@ class BenchRecord:
     L: int
     reps: int
     median_seconds: float
+    iqr_seconds: float
     peak_bytes: int
     score_macs: int
     summarizer_ops: int
@@ -139,7 +143,8 @@ def peak_bytes(model, L: int, mode: str, seed: int = 0) -> int:
 
 
 def time_forward(model, L: int, mode: str, reps: int = 3, seed: int = 0) -> BenchRecord:
-    """Median wall time over reps (after the warm-up) for one forward pass.
+    """Median wall time of one forward pass over at least ``reps`` reps
+    after the warm-up, timed until they add up to ``MIN_TIMED_SECONDS``.
 
     mode="parallel" is the one-shot construction; mode="sequential" runs the
     recurrent stepping path token by token, the inference configuration.
@@ -156,20 +161,23 @@ def time_forward(model, L: int, mode: str, reps: int = 3, seed: int = 0) -> Benc
         runner(*args)
         while time.monotonic() < warm_until:
             runner(*args)
-        times = []
-        for _ in range(reps):
+        times, total = [], 0.0
+        while len(times) < reps or total < MIN_TIMED_SECONDS:
             t0 = time.monotonic()
             runner(*args)
             times.append(time.monotonic() - t0)
-        return BenchRecord(model.config.variant, mode, L, reps,
-                           float(np.median(times)), peak,
+            total += times[-1]
+        q1, q3 = np.percentile(times, [25, 75])
+        return BenchRecord(model.config.variant, mode, L, len(times),
+                           float(np.median(times)), float(q3 - q1), peak,
                            counts["score_macs"], counts["summarizer_ops"])
     except MemoryError:
-        return _failed_record(model.config.variant, mode, L, reps)
+        return _failed_record(model.config.variant, mode, L)
 
 
-def _failed_record(variant: str, mode: str, L: int, reps: int) -> BenchRecord:
-    return BenchRecord(variant, mode, L, reps, float("nan"), 0, 0, 0, status="failed")
+def _failed_record(variant: str, mode: str, L: int) -> BenchRecord:
+    """A point that could not run: no rep timed."""
+    return BenchRecord(variant, mode, L, 0, float("nan"), float("nan"), 0, 0, 0, status="failed")
 
 
 # thread-count getters that the OpenBLAS builds numpy ships may export
@@ -234,7 +242,7 @@ def sweep(lengths, variants, out_path, modes=("parallel", "sequential"),
             except MemoryError:  # every mode of this point fails
                 model = None
             for mode in modes:
-                rec = (_failed_record(variant, mode, L, reps) if model is None
+                rec = (_failed_record(variant, mode, L) if model is None
                        else time_forward(model, L, mode, reps=reps, seed=seed))
                 records.append(rec)
                 w.writerow(rec.row())

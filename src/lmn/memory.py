@@ -9,8 +9,8 @@ older first, into one width-(w+k) block, either one pair at a time
 
 A block's banks see the same tokens, so their trees share shape and
 occupancy and differ only in what their summarizers write: one slot state,
-one row table and one memory hold every bank, rows bank after bank, under
-one shared validity mask.
+one row table and one memory hold every bank on a bank axis, and one
+validity mask broadcasts over it.
 
 The carry chain is a binary counter, the recurrent state a model steps
 through: slot l is occupied iff bit l of the consumed count is set, and
@@ -22,12 +22,12 @@ then reads the memory of any range of positions from it in closed form
 (Fenwick bucketing): position t's level-l slot is block 2 * (t >> (l+1))
 of level l, so each level's read is a strided broadcast and its gradient a
 reshape-sum, with no index table and no scatter. The model reads one tile
-of positions at a time, so no [B, L, banks*D, E] memory of the whole
+of positions at a time, so no [B, L, banks, D, E] memory of the whole
 sequence is ever held. ``parallel_memory`` (one read of the whole
 sequence) and ``sequential_memory`` (its stepped reference) both produce a
-[B, L, banks*D, E] memory (per bank: row 0 = current token, then the w_l
-rows of each slot in level order, D = 1 + sum_l w_l) with the banks' [L, D]
-validity mask; invalid rows are exactly zero.
+[B, L, banks, D, E] memory (per bank: row 0 = current token, then the w_l
+rows of each slot in level order, D = 1 + sum_l w_l) with the [L, D]
+validity mask every bank shares; invalid rows are exactly zero.
 """
 
 from __future__ import annotations
@@ -143,9 +143,9 @@ def push_token(state: SlotState, x: Tensor, summarizers) -> SlotState:
 
 
 def snapshot(state: SlotState, x_current: Tensor) -> MemoryTensor:
-    """The memory of position t = state.consumed: every bank's D rows,
-    bank-major, as [1, 1, banks*D, E], and the banks' [1, D] mask, the
-    MemoryTensor that ``gather_memory`` returns for a tile of one position.
+    """The memory of position t = state.consumed: every bank's D rows as
+    [1, 1, banks, D, E] and their [1, D] mask, the MemoryTensor that
+    ``gather_memory`` returns for a tile of one position.
 
     One copy of the row buffer with each bank's row 0 set to the current
     token; empty levels are already zero.
@@ -155,15 +155,14 @@ def snapshot(state: SlotState, x_current: Tensor) -> MemoryTensor:
     rows[:, :1] = x_current.data
     valid = ((state.consumed >> state.row_level) & 1).astype(bool)
     valid[0] = True
-    data = rows[:, :valid.size].copy()  # a view of the buffer for one bank: copy, then reshape
-    return MemoryTensor(Tensor(data.reshape(1, 1, -1, rows.shape[-1])), valid[None])
+    return MemoryTensor(Tensor(rows[None, None, :, :valid.size].copy()), valid[None])
 
 
 @dataclass
 class MemoryTensor:
-    """Per-position memory: data [B, L, banks*D, E], bank-major, and the
-    banks' shared validity mask [L, D]; ``attention.multi_bank_combine``
-    widens the mask to every row."""
+    """Per-position memory: data [B, L, banks, D, E] and the validity mask
+    [L, D], which broadcasts over the bank axis; ``attention.multi_bank_combine``
+    flattens it to the [B, L, banks*D, E] rows that ``attend`` takes."""
 
     data: Tensor
     valid: np.ndarray
@@ -193,7 +192,7 @@ def sequential_memory(x: Tensor, summarizers) -> MemoryTensor:
                             "gradient; run it under no_grad()")
     k, banks = summarizers[0].k, len(summarizers)
     valid = valid_mask(L, n_levels, k)
-    data = np.empty((b, L, banks * valid.shape[1], e), dtype=x.dtype)
+    data = np.empty((b, L, banks, valid.shape[1], e), dtype=x.dtype)
     for bi in range(b):
         state = SlotState.fresh(n_levels, k, banks)
         for t in range(L):
@@ -205,16 +204,14 @@ def sequential_memory(x: Tensor, summarizers) -> MemoryTensor:
 
 @dataclass
 class RowTable:
-    """The pyramid levels 0..S-1 of a block's banks in one [B, banks*R, E]
+    """The pyramid levels 0..S-1 of a block's banks in one [B, banks, R, E]
     table: each bank's R rows hold its levels in level order (level l's
-    L_pad >> l blocks of w_l rows follow level l-1's), bank after bank.
-    Row t of each bank's rows is token t, so it also holds the current-token
-    rows."""
+    L_pad >> l blocks of w_l rows follow level l-1's). Row t of each bank's
+    rows is token t, so it also holds the current-token rows."""
 
     rows: Tensor
     n_levels: int
     k: int
-    banks: int = 1
 
 
 def build_pyramid(x: Tensor, summarizers) -> RowTable:
@@ -222,8 +219,8 @@ def build_pyramid(x: Tensor, summarizers) -> RowTable:
 
     Level l is [B, L_pad >> l, w_l, E]; level 0 is the padded input for
     every bank, each bank merges its levels up to the root, and every bank's
-    levels 0..S-1 are joined into the row table in one copy (the root is a
-    block no position reads).
+    levels 0..S-1 are joined into the row table in one copy, then split on
+    the bank axis (the root is a block no position reads).
     """
     b, L, e = x.shape
     n_levels = levels_for(L)
@@ -240,85 +237,80 @@ def build_pyramid(x: Tensor, summarizers) -> RowTable:
             cur = summarizer.merge_level(cur)
             COUNTER.summarizer_ops += n_pairs
     rows = concat([reshape(lv, (b, lv.shape[1] * lv.shape[2], e)) for lv in levels], axis=1)
-    return RowTable(rows=rows, n_levels=n_levels, k=summarizers[0].k, banks=len(summarizers))
+    return RowTable(reshape(rows, (b, len(summarizers), -1, e)), n_levels, summarizers[0].k)
 
 
 def gather_memory(table: RowTable, start: int, stop: int) -> MemoryTensor:
     """The memory of positions start..stop-1, read from the row table in closed form.
 
-    Every bank's reads fill one [B, stop - start, banks*D, E] buffer from
-    its column offset on. Row 0 of position t is the bank's table row t. For level l with bit l of t set, the slot holds
+    Every bank's reads fill one [B, stop - start, banks, D, E] buffer in
+    one pass over the levels. Row 0 of position t is each bank's table row
+    t. For level l with bit l of t set, the slot holds
     levels[l][2 * (t >> (l+1))], the lone level-l block in the greedy
     binary decomposition of the prefix [0, t), so blocks lie inside the
     real prefix and padding never leaks in. The read is one op: a broadcast
     write per ``_level_reads`` pair, and a backward that sums each pair's
-    gradient over its positions into its blocks, each bank's into its own
-    slice of one table gradient. Every other slot row stays exactly zero
-    and gets no gradient. A range that starts at a multiple of 2^(l+1)
-    holds whole level-l groups; one that lies inside a single group reads
-    that group's block, or none.
+    gradient over its positions into its blocks of one table gradient.
+    Every other slot row stays exactly zero and gets no gradient. A range
+    that starts at a multiple of 2^(l+1) holds whole level-l groups; one
+    that lies inside a single group reads that group's block, or none.
     """
     rows = table.rows
-    b, n_rows, e = rows.shape
+    b, banks, _, e = rows.shape
     widths = slot_widths(table.n_levels, table.k)
-    d, per_bank = 1 + sum(widths), n_rows // table.banks
-    out = np.zeros((b, stop - start, table.banks * d, e), dtype=rows.dtype)
-    for j in range(table.banks):
-        bank = rows.data[:, j * per_bank:(j + 1) * per_bank]
-        out[:, :, j * d] = bank[:, start:stop]
-        for mem, blocks in _level_reads(out, bank, start, widths, j * d + 1):
-            mem[...] = blocks
+    out = np.zeros((b, stop - start, banks, 1 + sum(widths), e), dtype=rows.dtype)
+    out[:, :, :, 0] = rows.data[:, :, start:stop].swapaxes(1, 2)
+    for mem, blocks in _level_reads(out, rows.data, start, widths):
+        mem[...] = blocks
 
     def bwd(g):
         grad = np.zeros(rows.shape, dtype=g.dtype)
-        for j in range(table.banks):
-            bank = grad[:, j * per_bank:(j + 1) * per_bank]
-            for mem, blocks in _level_reads(g, bank, start, widths, j * d + 1):
-                np.sum(mem, axis=-3, keepdims=True, out=blocks)  # each block is read by one group
-            bank[:, start:stop] += g[:, :, j * d]
+        for mem, blocks in _level_reads(g, grad, start, widths):
+            np.sum(mem, axis=-4, keepdims=True, out=blocks)  # each block is read by one group
+        grad[:, :, start:stop] += g[:, :, :, 0].swapaxes(1, 2)
         return (grad,)
 
     return MemoryTensor(data=_make(out, (rows,), bwd),
                         valid=valid_mask(stop, table.n_levels, table.k, start))
 
 
-def _level_reads(mem: np.ndarray, rows: np.ndarray, start: int, widths: list, col: int):
-    """(memory view, block view) pairs: the reads of one bank's slot columns,
-    from column ``col`` on, by the positions start..start+n-1 that ``mem``'s
-    n rows hold, out of that bank's table rows ``rows``.
+def _level_reads(mem: np.ndarray, rows: np.ndarray, start: int, widths: list):
+    """(memory view, block view) pairs: the reads of the slot rows of every
+    bank by the positions start..start+n-1 that ``mem``'s n rows hold, out
+    of the [B, banks, R, E] table rows ``rows``.
 
     Level l's positions fall in groups of R = 2^(l+1): the second half of
     group g reads block 2g of the level and the first half reads nothing.
     A group the range enters partway gives its positions in the range past
     its half, if any, against its one block; the G whole groups that follow
-    give a [B, G, R/2, w, E] memory view against the [B, G, 1, w, E] even
-    blocks; a last group the range leaves partway gives its positions past
-    its half, if any, against its one block. All are strided views, so
-    writes through them land in the arrays.
+    give a [B, G, R/2, banks, w, E] memory view against the
+    [B, G, 1, banks, w, E] even blocks; a last group the range leaves
+    partway gives its positions past its half, if any, against its one
+    block. All are strided views, so writes through them land in the arrays.
     """
-    b, n, d, e = mem.shape
+    b, n, banks, d, e = mem.shape
     stop = start + n
     n_levels = len(widths)
-    off = 0
+    off, col = 0, 1
     for level, w in enumerate(widths):
         count, R = 1 << (n_levels - level), 2 << level
         half = R >> 1
-        blocks = rows[:, off:off + count * w].reshape(b, count, w, e)
+        blocks = rows[:, :, off:off + count * w].reshape(b, banks, count, w, e).transpose(0, 2, 1, 3, 4)
         g = start // R
         if start % R:
             lo, hi = max(start, g * R + half), min(stop, g * R + R)
             if lo < hi:
-                yield mem[:, lo - start:hi - start, col:col + w], blocks[:, 2 * g, None]
+                yield mem[:, lo - start:hi - start, :, col:col + w], blocks[:, 2 * g, None]
             g += 1
         G = (stop - g * R) // R
         if G > 0:
             lo = g * R - start
-            yield (mem[:, lo:lo + G * R].reshape(b, G, R, d, e)[:, :, half:, col:col + w],
+            yield (mem[:, lo:lo + G * R].reshape(b, G, R, banks, d, e)[:, :, half:, :, col:col + w],
                    blocks[:, 2 * g:2 * (g + G):2, None])
             g += G
         lo = g * R + half
         if stop > lo:
-            yield mem[:, lo - start:, col:col + w], blocks[:, 2 * g, None]
+            yield mem[:, lo - start:, :, col:col + w], blocks[:, 2 * g, None]
         off += count * w
         col += w
 

@@ -356,6 +356,8 @@ class _ModelBase:
         tokens = np.asarray(tokens)
         if tokens.ndim != 2:
             raise ValueError(f"tokens must be [B, L], got shape {tokens.shape}")
+        if tokens.shape[1] == 0:
+            raise ValueError(f"tokens must hold at least one position, got length 0 (shape {tokens.shape})")
         self._check_length(tokens.shape[1])
         if mode == "sequential":
             logits = []

@@ -163,14 +163,27 @@ def test_weighted_sum_matches_triple_loop():
             assert np.allclose(got[b, t], expect, atol=1e-5)
 
 
+def bank_memory(*mems):
+    """The one-bank memories stacked on the bank axis, [B, L, banks, D, E], under their mask."""
+    return MemoryTensor(Tensor(np.stack([m.data.data for m in mems], axis=2)), mems[0].valid)
+
+
 def test_multi_bank_combine_identity_and_concat():
+    # one bank and three: the same zero-copy reshape, with the mask widened per bank
     m1 = random_memory(seed=13)
-    assert multi_bank_combine(m1) is m1
+    stacked = bank_memory(m1)
+    one = multi_bank_combine(stacked)
+    assert np.shares_memory(one.data.data, stacked.data.data)
+    assert np.array_equal(one.data.data, m1.data.data) and np.array_equal(one.valid, m1.valid)
     m2 = random_memory(seed=14)
-    combined = multi_bank_combine(MemoryTensor(Tensor(np.concatenate([m1.data.data, m2.data.data], axis=2)),
-                                               m1.valid))
+    stacked = bank_memory(m1, m2, m1)
+    three = multi_bank_combine(stacked)
+    assert np.shares_memory(three.data.data, stacked.data.data)
+    assert np.array_equal(three.valid, np.concatenate([m1.valid] * 3, axis=1))
+    combined = multi_bank_combine(bank_memory(m1, m2))
     d = m1.data.shape[2]
-    assert combined.data.shape[2] == 2 * d
+    assert combined.data.shape == (2, 8, 2 * d, 4)
+    assert np.array_equal(combined.data.data, np.concatenate([m1.data.data, m2.data.data], axis=2))
     assert np.array_equal(combined.valid[:, :d], m1.valid)
     counts = combined.valid.sum(axis=1)
     expect = np.array([2 * bin(t).count("1") + 2 for t in range(m1.data.shape[1])])
@@ -178,17 +191,23 @@ def test_multi_bank_combine_identity_and_concat():
 
 
 def test_multi_bank_combine_shape_error():
+    # a mask of the wrong D: two levels' columns for a three-level memory
+    mem = bank_memory(random_memory(e=4), random_memory(e=4, seed=1))
     with pytest.raises(ShapeError):
-        multi_bank_combine(MemoryTensor(random_memory(e=4).data, valid_mask(8, 2)))
+        multi_bank_combine(MemoryTensor(mem.data, valid_mask(8, 2)))
 
 
 def test_two_bank_combine_makes_no_copy():
+    # the bank axis flattens by a reshape: the combined rows are the read's own
     _, banks = block_layers(4, 17, banks=2)
     x = Tensor(make_rng(18).standard_normal((2, 13, 4)).astype(np.float32))
     with no_grad():
         mem = parallel_memory(x, banks)
     combined = multi_bank_combine(mem)
-    assert combined.data is mem.data
+    b, L, _, d, e = mem.data.shape
+    assert combined.data.shape == (b, L, 2 * d, e)
+    assert np.shares_memory(combined.data.data, mem.data.data)
+    assert np.array_equal(combined.data.data, mem.data.data.reshape(b, L, 2 * d, e))
     assert np.array_equal(combined.valid, np.concatenate([mem.valid, mem.valid], axis=1))
 
 

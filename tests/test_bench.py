@@ -88,7 +88,7 @@ def test_time_forward_produces_record():
     model = bench_model("logmem", 32, embed=8)
     rec = time_forward(model, 32, "parallel", reps=3)
     assert rec.status == "ok"
-    assert rec.median_seconds > 0
+    assert rec.median_seconds > 0 and rec.iqr_seconds >= 0 and rec.reps >= 3
     assert rec.peak_bytes > 0
     assert rec.score_macs == lmn_score_mac_closed_form(32, 8, 2)
     with pytest.raises(ValueError):
@@ -107,7 +107,7 @@ def test_time_forward_warms_up_past_a_slow_start(monkeypatch):
     monkeypatch.setattr(lmn.bench, "_forward_pass", lambda model, L, mode, seed: (runner, ()))
     rec = time_forward(bench_model("logmem", 8, embed=8), 8, "parallel", reps=3)
     assert rec.median_seconds < 0.1
-    assert calls[-3] - calls[1] >= lmn.bench.WARM_UP_SECONDS  # the untraced warm-up
+    assert calls[-rec.reps] - calls[1] >= lmn.bench.WARM_UP_SECONDS  # the untraced warm-up
 
 
 def test_time_forward_warms_up_once_when_a_run_outlasts_the_warm_up(monkeypatch):
@@ -119,8 +119,26 @@ def test_time_forward_warms_up_once_when_a_run_outlasts_the_warm_up(monkeypatch)
 
     monkeypatch.setattr(lmn.bench, "WARM_UP_SECONDS", 0.01)
     monkeypatch.setattr(lmn.bench, "_forward_pass", lambda model, L, mode, seed: (runner, ()))
-    time_forward(bench_model("logmem", 8, embed=8), 8, "parallel", reps=3)
-    assert len(calls) == 1 + 1 + 3  # the traced run, one warm-up, the reps
+    rec = time_forward(bench_model("logmem", 8, embed=8), 8, "parallel", reps=3)
+    assert len(calls) == 1 + 1 + rec.reps  # the traced run, one warm-up, the reps
+
+
+def test_time_forward_times_fast_runs_until_the_minimum_span(monkeypatch):
+    # 5 ms runs: 3 reps cover 15 ms, so timing goes on until the reps add
+    # up to MIN_TIMED_SECONDS; a run longer than the span times reps runs
+    def runner(seconds):
+        time.sleep(seconds)
+
+    monkeypatch.setattr(lmn.bench, "WARM_UP_SECONDS", 0.0)
+    monkeypatch.setattr(lmn.bench, "MIN_TIMED_SECONDS", 0.05)
+    model = bench_model("logmem", 8, embed=8)
+    for seconds, fewest, most in ((0.005, 4, 11), (0.06, 3, 3)):
+        monkeypatch.setattr(lmn.bench, "_forward_pass",
+                            lambda model, L, mode, seed, s=seconds: (runner, (s,)))
+        rec = time_forward(model, 8, "parallel", reps=3)
+        assert fewest <= rec.reps <= most, (seconds, rec.reps)
+        assert rec.reps * rec.median_seconds >= 0.9 * min(0.05, 3 * seconds)
+        assert 0 <= rec.iqr_seconds < rec.median_seconds
 
 
 def test_time_forward_oom_becomes_failure_row(monkeypatch):
@@ -131,8 +149,8 @@ def test_time_forward_oom_becomes_failure_row(monkeypatch):
 
     monkeypatch.setattr(model, "forward", boom)
     rec = time_forward(model, 16, "parallel")
-    assert rec.status == "failed"
-    assert np.isnan(rec.median_seconds)
+    assert rec.status == "failed" and rec.reps == 0
+    assert np.isnan(rec.median_seconds) and np.isnan(rec.iqr_seconds)
 
 
 @pytest.mark.parametrize("oom", [False, True])
@@ -177,14 +195,14 @@ def test_sweep_writes_csv_with_footer(tmp_path):
         assert env[var] == os.environ.get(var, "unset")
     assert env["blas"] and env["blas_threads"] == str(blas_threads())
     header = lines[7].split(",")
-    assert header == ["variant", "mode", "L", "reps", "median_seconds", "peak_bytes",
-                      "score_macs", "summarizer_ops", "status"]
+    assert header == ["variant", "mode", "L", "reps", "median_seconds", "iqr_seconds",
+                      "peak_bytes", "score_macs", "summarizer_ops", "status"]
     with open(out) as f:
         rows = [r for r in csv.reader(f) if r and not r[0].startswith("#")]
     assert len(rows) == 3
     for row, rec in zip(rows[1:], records):
         assert row == [str(v) for v in rec.row()]
-        assert int(row[2]) == rec.L and float(row[4]) > 0 and row[-1] == "ok"
+        assert int(row[2]) == rec.L and int(row[3]) >= 3 and float(row[4]) > 0 and row[-1] == "ok"
     assert any(line.startswith("# slope variant=logmem mode=parallel") for line in lines)
 
 
@@ -224,5 +242,5 @@ def test_lmn_sequential_peak_nearly_length_independent():
 
 
 def test_record_row_round_trip():
-    rec = BenchRecord("logmem", "parallel", 8, 3, 0.12, 1024, 10, 5)
-    assert rec.row() == ["logmem", "parallel", 8, 3, 0.12, 1024, 10, 5, "ok"]
+    rec = BenchRecord("logmem", "parallel", 8, 3, 0.12, 0.01, 1024, 10, 5)
+    assert rec.row() == ["logmem", "parallel", 8, 3, 0.12, 0.01, 1024, 10, 5, "ok"]

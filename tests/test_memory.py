@@ -33,6 +33,7 @@ from lmn.tensor import (
     no_grad,
     reshape,
     sum_axis,
+    transpose,
     zeros,
 )
 
@@ -128,7 +129,7 @@ def test_snapshot_validity_patterns(t, expect_valid):
         push_token(state, Tensor(rng.standard_normal((1, e)).astype(np.float32)), [summ])
     cur = Tensor(rng.standard_normal((1, e)).astype(np.float32))
     mem = snapshot(state, cur)
-    row = mem.data.data[0, 0]
+    row = mem.data.data[0, 0, 0]
     assert mem.valid.tolist() == [expect_valid]
     assert np.array_equal(row[0], cur.data[0])
     for i, v in enumerate(expect_valid[1:], start=1):
@@ -145,7 +146,7 @@ def test_snapshot_t5_contents():
     state = SlotState.fresh(3)
     for x in xs[:5]:
         push_token(state, x, [summ])
-    row = snapshot(state, xs[5]).data.data[0, 0]
+    row = snapshot(state, xs[5]).data.data[0, 0, 0]
     merge = linear_merge_fn(summ.weight.data, summ.bias.data)
     xs_np = np.stack([x.data[0] for x in xs[:5]])
     assert np.allclose(row[1], xs_np[4], atol=1e-6)
@@ -157,8 +158,9 @@ def test_sequential_memory_single_token():
     x = Tensor(np.arange(e, dtype=np.float32).reshape(1, 1, e))
     mem = sequential_memory(x, [make_summ(e)])
     assert mem.valid.tolist() == [[True, False]]
-    assert np.array_equal(mem.data.data[0, 0, 0], x.data[0, 0])
-    assert np.all(mem.data.data[0, 0, 1] == 0.0)
+    assert mem.data.shape == (1, 1, 1, 2, e)
+    assert np.array_equal(mem.data.data[0, 0, 0, 0], x.data[0, 0])
+    assert np.all(mem.data.data[0, 0, 0, 1] == 0.0)
 
 
 def test_sequential_memory_matches_prefix_decomposition_oracle():
@@ -167,18 +169,18 @@ def test_sequential_memory_matches_prefix_decomposition_oracle():
     summ = make_summ(e, seed=9)
     rng = make_rng(5)
     x = rng.standard_normal((1, L, e)).astype(np.float32)
-    mem = sequential_memory(Tensor(x), [summ])
+    rows = sequential_memory(Tensor(x), [summ]).data.data[0, :, 0]  # the one bank
     merge = linear_merge_fn(summ.weight.data, summ.bias.data)
     S = levels_for(L)
     for t in range(L):
-        assert np.array_equal(mem.data.data[0, t, 0], x[0, t])
+        assert np.array_equal(rows[t, 0], x[0, t])
         occupied = {level: start for level, start in prefix_blocks(t)}
         for level in range(S):
             if level in occupied:
                 expect = tree_summary(x[0], level, occupied[level], merge)
-                assert np.allclose(mem.data.data[0, t, level + 1], expect, atol=1e-4)
+                assert np.allclose(rows[t, level + 1], expect, atol=1e-4)
             else:
-                assert np.all(mem.data.data[0, t, level + 1] == 0.0)
+                assert np.all(rows[t, level + 1] == 0.0)
 
 
 def test_valid_level_counts_are_popcount_plus_one():
@@ -196,12 +198,13 @@ def tree_summ(e, k, seed=0):
 
 
 def level_blocks(table, level):
-    """Level l of a row table as [B, (1 << S) >> l, w_l, E]."""
+    """Level l of a one-bank row table as [B, (1 << S) >> l, w_l, E]."""
     S, widths = table.n_levels, slot_widths(table.n_levels, table.k)
     off = sum(((1 << S) >> lv) * w for lv, w in enumerate(widths[:level]))
     n, w = (1 << S) >> level, widths[level]
-    b, _, e = table.rows.shape
-    return table.rows.data[:, off:off + n * w].reshape(b, n, w, e)
+    b, banks, _, e = table.rows.shape
+    assert banks == 1
+    return table.rows.data[:, 0, off:off + n * w].reshape(b, n, w, e)
 
 
 # (L, k) -> rows of the table: levels 0..S-1 of the pyramid padded to 2^S,
@@ -220,7 +223,7 @@ def test_pyramid_level_sizes():
         table = build_pyramid(Tensor(x), [summ])
         S = levels_for(L)
         assert isinstance(table, RowTable) and (table.n_levels, table.k) == (S, k)
-        assert table.rows.shape == (1, n_rows, e), (L, k)
+        assert table.rows.shape == (1, 1, n_rows, e), (L, k)
         assert COUNTER.summarizer_ops == (1 << S) - 1  # merged up to the root
         level0 = level_blocks(table, 0)[:, :, 0]
         assert np.array_equal(level0[:, :L], x) and not level0[:, L:].any()
@@ -235,7 +238,7 @@ def test_pyramid_pairing_definition():
         table = build_pyramid(Tensor(x), [summ])
         L_pad = 1 << levels_for(L)
         if table.n_levels == 1:
-            assert table.rows.shape[1] == L_pad  # level 0 alone: no level-1 rows
+            assert table.rows.shape[2] == L_pad  # level 0 alone: no level-1 rows
             continue
         padded = np.concatenate([x, np.zeros((1, L_pad - L, e), dtype=np.float32)], axis=1)
         blocks = level_blocks(table, 1)
@@ -256,13 +259,13 @@ def test_gather_closed_form_indices():
         x = make_rng(7).standard_normal((b, L, e)).astype(np.float32)
         table = build_pyramid(Tensor(x), [summ])
         mem = gather_memory(table, 0, L)
-        assert mem.data.shape == (b, L, mem.valid.shape[1], e)
-        assert np.array_equal(mem.data.data[:, :, 0], x)
+        assert mem.data.shape == (b, L, 1, mem.valid.shape[1], e)
+        assert np.array_equal(mem.data.data[:, :, 0, 0], x)
         for t in range(L):
             col = 1
             for level in range(table.n_levels):
                 w = 1 + level * k
-                got = mem.data.data[:, t, col:col + w]
+                got = mem.data.data[:, t, 0, col:col + w]
                 if (t >> level) & 1:
                     assert mem.valid[t, col:col + w].all()
                     assert np.array_equal(got, level_blocks(table, level)[:, 2 * (t >> (level + 1))])
@@ -276,29 +279,30 @@ def test_gather_closed_form_indices():
 def index_select_gather(table, L):
     """The gather as one index_select over the row table with a zero row
     appended: an [L, D] table of row indices, empty slots pointing at the
-    zero row. The reference for gather_memory's closed-form read."""
+    zero row, taken from every bank at once. The reference for
+    gather_memory's closed-form read."""
     S, k, rows = table.n_levels, table.k, table.rows
-    b, _, e = rows.shape
+    b, banks, _, e = rows.shape
     t = np.arange(L, dtype=np.int64)
     mask = valid_mask(L, S, k)
     cols, off = [t[:, None]], 0
     for level, w in enumerate(slot_widths(S, k)):
         cols.append((off + 2 * (t >> (level + 1)) * w)[:, None] + np.arange(w))
         off += ((1 << S) >> level) * w
-    assert off == rows.shape[1]
+    assert off == rows.shape[2]
     index = np.concatenate(cols, axis=1)
     index[~mask] = off
-    data = index_select(concat([rows, zeros((b, 1, e), dtype=rows.dtype)], axis=1), 1,
+    data = index_select(concat([rows, zeros((b, banks, 1, e), dtype=rows.dtype)], axis=2), 2,
                         index.reshape(-1))
-    return reshape(data, (b, L, mask.shape[1], e))
+    return transpose(reshape(data, (b, banks, L, mask.shape[1], e)), (0, 2, 1, 3, 4))
 
 
 def leaf_table(b, L, e, k, seed, banks=1):
     """A random float64 leaf row table in the shape build_pyramid gives."""
     S = levels_for(L)
     n_rows = sum(((1 << S) >> level) * w for level, w in enumerate(slot_widths(S, k)))
-    rows = Tensor(make_rng(seed).standard_normal((b, banks * n_rows, e)), requires_grad=True)
-    return RowTable(rows=rows, n_levels=S, k=k, banks=banks)
+    rows = Tensor(make_rng(seed).standard_normal((b, banks, n_rows, e)), requires_grad=True)
+    return RowTable(rows=rows, n_levels=S, k=k)
 
 
 @pytest.mark.parametrize("k", [0, 2])
@@ -306,7 +310,7 @@ def leaf_table(b, L, e, k, seed, banks=1):
 def test_gather_float64_gradients(L, k):
     table = leaf_table(2, L, 3, k, seed=20 + L + k)
     d = valid_mask(L, levels_for(L), k).shape[1]
-    target = Tensor(make_rng(21).standard_normal((2, L, d, 3)))
+    target = Tensor(make_rng(21).standard_normal((2, L, 1, d, 3)))
     err = grad_check(lambda _: sum_axis(mul(gather_memory(table, 0, L).data, target)),
                      [table.rows], eps=1e-5)
     assert err <= 1e-4
@@ -315,8 +319,8 @@ def test_gather_float64_gradients(L, k):
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_gather_matches_index_select_oracle(k):
     # forward bit-equal; backward equal up to float64 summation order
-    for L in (1, 2, 3, 5, 8, 13, 16, 37, 64):
-        table = leaf_table(2, L, 3, k, seed=30 + L)
+    for L, banks in itertools.product((1, 2, 3, 5, 8, 13, 16, 37, 64), (1, 3)):
+        table = leaf_table(2, L, 3, k, seed=30 + L, banks=banks)
         got = gather_memory(table, 0, L).data
         ref = index_select_gather(table, L)
         assert np.array_equal(got.data, ref.data)
@@ -350,7 +354,7 @@ def test_range_read_float64_gradients(k, start, stop):
     L = 37
     table = leaf_table(1, L, 2, k, seed=50 + start + k)
     d = valid_mask(L, levels_for(L), k).shape[1]
-    target = Tensor(make_rng(51).standard_normal((1, stop - start, d, 2)))
+    target = Tensor(make_rng(51).standard_normal((1, stop - start, 1, d, 2)))
 
     def f(_):
         return sum_axis(mul(gather_memory(table, start, stop).data, target))
@@ -449,11 +453,11 @@ def test_identity_summarizers_expose_merge_order():
     with no_grad():
         mem = sequential_memory(Tensor(x), [older])
     # at t=4, slot 2 summarizes x0..x3; picking "older" at every merge -> x0
-    assert np.allclose(mem.data.data[0, 4, 3], x[0, 0], atol=1e-6)
+    assert np.allclose(mem.data.data[0, 4, 0, 3], x[0, 0], atol=1e-6)
     newer = identity_summarizer(e, "newer")
     with no_grad():
         mem2 = sequential_memory(Tensor(x), [newer])
-    assert np.allclose(mem2.data.data[0, 4, 3], x[0, 3], atol=1e-6)
+    assert np.allclose(mem2.data.data[0, 4, 0, 3], x[0, 3], atol=1e-6)
 
 
 SUMMARIZERS = {
@@ -480,14 +484,14 @@ def test_one_block_tree_for_every_summarizer(name):
     assert np.array_equal(par.valid, valid_mask(L, S, summ.k))
     assert np.abs(par.data.data - seq.data.data).max() <= 1e-5
     assert (table.n_levels, table.k) == (S, summ.k)
-    assert table.rows.shape == (b, sum((16 >> level) * (1 + level * summ.k) for level in range(S)), e)
+    assert table.rows.shape == (b, 1, sum((16 >> level) * (1 + level * summ.k) for level in range(S)), e)
     state = SlotState.fresh(S, summ.k)
     with no_grad():
         for t in range(L):
             xt = Tensor(x.data[0, t:t + 1])
             mem = snapshot(state, xt)  # the MemoryTensor of a one-position tile
             tile = gather_memory(table, t, t + 1)
-            assert mem.data.shape == (1, 1, par.valid.shape[1], e)
+            assert mem.data.shape == (1, 1, 1, par.valid.shape[1], e)
             assert np.array_equal(mem.valid, tile.valid)
             assert np.abs(mem.data.data - tile.data.data[:1]).max() <= 1e-5
             push_token(state, xt, [summ])
@@ -512,7 +516,7 @@ def test_snapshot_and_state_share_no_memory(name):
         assert np.array_equal(mem.data.data, kept_row) and np.array_equal(mem.valid, kept_valid)
         after = snapshot(state, x).data.data
         x.data[:] = 7.0
-        again = snapshot(state, Tensor(after[0, 0, :1].copy())).data.data
+        again = snapshot(state, Tensor(after[0, 0, 0, :1].copy())).data.data
     assert np.array_equal(again, after)
 
 
@@ -524,19 +528,20 @@ def bank_summs(name, banks, e, seed):
 @pytest.mark.parametrize("banks", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(SUMMARIZERS))
 def test_bank_tree_read_is_the_one_bank_reads_joined(name, banks):
-    # one table for every bank: each range's read is the banks' own reads,
-    # bank after bank, bit for bit, under the one mask they share; tiles of
-    # 16 across groups, and ranges that start inside a group of every level
+    # one table for every bank: each range's read is the banks' own reads
+    # stacked on the bank axis, bit for bit, under the one mask they share;
+    # tiles of 16 across groups, and ranges that start inside a group of every level
     b, L, e = 2, 37, 3
     summs = bank_summs(name, banks, e, 60)
     x = Tensor(make_rng(61).standard_normal((b, L, e)).astype(np.float32))
     with no_grad():
         table = build_pyramid(x, summs)
         singles = [build_pyramid(x, [s]) for s in summs]
-    assert (table.banks, table.rows.shape[1]) == (banks, banks * singles[0].rows.shape[1])
+    assert table.rows.shape == (b, banks, singles[0].rows.shape[2], e)
     for start, stop in [(0, 37), (0, 16), (16, 32), (32, 37), (5, 12), (3, 30), (21, 22)]:
         mem = gather_memory(table, start, stop)
         parts = [gather_memory(t, start, stop) for t in singles]
+        assert mem.data.shape == (b, stop - start, banks, mem.valid.shape[1], e)
         assert np.array_equal(mem.data.data, np.concatenate([p.data.data for p in parts], axis=2))
         assert all(np.array_equal(mem.valid, p.valid) for p in parts), (start, stop)
 
@@ -545,7 +550,8 @@ def test_bank_tree_read_is_the_one_bank_reads_joined(name, banks):
 @pytest.mark.parametrize("name", sorted(SUMMARIZERS))
 def test_bank_slot_state_snapshot_is_the_one_bank_snapshots_joined(name, banks):
     # one carry chain for every bank: after T pushes the snapshot is the
-    # banks' own snapshots, bank after bank, and each level merged counts once per bank
+    # banks' own snapshots stacked on the bank axis, and each level merged
+    # counts once per bank
     e, S = 3, 5
     summs = bank_summs(name, banks, e, 70)
     rng = make_rng(71)
@@ -563,19 +569,22 @@ def test_bank_slot_state_snapshot_is_the_one_bank_snapshots_joined(name, banks):
                     push_token(st, x, [s])
             mem = snapshot(state, xs[T])
             parts = [snapshot(st, xs[T]) for st in singles]
-        assert mem.data.shape == (1, 1, banks * parts[0].data.shape[2], e)
+        assert mem.data.shape == (1, 1, banks, parts[0].data.shape[3], e)
         assert np.array_equal(mem.data.data, np.concatenate([p.data.data for p in parts], axis=2)), T
         assert all(np.array_equal(mem.valid, p.valid) for p in parts)
 
 
-@pytest.mark.parametrize("k", [0, 2])
+@pytest.mark.parametrize("banks", [1, 2, 3])
+@pytest.mark.parametrize("k", [0, 1, 2])
 @pytest.mark.parametrize("start,stop", [(0, 13), (5, 11)])
-def test_two_bank_read_float64_gradients(k, start, stop):
-    # odd L: the table is padded; each bank's gradient lands in its own rows
+def test_bank_read_float64_gradients(k, start, stop, banks):
+    # odd L: the table is padded, and 5 starts inside a group of every
+    # level; each bank's gradient lands in its own rows through the
+    # backward's transposed views of the one table gradient
     L = 13
-    table = leaf_table(2, L, 3, k, seed=80 + k, banks=2)
+    table = leaf_table(2, L, 3, k, seed=80 + k, banks=banks)
     d = valid_mask(L, levels_for(L), k).shape[1]
-    target = Tensor(make_rng(81).standard_normal((2, stop - start, 2 * d, 3)))
+    target = Tensor(make_rng(81).standard_normal((2, stop - start, banks, d, 3)))
 
     def f(_):
         return sum_axis(mul(gather_memory(table, start, stop).data, target))

@@ -176,6 +176,16 @@ def test_every_variant_rejects_an_unknown_mode(variant):
     assert np.abs(par - seq).max() <= 1e-4
 
 
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_every_variant_rejects_an_empty_sequence_in_both_modes(variant, mode):
+    # one error in both modes, not an empty result in one and a tree or
+    # reduction error in the other
+    model = build_model(small_cfg(dict(variant=variant)))
+    with no_grad(), pytest.raises(ValueError, match="at least one position, got length 0"):
+        model.forward(np.zeros((2, 0), dtype=np.int64), mode=mode)
+
+
 def test_sequential_mode_with_grad_on_raises():
     # the slot state and the KV cache keep no tape, so a recorded sequential
     # pass would lose its gradient

@@ -134,7 +134,7 @@ def test_snapshot_expanded_valid_rows():
     mem = snapshot(state, Tensor(rng.standard_normal((1, e)).astype(np.float32)))
     # t=5 = 101b with widths 1+l: 1 (current) + w0 + w2 = 5 valid rows
     assert mem.valid.sum() == 5
-    assert mem.data.shape == (1, 1, 1 + 1 + 2 + 3, e)
+    assert mem.data.shape == (1, 1, 1, 1 + 1 + 2 + 3, e)
     state0 = SlotState.fresh(3, 1)
     assert snapshot(state0, Tensor(np.zeros((1, e), dtype=np.float32))).valid.sum() == 1
 
