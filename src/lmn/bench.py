@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .counters import COUNTER
-from .model import TILE, ModelConfig, build_model, write_file
+from .model import QUERY_TILE, TILE, ModelConfig, build_model, write_file
 from .tensor import check_indexable, make_rng, no_grad
 
 WARM_UP_SECONDS = 1.0
@@ -101,8 +101,7 @@ def bench_model(variant: str, L: int, embed: int = 32, banks: int = 2, seed: int
 
 def _run_forward(model, tokens, mode):
     with no_grad():
-        out = model.forward(tokens, mode=mode)
-    return out
+        return model.forward(tokens, mode=mode)
 
 
 def _run_stepping(model, tokens):
@@ -202,12 +201,12 @@ def blas_threads() -> int | str:
 def environment_lines() -> list[str]:
     """CSV comment lines naming what the timings depend on: the numpy
     version, its BLAS build and the thread count it runs with, the BLAS
-    thread settings, the CPU count and the parallel forward's tile size."""
+    thread settings, the CPU count and the parallel forwards' tile sizes."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     env = {"numpy": np.__version__, "blas": blas.get("name", "unknown"),
            "blas_threads": blas_threads(),
            **{var: os.environ.get(var, "unset") for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
-           "cpu_count": os.cpu_count(), "tile": TILE}
+           "cpu_count": os.cpu_count(), "tile": TILE, "query_tile": QUERY_TILE}
     return [f"# {key}={value}" for key, value in env.items()]
 
 

@@ -6,15 +6,14 @@ one tree memory per block, shared by its banks, and apply single-vector
 attention over memory levels; no positional table exists, position is
 carried by each token's merge path. The baseline is a standard decoder
 with a learned positional embedding and causal self-attention. One
-``forward`` serves both: parallel mode runs the whole sequence at once,
-and sequential mode steps each stream through ``step``. An LMN model's
-parallel forward builds each block's one row table, every bank's levels
-in it, over the whole sequence (``memory.build_pyramid``), then reads it,
-attends and runs the residual branches in tiles of ``TILE`` positions,
-and its last block unembeds tile by tile; a step reads the block's one
-slot state through the same combine-attend-residual tail
-(``LmnBlock._read``). The baseline runs each block's forward over the whole sequence, and steps
-by running it with a per-block KV cache.
+``forward`` serves both: sequential mode steps each stream through
+``step``, and parallel mode runs one tile loop for both families: each
+block builds its whole-sequence state (an LMN block's one row table,
+``memory.build_pyramid``; a baseline block's keys and values), then reads
+it, attends and runs the residual branches in tiles of ``TILE`` positions
+(tree) or ``QUERY_TILE`` queries (baseline), the last block unembedding
+tile by tile. A step runs the same per-tile tail on its slot state or KV
+cache (``LmnBlock._read``, ``BaselineBlock.attention``).
 """
 
 from __future__ import annotations
@@ -80,6 +79,11 @@ CKPT_VERSION = 2  # version 1 has no CRC32 trailer; it still loads
 # no-grad forward at L = 3000 and 4096 and was within 3% of it at L = 16384,
 # 25-40% faster than one tile.
 TILE = 1024
+# Query rows per tile of the baseline's parallel forward, each row scored
+# against all L keys. Measured as TILE was: 72 ms and 9.2 MB at L = 3000
+# (1024 rows: 59 ms, 29.7 MB; untiled: 78 ms, 82.9 MB) and 1.74 s at
+# L = 16384 (1024 rows: 2.59 s).
+QUERY_TILE = 256
 
 
 @dataclass
@@ -293,43 +297,50 @@ class LmnBlock(_Block):
         values, _ = attend(multi_bank_combine(mem), n, self.qkv_w, self.qkv_b)
         return self._residuals(x, values)
 
+    def _whole(self, n: Tensor):
+        return build_pyramid(n, self.summarizers)
+
+    def _tile(self, x: Tensor, n: Tensor, table, start: int) -> Tensor:
+        # the memory lives only inside the call, so one tile's is freed before the next's
+        return self._read(x, n, read_memory(table, self.summarizers, start, start + x.shape[1]))
+
 
 class BaselineBlock(_Block):
-    def attention(self, n: Tensor, cache=None, t: int = 0):
-        """Causal multi-head self-attention of positions t..t+L-1; returns (values, weights).
-
-        With one stream's (K, V) cache of [max_seq_len, E] buffers, the new
-        keys and values are written at rows t..t+L-1 and the queries attend
-        over rows 0..t+L-1; the cache keeps no tape.
-        """
-        b, L, e = n.shape
+    def attention(self, q: Tensor, k: Tensor, v: Tensor, t: int = 0):
+        """Causal multi-head attention of queries q [B, L, E] at positions
+        t..t+L-1 over key and value rows 0..T-1 (k, v [B, T, E]); returns (values, weights)."""
+        b, L, e = q.shape
+        T = k.shape[1]
         h = self.cfg.n_heads
         d = e // h
-        T = t + L
-        qkv = matmul(n, self.qkv_w)
-        q = transpose(reshape(narrow(qkv, 2, 0, e), (b, L, h, d)), (0, 2, 1, 3))
-        if cache is None:
-            k, v = narrow(qkv, 2, e, e), narrow(qkv, 2, 2 * e, e)
-        else:
-            K, V = cache
-            K.data[t:T] = qkv.data[0, :, e:2 * e]
-            V.data[t:T] = qkv.data[0, :, 2 * e:]
-            k, v = Tensor(K.data[None, :T]), Tensor(V.data[None, :T])  # views, zero-copy
+        q = transpose(reshape(q, (b, L, h, d)), (0, 2, 1, 3))
         kt = transpose(reshape(k, (b, T, h, d)), (0, 2, 3, 1))  # [b, h, d, T]
         v = transpose(reshape(v, (b, T, h, d)), (0, 2, 1, 3))
         att = scale(matmul(q, kt), 1.0 / np.sqrt(d))
-        if L > 1:  # a lone newest query sees every row: skip the mask's cost per step
-            future = np.triu(np.ones((L, T), dtype=bool), k=t + 1)
-            att = masked_fill(att, future[None, None, :, :], -np.inf)
+        if T > t + 1:  # a lone newest query sees every row: skip the mask's cost per step
+            att = masked_fill(att, np.arange(T) > np.arange(t, t + L)[:, None], -np.inf)
         att = softmax_last(att)
         COUNTER.score_macs += e * (L * t + L * (L + 1) // 2)  # per batch item, causal terms only
         y = matmul(att, v)
-        y = reshape(transpose(y, (0, 2, 1, 3)), (b, L, e))
-        return y, att
+        return reshape(transpose(y, (0, 2, 1, 3)), (b, L, e)), att
 
-    def forward(self, x: Tensor, cache=None, t: int = 0) -> Tensor:
-        y, _ = self.attention(layer_norm(x, *self.ln1), cache, t)
-        return self._residuals(x, y)
+    def _whole(self, n: Tensor):
+        e = self.cfg.embed
+        kv = matmul(n, narrow(self.qkv_w, 1, e, 2 * e))
+        return narrow(self.qkv_w, 1, 0, e), narrow(kv, 2, 0, e), narrow(kv, 2, e, e)
+
+    def _tile(self, x: Tensor, n: Tensor, whole, start: int) -> Tensor:
+        w_q, k, v = whole
+        return self._residuals(x, self.attention(matmul(n, w_q), k, v, start)[0])
+
+    def step(self, x: Tensor, K: Tensor, V: Tensor, t: int) -> Tensor:
+        """Position t: x [1, 1, E]; caches its key and value in row t of one
+        stream's [max_seq_len, E] buffers, which keep no tape, then attends."""
+        e = self.cfg.embed
+        qkv = matmul(layer_norm(x, *self.ln1), self.qkv_w)
+        K.data[t], V.data[t] = qkv.data[0, 0, e:2 * e], qkv.data[0, 0, 2 * e:]
+        k, v = Tensor(K.data[None, :t + 1]), Tensor(V.data[None, :t + 1])  # views, zero-copy
+        return self._residuals(x, self.attention(narrow(qkv, 2, 0, e), k, v, t)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +358,30 @@ class _ModelBase:
     def _unembed(self, x: Tensor) -> Tensor:
         w, b = self.unembed
         return add(matmul(layer_norm(x, *self.final_ln), w), b)
+
+    def _parallel(self, tokens: np.ndarray) -> Tensor:
+        """Each block builds its whole-sequence state from its layer-normed
+        input (``_whole``) and runs the rest tile by tile (``_tile``). A block
+        before the last joins its tiles, since the next block's state needs
+        the whole sequence; the last unembeds each tile before joining them.
+        A sequence of at most one tile runs untouched."""
+        x = self._embed(tokens, 0)
+        L = x.shape[1]
+        size = QUERY_TILE if self.config.variant == "baseline-attn" else TILE
+        spans = [(start, min(start + size, L)) for start in range(0, L, size)]
+
+        def tile(a: Tensor, start: int, stop: int) -> Tensor:
+            return a if stop - start == L else narrow(a, 1, start, stop - start)
+
+        for blk in self.blocks:
+            n = layer_norm(x, *blk.ln1)
+            whole = blk._whole(n)
+            outs = []
+            for start, stop in spans:
+                y = blk._tile(tile(x, start, stop), tile(n, start, stop), whole, start)
+                outs.append(self._unembed(y) if blk is self.blocks[-1] else y)
+            x = outs[0] if len(outs) == 1 else concat(outs, axis=1)
+        return x
 
     def forward(self, tokens: np.ndarray, mode: str = "parallel") -> Tensor:
         """Logits [B, L, V] for token ids [B, L]. Sequential mode steps each
@@ -394,34 +429,6 @@ class LmnModel(_ModelBase):
     def _embed(self, tokens: np.ndarray, t: int) -> Tensor:
         return embedding(self.embed_w, tokens)  # no positional table: path-through encoding
 
-    def _parallel(self, tokens: np.ndarray) -> Tensor:
-        """Each block builds its one row table over the whole sequence
-        (``build_pyramid``) and runs everything after it tile by tile: the
-        read of the tile, then the block's ``_read`` tail, as in ``step``.
-        A block before the last joins its tiles, since the next block's
-        table needs the whole sequence; the last unembeds each tile
-        before joining them. A sequence of at most TILE positions is one
-        tile and runs untouched."""
-        x = self._embed(tokens, 0)
-        L = x.shape[1]
-        spans = [(start, min(start + TILE, L)) for start in range(0, L, TILE)]
-
-        def tile(a: Tensor, start: int, stop: int) -> Tensor:
-            return a if stop - start == L else narrow(a, 1, start, stop - start)
-
-        for i, blk in enumerate(self.blocks):
-            n = layer_norm(x, *blk.ln1)
-            table = build_pyramid(n, blk.summarizers)
-            last = i == len(self.blocks) - 1
-            outs = []
-            for start, stop in spans:
-                # the memory lives only inside the call, so one tile's is freed before the next's
-                y = blk._read(tile(x, start, stop), tile(n, start, stop),
-                              read_memory(table, blk.summarizers, start, stop))
-                outs.append(self._unembed(y) if last else y)
-            x = outs[0] if len(outs) == 1 else concat(outs, axis=1)
-        return x
-
     def start_state(self):
         return [blk.fresh_state() for blk in self.blocks]
 
@@ -434,9 +441,8 @@ class LmnModel(_ModelBase):
 
 
 class _BaselineState:
-    """KV cache per block in the model's dtype; buffers are preallocated and
-    mutated in place (inference-only, exempt from the immutable-after-recording
-    rule)."""
+    """KV cache per block in the model's dtype: preallocated buffers mutated
+    in place (inference-only, exempt from the immutable-after-recording rule)."""
 
     def __init__(self, cfg: ModelConfig, dtype):
         e = cfg.embed
@@ -456,12 +462,6 @@ class BaselineModel(_ModelBase):
     def _embed(self, tokens: np.ndarray, t: int) -> Tensor:
         return add(embedding(self.embed_w, tokens), narrow(self.pos_w, 0, t, tokens.shape[1]))
 
-    def _parallel(self, tokens: np.ndarray) -> Tensor:
-        x = self._embed(tokens, 0)
-        for blk in self.blocks:
-            x = blk.forward(x)
-        return self._unembed(x)
-
     def start_state(self):
         return _BaselineState(self.config, self.embed_w.dtype)
 
@@ -470,7 +470,7 @@ class BaselineModel(_ModelBase):
         t = state.t
         x = self._step_input(t, token)
         for blk, K, V in zip(self.blocks, state.k, state.v):
-            x = blk.forward(x, (K, V), t)
+            x = blk.step(x, K, V, t)
         state.t += 1
         return reshape(self._unembed(x), (self.config.vocab_size,))
 

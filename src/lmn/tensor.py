@@ -399,8 +399,9 @@ def _scatter_add(g: np.ndarray, indices: np.ndarray, n: int, axis: int) -> np.nd
 
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     """Row lookup: ids [...] of ints into weight [V, E] -> [..., E]."""
-    ids = np.asarray(ids)
-    if ids.min(initial=0) < 0 or (ids.size and ids.max() >= weight.shape[0]):
+    ids = np.asarray(ids, dtype=np.intp)
+    # read as unsigned, a negative id lies past every row: one reduction checks both ends
+    if ids.view(np.uintp).max(initial=0) >= weight.shape[0]:
         raise ShapeError(f"embedding: id out of range for table {weight.shape}")
     return reshape(index_select(weight, 0, ids.reshape(-1)), (*ids.shape, weight.shape[1]))
 

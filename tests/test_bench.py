@@ -24,7 +24,7 @@ from lmn.bench import (
     time_forward,
 )
 from lmn.counters import COUNTER, OpCounter
-from lmn.model import TILE
+from lmn.model import QUERY_TILE, TILE
 from lmn.tensor import make_rng, no_grad
 
 
@@ -186,15 +186,16 @@ def test_sweep_writes_csv_with_footer(tmp_path):
     records = sweep([8, 16], ["logmem"], out, modes=("parallel",), reps=3, embed=8)
     assert len(records) == 2
     lines = out.read_text().splitlines()
-    env = dict(line[2:].split("=", 1) for line in lines[:7])
+    env = dict(line[2:].split("=", 1) for line in lines[:8])
     assert list(env) == ["numpy", "blas", "blas_threads", "OPENBLAS_NUM_THREADS",
-                         "OMP_NUM_THREADS", "cpu_count", "tile"]
+                         "OMP_NUM_THREADS", "cpu_count", "tile", "query_tile"]
     assert env["numpy"] == np.__version__ and env["cpu_count"] == str(os.cpu_count())
-    assert env["tile"] == str(TILE)  # sweeps of different tile sizes stay apart
+    # sweeps of different tile sizes stay apart
+    assert env["tile"] == str(TILE) and env["query_tile"] == str(QUERY_TILE)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         assert env[var] == os.environ.get(var, "unset")
     assert env["blas"] and env["blas_threads"] == str(blas_threads())
-    header = lines[7].split(",")
+    header = lines[8].split(",")
     assert header == ["variant", "mode", "L", "reps", "median_seconds", "iqr_seconds",
                       "peak_bytes", "score_macs", "summarizer_ops", "status"]
     with open(out) as f:
@@ -231,6 +232,13 @@ def test_sequential_peak_scales_with_kv_cache_for_baseline():
     peak_small = peak_bytes(small, 128, "sequential")
     peak_big = peak_bytes(big, 2048, "sequential")
     assert peak_big / peak_small >= 4.0
+
+
+def test_baseline_parallel_peak_grows_linearly_in_query_tiles():
+    # a forward that held the whole [L, L] score matrix would peak 16x higher
+    # at 4x the length; query tiles hold [QUERY_TILE, L] scores, 4x
+    peaks = [peak_bytes(bench_model("baseline-attn", L), L, "parallel") for L in (2048, 8192)]
+    assert peaks[1] < 6 * peaks[0]
 
 
 def test_lmn_sequential_peak_nearly_length_independent():

@@ -117,10 +117,15 @@ def test_single_token_forward_is_finite():
 
 
 def test_forward_rejects_bad_tokens():
-    # embedding holds the one range check, so both families see it in both modes
+    # embedding holds the one range check, so both families see it in both
+    # modes and in a lone step
     for variant in ("logmem", "baseline-attn"):
         cfg = small_cfg(dict(variant=variant))
         model = build_model(cfg)
+        with no_grad():
+            for bad in (cfg.vocab_size, -1):
+                with pytest.raises(ShapeError, match="id out of range"):
+                    model.step(model.start_state(), bad)
         for mode in MODES:
             with no_grad():
                 for bad in (cfg.vocab_size, -1):
@@ -231,12 +236,15 @@ def test_baseline_causality_and_weight_rows():
         a = model.forward(tokens).data[:, : t + 1]
         b = model.forward(perturbed).data[:, : t + 1]
     assert np.array_equal(a, b)
-    from lmn.tensor import Tensor, layer_norm
-    x = Tensor(rng.standard_normal((1, 12, cfg.embed)).astype(np.float32))
+    from lmn.tensor import Tensor
+    # queries at positions t..t+11 over T = 24 key rows: each row sums to one
+    # and gives no weight to the keys past its query's position
+    q, k, v = (Tensor(rng.standard_normal((1, n, cfg.embed)).astype(np.float32)) for n in (12, 24, 24))
     with no_grad():
-        _, att = model.blocks[0].attention(x)
-    sums = att.data.sum(-1)
-    assert np.allclose(sums, 1.0, atol=1e-6)
+        _, att = model.blocks[0].attention(q, k, v, t)
+    assert np.allclose(att.data.sum(-1), 1.0, atol=1e-6)
+    future = np.arange(24) > np.arange(t, t + 12)[:, None]
+    assert np.all(att.data[:, :, future] == 0) and np.all(att.data[:, :, ~future] > 0)
 
 
 def test_baseline_tiny_gradient_check():
@@ -277,7 +285,15 @@ TILED_CONFIGS = [
     ("tiny", dict(variant="tiny-logmem", banks=2)),
     ("expsum", dict(variant="expsum", expansion=2)),
     ("dsconv", dict(variant="logmem", banks=2, summarizer="dsconv")),
+    ("baseline-1head", dict(variant="baseline-attn", n_heads=1)),
+    ("baseline-4heads", dict(variant="baseline-attn", n_heads=4)),
 ]
+
+
+def _set_tiles(monkeypatch, tile):
+    """Tiles of ``tile`` positions for the tree and ``tile`` queries for the baseline."""
+    monkeypatch.setattr(lmn.model, "TILE", tile)
+    monkeypatch.setattr(lmn.model, "QUERY_TILE", tile)
 
 
 def _logits_and_grads(cfg, tokens, targets, dtype):
@@ -298,13 +314,41 @@ def test_tiled_forward_matches_one_tile(monkeypatch, name, kw, L):
     targets = rng.integers(0, cfg.vocab_size, size=(2, L))
     runs = {}
     for tile in (16, 64):
-        monkeypatch.setattr(lmn.model, "TILE", tile)
+        _set_tiles(monkeypatch, tile)
         logits, _ = _logits_and_grads(cfg, tokens, targets, np.float32)
         runs[tile] = logits, _logits_and_grads(cfg, tokens, targets, np.float64)[1]
     (tiled, tiled_grads), (whole, whole_grads) = runs[16], runs[64]
     assert np.abs(tiled - whole).max() <= 1e-6
     for key, g in whole_grads.items():
         assert np.abs(tiled_grads[key] - g).max() <= 1e-4, key
+
+
+@pytest.mark.parametrize("name,kw", [TILED_CONFIGS[0], *TILED_CONFIGS[-2:]],
+                         ids=["logmem", "baseline-1head", "baseline-4heads"])
+def test_tiled_forward_is_causal_across_a_tile_boundary(monkeypatch, name, kw):
+    # tiles of 16 through two blocks: the logits up to position 16 + 3, in
+    # the second tile, are bit-exact whatever the tokens after it are
+    cfg = ModelConfig(vocab_size=11, embed=8, max_seq_len=64, n_blocks=2, seed=6, **kw)
+    model = build_model(cfg)
+    _set_tiles(monkeypatch, 16)
+    queries = []
+    attention = lmn.model.BaselineBlock.attention
+
+    def counted(self, q, *rest):
+        queries.append(q.shape[1])
+        return attention(self, q, *rest)
+
+    monkeypatch.setattr(lmn.model.BaselineBlock, "attention", counted)
+    tokens = make_rng(11).integers(0, cfg.vocab_size, size=(2, 53))
+    perturbed = tokens.copy()
+    perturbed[:, 16 + 4:] = (tokens[:, 16 + 4:] + 1) % cfg.vocab_size
+    with no_grad():
+        a = model.forward(tokens).data
+        b = model.forward(perturbed).data
+    assert np.array_equal(a[:, :16 + 4], b[:, :16 + 4])
+    assert not np.array_equal(a[:, 16 + 4:], b[:, 16 + 4:])
+    if cfg.variant == "baseline-attn":  # the queries ran in tiles: 16, 16, 16 and 5 per block and pass
+        assert queries == [16, 16, 16, 5] * 4
 
 
 # Table 1 comparison configs (documented in the README): 4 pre-norm blocks,

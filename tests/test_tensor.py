@@ -492,6 +492,13 @@ def test_embedding_out_of_range_errors():
     w = t(np.zeros((4, 2)))
     with pytest.raises(ShapeError):
         embedding(w, np.array([[5]]))
+    # negative ids of every width, and unsigned ones past int64, are out of range too
+    for bad in (np.array([[0, -1]]), np.array([[np.iinfo(np.int64).min]]),
+                np.array([[2 ** 63 + 1]], dtype=np.uint64), np.array([[-3, 4]], dtype=np.int32)):
+        with pytest.raises(ShapeError, match="id out of range"):
+            embedding(w, bad)
+    assert embedding(w, np.array([[3, 0]], dtype=np.int32)).shape == (1, 2, 2)
+    assert embedding(w, np.zeros((1, 0), dtype=np.int64)).shape == (1, 0, 2)
 
 
 def test_layer_norm_normalizes_last_axis():
