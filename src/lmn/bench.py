@@ -99,19 +99,7 @@ def bench_model(variant: str, L: int, embed: int = 32, banks: int = 2, seed: int
     return build_model(_model_config(variant, L, embed, banks, seed))
 
 
-def _run_forward(model, tokens, mode):
-    with no_grad():
-        return model.forward(tokens, mode=mode)
-
-
-def _run_stepping(model, tokens):
-    state = model.start_state()
-    with no_grad():
-        for tok in tokens[0]:
-            model.step(state, int(tok))
-
-
-def _traced_peak(runner, args) -> int:
+def _traced_peak(run) -> int:
     """Run once under tracemalloc; return the peak traced bytes above the
     traced bytes at the start. Stops tracing only if it started it."""
     started = not tracemalloc.is_tracing()
@@ -120,7 +108,7 @@ def _traced_peak(runner, args) -> int:
     try:
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        runner(*args)
+        run()
         return tracemalloc.get_traced_memory()[1] - start
     finally:
         if started:
@@ -128,17 +116,27 @@ def _traced_peak(runner, args) -> int:
 
 
 def _forward_pass(model, L: int, mode: str, seed: int):
-    """The runner and its arguments for one forward pass over L seeded random tokens."""
+    """One forward pass over L seeded random tokens, as a call with no
+    arguments: the parallel forward, or the tokens stepped through the
+    recurrent state with no logits kept."""
     check_indexable(L, 8, "the token draw")  # int64 ids
     tokens = make_rng(seed).integers(0, model.config.vocab_size, size=(1, L))
-    if mode == "sequential":
-        return _run_stepping, (model, tokens)
-    return _run_forward, (model, tokens, mode)
+
+    def run():
+        with no_grad():
+            if mode == "sequential":
+                state = model.start_state()
+                for tok in tokens[0]:
+                    model.step(state, int(tok))
+            else:
+                model.forward(tokens, mode=mode)
+
+    return run
 
 
 def peak_bytes(model, L: int, mode: str, seed: int = 0) -> int:
     """The peak that time_forward records, from one traced pass and no timed reps."""
-    return _traced_peak(*_forward_pass(model, L, mode, seed))
+    return _traced_peak(_forward_pass(model, L, mode, seed))
 
 
 def time_forward(model, L: int, mode: str, reps: int = 3, seed: int = 0) -> BenchRecord:
@@ -151,19 +149,19 @@ def time_forward(model, L: int, mode: str, reps: int = 3, seed: int = 0) -> Benc
     if reps < 3:
         raise ValueError("reps must be >= 3")
     try:
-        runner, args = _forward_pass(model, L, mode, seed)
+        run = _forward_pass(model, L, mode, seed)
         COUNTER.reset()
         # counted run (counts repeat per run) and memory pass at once
-        peak = _traced_peak(runner, args)
+        peak = _traced_peak(run)
         counts = COUNTER.snapshot()
         warm_until = time.monotonic() + WARM_UP_SECONDS
-        runner(*args)
+        run()
         while time.monotonic() < warm_until:
-            runner(*args)
+            run()
         times, total = [], 0.0
         while len(times) < reps or total < MIN_TIMED_SECONDS:
             t0 = time.monotonic()
-            runner(*args)
+            run()
             times.append(time.monotonic() - t0)
             total += times[-1]
         q1, q3 = np.percentile(times, [25, 75])

@@ -1,13 +1,14 @@
 """Self-contained invariant suite behind the `verify` subcommand.
 
-Runs the library's correctness properties on seeded models: dual-mode
-equivalence for every variant (the parallel forward against stepping
-through ``step``), the pyramid against the carry chain, finite-difference
-gradient checks, prefix causality, attention mask/softmax behaviour, the
-folded attention against the unfused projection chain, slot-count oracles
-against brute-force prefix decomposition, and the expander width arithmetic.
-Every layer a check exercises is taken from a model that ``build_model``
-made, so its weights come from the parameter schema, as every model's do.
+Runs each of the library's correctness properties once, on seeded models,
+over every configuration that has it: dual-mode equivalence for every
+variant (the parallel forward against stepping through ``step``), the
+pyramid against the carry chain for every summarizer, finite-difference
+gradient checks, prefix causality, attention weights and the folded
+attention against the unfused projection chain, slot counts and mask widths
+against brute-force prefix decomposition, and the score-MAC counters against
+their closed forms. Every layer a check exercises is taken from a model that
+``build_model`` made, so its weights come from the parameter schema.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .attention import (
 )
 from .bench import baseline_score_mac_closed_form, lmn_score_mac_closed_form
 from .counters import COUNTER
-from .memory import parallel_memory, sequential_memory, slot_widths, valid_mask
+from .memory import parallel_memory, sequential_memory, valid_mask
 from .model import ModelConfig, build_model, loss as loss_fn
 from .tensor import Tensor, grad_check, make_rng, no_grad
 
@@ -79,25 +80,20 @@ def check_mode_equivalence(quick: bool):
     return worst <= 1e-4, f"max |parallel - model.step| logit gap = {worst:.2e} at L={lengths}"
 
 
-def _tree_gap(summarizers, L: int, E: int, rng) -> float:
-    """Largest |parallel - sequential| memory entry over the given summarizers."""
-    gap = 0.0
-    for summ in summarizers:
-        x = Tensor(rng.standard_normal((2, L, E)).astype(np.float32))
-        with no_grad():
-            par = parallel_memory(x, [summ]).data.data
-            seq = sequential_memory(x, [summ]).data.data
-        gap = max(gap, float(np.abs(par - seq).max()))
-    return gap
-
-
 def check_memory_equivalence(quick: bool):
     L, E = (32, 8) if quick else (64, 16)
     rng = make_rng(3)
     summs = [_block(E, seed, banks=1, summarizer=form).summarizers[0]
              for seed, form in ((3, "linear"), (4, "dsconv"))]
-    gap = _tree_gap(summs, L, E, rng)
-    return gap <= 1e-5, f"max memory gap (linear, dsconv) = {gap:.2e}"
+    summs += [_block(E, 41 + k, variant="expsum", expansion=k).summarizers[0] for k in (1, 2)]
+    gap = 0.0
+    for summ in summs:
+        x = Tensor(rng.standard_normal((2, L, E)).astype(np.float32))
+        with no_grad():
+            par = parallel_memory(x, [summ]).data.data
+            seq = sequential_memory(x, [summ]).data.data
+        gap = max(gap, float(np.abs(par - seq).max()))
+    return gap <= 1e-5, f"max memory gap (linear, dsconv, expander k=1, k=2) = {gap:.2e} at L={L}"
 
 
 def check_gradients(quick: bool):
@@ -138,20 +134,6 @@ def check_causality(quick: bool):
     return ok, "prefix logits bit-identical under future perturbation"
 
 
-def check_attention_masking(quick: bool):
-    L, E = 32, 8
-    block = _block(E, 2, banks=2, vocab_size=17, max_seq_len=L)
-    rng = make_rng(31)
-    x = Tensor(rng.standard_normal((2, L, E)).astype(np.float32))
-    with no_grad():
-        mem = multi_bank_combine(parallel_memory(x, block.summarizers))
-        w = attend(mem, x, block.qkv_w, block.qkv_b)[1].data
-    sums = w.sum(axis=-1)
-    zeros_exact = bool(np.all(w[~np.broadcast_to(mem.valid[None], w.shape)] == 0.0))
-    ok = bool(np.all(np.abs(sums - 1.0) <= 1e-6) and zeros_exact)
-    return ok, f"weight sums in [{sums.min():.8f}, {sums.max():.8f}], invalid levels exactly zero: {zeros_exact}"
-
-
 def unfused_attend(mem, weight, bias):
     """The attention chain with every memory row projected, as (values, weights):
     the reference that the folded ``attend`` must match."""
@@ -160,55 +142,40 @@ def unfused_attend(mem, weight, bias):
     return weighted_sum(weights, v), weights
 
 
-def check_attention_fold(quick: bool):
-    L, E = 13, 8  # odd L: the pyramid is padded
-    rng = make_rng(37)
-    block = _block(E, 37, banks=2)
-    x = Tensor(rng.standard_normal((2, L, E)).astype(np.float32))
-    with no_grad():
-        mem = multi_bank_combine(parallel_memory(x, block.summarizers))
-        values, weights = attend(mem, x, block.qkv_w, block.qkv_b)
-        ref_v, ref_w = unfused_attend(mem, block.qkv_w, block.qkv_b)
-    gap_w = float(np.abs(weights.data - ref_w.data).max())
-    gap_v = float(np.abs(values.data - ref_v.data).max())
-    ok = gap_w <= 1e-5 and gap_v <= 1e-4
-    return ok, f"folded vs unfused attention: weight gap {gap_w:.2e}, value gap {gap_v:.2e}"
+def check_attention(quick: bool):
+    E = 8
+    worst_sum, zeros_exact, gap_w, gap_v = 0.0, True, 0.0, 0.0
+    for L, seed in ((13, 37), (32, 31)):  # at L=13 the pyramid is padded
+        block = _block(E, seed, banks=2)
+        x = Tensor(make_rng(seed).standard_normal((2, L, E)).astype(np.float32))
+        with no_grad():
+            mem = multi_bank_combine(parallel_memory(x, block.summarizers))
+            values, weights = attend(mem, x, block.qkv_w, block.qkv_b)
+            ref_v, ref_w = unfused_attend(mem, block.qkv_w, block.qkv_b)
+        w = weights.data
+        worst_sum = max(worst_sum, float(np.abs(w.sum(axis=-1) - 1.0).max()))
+        zeros_exact = zeros_exact and bool(np.all(w[:, ~mem.valid] == 0.0))
+        gap_w = max(gap_w, float(np.abs(w - ref_w.data).max()))
+        gap_v = max(gap_v, float(np.abs(values.data - ref_v.data).max()))
+    ok = worst_sum <= 1e-6 and zeros_exact and gap_w <= 1e-5 and gap_v <= 1e-4
+    return ok, (f"weight sums within {worst_sum:.1e} of 1, invalid levels exactly zero: {zeros_exact}; "
+                f"folded vs unfused: weight gap {gap_w:.2e}, value gap {gap_v:.2e}")
 
 
 def check_slot_counts(quick: bool):
-    n = 512 if quick else 4096
-    S = 13
-    mask = valid_mask(n, S)
+    n, S = (512 if quick else 4096), 13
     ok = True
-    for t in range(n):
-        blocks = prefix_decomposition(t)
-        expected_levels = {level for level, _ in blocks}
-        got_levels = {i for i in range(S) if mask[t, i + 1]}
-        ok = ok and expected_levels == got_levels and mask[t].sum() == bin(t).count("1") + 1
-    return ok, f"slot occupancy equals prefix decomposition for all t < {n}"
-
-
-def check_expander_widths(quick: bool):
-    ok = True
-    for S, k in ((4, 1), (13, 1), (6, 2), (5, 0)):
-        widths = slot_widths(S, k)
-        ok = ok and widths == [1 + level * k for level in range(S)]
-        ok = ok and sum(widths) == S + k * S * (S - 1) // 2
-    n = 256 if quick else 1024
-    mask = valid_mask(n, 13, 1)
-    widths = slot_widths(13, 1)
-    for t in range(n):
-        expect = 1 + sum(widths[level] for level, _ in prefix_decomposition(t))
-        ok = ok and mask[t].sum() == expect
-    return ok, "width arithmetic and per-position entry counts match the formula"
-
-
-def check_expanded_equivalence(quick: bool):
-    L, E = (16, 8) if quick else (32, 8)
-    rng = make_rng(41)
-    summs = [_block(E, 41 + k, variant="expsum", expansion=k).summarizers[0] for k in (1, 2)]
-    gap = _tree_gap(summs, L, E, rng)
-    return gap <= 1e-5, f"expander memory gap (k=1, k=2) = {gap:.2e}"
+    for k in (0, 1, 2):
+        mask = valid_mask(n, S, k)
+        ok = ok and mask.shape[1] == 1 + S + k * S * (S - 1) // 2
+        # level l's rows start at column 1 + sum_{j<l} (1 + j*k)
+        starts = [1 + level + k * level * (level - 1) // 2 for level in range(S)]
+        has_row = np.logical_or.reduceat(mask, starts, axis=1)
+        for t in range(n):
+            levels = [level for level, _ in prefix_decomposition(t)]
+            ok = (ok and set(np.flatnonzero(has_row[t]).tolist()) == set(levels)
+                  and int(mask[t].sum()) == 1 + sum(1 + level * k for level in levels))
+    return ok, f"occupied levels and row counts equal prefix decomposition for k = 0, 1, 2 and all t < {n}"
 
 
 def check_counters(quick: bool):
@@ -232,13 +199,10 @@ def check_counters(quick: bool):
 CHECKS = [
     ("mode-equivalence", check_mode_equivalence),
     ("memory-equivalence", check_memory_equivalence),
-    ("expander-equivalence", check_expanded_equivalence),
     ("gradients", check_gradients),
     ("causality", check_causality),
-    ("attention-masking", check_attention_masking),
-    ("attention-fold", check_attention_fold),
+    ("attention", check_attention),
     ("slot-counts", check_slot_counts),
-    ("expander-widths", check_expander_widths),
     ("score-mac-counters", check_counters),
 ]
 

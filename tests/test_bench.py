@@ -104,7 +104,7 @@ def test_time_forward_warms_up_past_a_slow_start(monkeypatch):
         calls.append(time.monotonic())
         time.sleep(0.2 if len(calls) <= 4 else 0.001)
 
-    monkeypatch.setattr(lmn.bench, "_forward_pass", lambda model, L, mode, seed: (runner, ()))
+    monkeypatch.setattr(lmn.bench, "_forward_pass", lambda model, L, mode, seed: runner)
     rec = time_forward(bench_model("logmem", 8, embed=8), 8, "parallel", reps=3)
     assert rec.median_seconds < 0.1
     assert calls[-rec.reps] - calls[1] >= lmn.bench.WARM_UP_SECONDS  # the untraced warm-up
@@ -118,7 +118,7 @@ def test_time_forward_warms_up_once_when_a_run_outlasts_the_warm_up(monkeypatch)
         time.sleep(0.02)
 
     monkeypatch.setattr(lmn.bench, "WARM_UP_SECONDS", 0.01)
-    monkeypatch.setattr(lmn.bench, "_forward_pass", lambda model, L, mode, seed: (runner, ()))
+    monkeypatch.setattr(lmn.bench, "_forward_pass", lambda model, L, mode, seed: runner)
     rec = time_forward(bench_model("logmem", 8, embed=8), 8, "parallel", reps=3)
     assert len(calls) == 1 + 1 + rec.reps  # the traced run, one warm-up, the reps
 
@@ -134,7 +134,7 @@ def test_time_forward_times_fast_runs_until_the_minimum_span(monkeypatch):
     model = bench_model("logmem", 8, embed=8)
     for seconds, fewest, most in ((0.005, 4, 11), (0.06, 3, 3)):
         monkeypatch.setattr(lmn.bench, "_forward_pass",
-                            lambda model, L, mode, seed, s=seconds: (runner, (s,)))
+                            lambda model, L, mode, seed, s=seconds: lambda: runner(s))
         rec = time_forward(model, 8, "parallel", reps=3)
         assert fewest <= rec.reps <= most, (seconds, rec.reps)
         assert rec.reps * rec.median_seconds >= 0.9 * min(0.05, 3 * seconds)

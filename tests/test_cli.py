@@ -12,11 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lmn.memory
 from lmn.bench import lmn_score_mac_closed_form
 from lmn.cli import main, make_parser, parse_config_file, CliError
 from lmn.corpus import generate_corpus, main as corpus_main
 from lmn.data import build_vocab
 from lmn.model import build_model, config_to_text, load_checkpoint, save_checkpoint
+from lmn.tensor import add, concat, matmul, softmax_last
 
 from test_model import resealed, with_retired_keys, write_checkpoint
 
@@ -387,19 +389,39 @@ def test_verify_quick_exit_0():
     assert main(["verify", "--quick"]) == 0
 
 
-def test_verify_detects_injected_fault(monkeypatch, capsys):
-    # flip the concatenation order in the sequential merge only: the
-    # parallel/sequential equivalence checks must catch it
-    from lmn.summarizers import LinearSummarizer
-    from lmn.tensor import concat, matmul, add
+def _newer_first_pair(self, a, b):
+    y = matmul(concat([b, a], axis=-1), self.weight)  # newer first: wrong
+    return add(y, self.bias) if self.bias is not None else y
 
-    def flipped_pair(self, a, b):
-        y = matmul(concat([b, a], axis=-1), self.weight)  # newer first: wrong
-        return add(y, self.bias) if self.bias is not None else y
 
-    monkeypatch.setattr(LinearSummarizer, "merge_pair", flipped_pair)
+def _newer_first_blocks(self, left, right):
+    return self._condense_expand(concat([right, left], axis=-2))  # newer first: wrong
+
+
+def _deepest_rows_valid(stop, n_levels, k=0, start=0):
+    mask = lmn.memory.valid_mask(stop, n_levels, k, start)
+    if k >= 1:
+        mask[:, -1] = True  # a row of the deepest level, occupied at no t < 2^(S-1)
+    return mask
+
+
+def _unmasked_softmax(scores, valid):
+    return softmax_last(scores)
+
+
+# each fault sits in one layer, patched where the check reads it, and the
+# check of that layer's property must report it by name
+@pytest.mark.parametrize("targets,fault,check", [
+    (["lmn.summarizers.LinearSummarizer.merge_pair"], _newer_first_pair, "memory-equivalence"),
+    (["lmn.summarizers.ExpanderSummarizer.merge_blocks"], _newer_first_blocks, "memory-equivalence"),
+    (["lmn.verify.valid_mask"], _deepest_rows_valid, "slot-counts"),
+    (["lmn.attention.mask_softmax", "lmn.verify.mask_softmax"], _unmasked_softmax, "attention"),
+], ids=["linear-merge-pair", "expander-merge-blocks", "valid-mask", "mask-softmax"])
+def test_verify_detects_injected_fault(monkeypatch, capsys, targets, fault, check):
+    for target in targets:
+        monkeypatch.setattr(target, fault)
     assert main(["verify", "--quick"]) == 1
-    assert "FAIL" in capsys.readouterr().out
+    assert f"[FAIL] {check}:" in capsys.readouterr().out
 
 
 def _csv_rows(path):

@@ -75,6 +75,7 @@ def test_dsconv_and_linear_agree_under_constructed_weights():
     (4, 1, [1, 2, 3, 4], 10),
     (5, 0, [1, 1, 1, 1, 1], 5),
     (13, 1, None, 91),
+    (6, 2, [1, 3, 5, 7, 9, 11], 36),
 ])
 def test_expanded_slot_widths(S, k, expect_widths, expect_total):
     widths = slot_widths(S, k)
