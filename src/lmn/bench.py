@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .counters import COUNTER
-from .model import QUERY_TILE, TILE, ModelConfig, build_model, write_file
+from .model import QUERY_TILE, TILE_ROWS, ModelConfig, build_model, write_file
 from .tensor import check_indexable, make_rng, no_grad
 
 WARM_UP_SECONDS = 1.0
@@ -199,12 +199,12 @@ def blas_threads() -> int | str:
 def environment_lines() -> list[str]:
     """CSV comment lines naming what the timings depend on: the numpy
     version, its BLAS build and the thread count it runs with, the BLAS
-    thread settings, the CPU count and the parallel forwards' tile sizes."""
+    thread settings, the CPU count and the parallel forwards' tile bounds."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     env = {"numpy": np.__version__, "blas": blas.get("name", "unknown"),
            "blas_threads": blas_threads(),
            **{var: os.environ.get(var, "unset") for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
-           "cpu_count": os.cpu_count(), "tile": TILE, "query_tile": QUERY_TILE}
+           "cpu_count": os.cpu_count(), "tile_rows": TILE_ROWS, "query_tile": QUERY_TILE}
     return [f"# {key}={value}" for key, value in env.items()]
 
 

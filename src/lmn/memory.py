@@ -23,8 +23,9 @@ then reads the memory of any range of positions from it in closed form
 of level l, so each level's read is a strided broadcast and its gradient a
 reshape-sum, with no index table and no scatter. The model reads one tile
 of positions at a time, so no [B, L, banks, D, E] memory of the whole
-sequence is ever held. ``parallel_memory`` (one read of the whole
-sequence) and ``sequential_memory`` (its stepped reference) both produce a
+sequence is ever held, and a range's memory holds only the levels its
+positions occupy. ``parallel_memory`` (one read of the whole sequence) and
+``sequential_memory`` (its stepped reference) both produce a
 [B, L, banks, D, E] memory (per bank: row 0 = current token, then the w_l
 rows of each slot in level order, D = 1 + sum_l w_l) with the [L, D]
 validity mask every bank shares; invalid rows are exactly zero.
@@ -142,8 +143,8 @@ def push_token(state: SlotState, x: Tensor, summarizers) -> SlotState:
 
 def snapshot(state: SlotState, x_current: Tensor) -> MemoryTensor:
     """The memory of position t = state.consumed: every bank's D rows as
-    [1, 1, banks, D, E] and their [1, D] mask, the MemoryTensor that
-    ``gather_memory`` returns for a tile of one position.
+    [1, 1, banks, D, E] and their [1, D] mask: a one-position tile's
+    ``gather_memory`` with the levels it does not occupy kept.
 
     One copy of the row buffer with each bank's row 0 set to the current
     token; empty levels are already zero.
@@ -160,7 +161,8 @@ def snapshot(state: SlotState, x_current: Tensor) -> MemoryTensor:
 class MemoryTensor:
     """Per-position memory: data [B, L, banks, D, E] and the validity mask
     [L, D], which broadcasts over the bank axis; ``attention.multi_bank_combine``
-    flattens it to the [B, L, banks*D, E] rows that ``attend`` takes."""
+    flattens it to the [B, L, banks*D, E] rows that ``attend`` takes. A
+    range read holds only the levels its positions occupy, a snapshot all."""
 
     data: Tensor
     valid: np.ndarray
@@ -252,11 +254,14 @@ def gather_memory(table: RowTable, start: int, stop: int) -> MemoryTensor:
     Every other slot row stays exactly zero and gets no gradient. A range
     that starts at a multiple of 2^(l+1) holds whole level-l groups; one
     that lies inside a single group reads that group's block, or none.
+    Levels no position occupies are cut from the memory and from its mask.
     """
     rows = table.rows
     b, banks, _, e = rows.shape
     widths = slot_widths(table.n_levels, table.k)
-    out = np.zeros((b, stop - start, banks, 1 + sum(widths), e), dtype=rows.dtype)
+    valid = valid_mask(stop, table.n_levels, table.k, start)
+    valid = valid[:, valid.any(axis=0)]
+    out = np.zeros((b, stop - start, banks, valid.shape[1], e), dtype=rows.dtype)
     out[:, :, :, 0] = rows.data[:, :, start:stop].swapaxes(1, 2)
     for mem, blocks in _level_reads(out, rows.data, start, widths):
         mem[...] = blocks
@@ -268,8 +273,7 @@ def gather_memory(table: RowTable, start: int, stop: int) -> MemoryTensor:
         grad[:, :, start:stop] += g[:, :, :, 0].swapaxes(1, 2)
         return (grad,)
 
-    return MemoryTensor(data=_make(out, (rows,), bwd),
-                        valid=valid_mask(stop, table.n_levels, table.k, start))
+    return MemoryTensor(data=_make(out, (rows,), bwd), valid=valid)
 
 
 def _level_reads(mem: np.ndarray, rows: np.ndarray, start: int, widths: list):
@@ -284,7 +288,8 @@ def _level_reads(mem: np.ndarray, rows: np.ndarray, start: int, widths: list):
     give a [B, G, R/2, banks, w, E] memory view against the
     [B, G, 1, banks, w, E] even blocks; a last group the range leaves
     partway gives its positions past its half, if any, against its one
-    block. All are strided views, so writes through them land in the arrays.
+    block. A level no position occupies gives none and has no columns in
+    ``mem``. All are strided views, so writes through them land in the arrays.
     """
     b, n, banks, d, e = mem.shape
     stop = start + n
@@ -310,7 +315,7 @@ def _level_reads(mem: np.ndarray, rows: np.ndarray, start: int, widths: list):
         if stop > lo:
             yield mem[:, lo - start:, :, col:col + w], blocks[:, 2 * g, None]
         off += count * w
-        col += w
+        col += w if (start >> level) | 1 <= (stop - 1) >> level else 0  # some t has bit l set
 
 
 def parallel_memory(x: Tensor, summarizers) -> MemoryTensor:

@@ -10,8 +10,9 @@ with a learned positional embedding and causal self-attention. One
 ``step``, and parallel mode runs one tile loop for both families: each
 block builds its whole-sequence state (an LMN block's one row table,
 ``memory.build_pyramid``; a baseline block's keys and values), then reads
-it, attends and runs the residual branches in tiles of ``TILE`` positions
-(tree) or ``QUERY_TILE`` queries (baseline), the last block unembedding
+it, attends and runs the residual branches in tiles of ``_tile_length``
+positions (tree: at most ``TILE_ROWS`` memory rows, of the levels the tile
+occupies; baseline: ``QUERY_TILE`` queries), the last block unembedding
 tile by tile. A step runs the same per-tile tail on its slot state or KV
 cache (``LmnBlock._read``, ``BaselineBlock.attention``).
 """
@@ -33,6 +34,7 @@ from .memory import (
     SlotState,
     build_pyramid,
     levels_for,
+    slot_widths,
     snapshot,
     push_token,
 )
@@ -72,15 +74,16 @@ SUMMARIZERS = ("linear", "dsconv")
 CKPT_MAGIC = b"LMNCKPT"
 CKPT_VERSION = 2  # version 1 has no CRC32 trailer; it still loads
 
-# Positions per tile of an LMN model's parallel forward: a power of two, so
-# tiles start at multiples of it and hold whole groups of every level that
-# fits. Chosen by measurement (one block, E=32, 2 banks, B=1, one BLAS
-# thread, 2-CPU x86 machine): against 256, 512 and 2048 it gave the fastest
-# no-grad forward at L = 3000 and 4096 and was within 3% of it at L = 16384,
-# 25-40% faster than one tile.
-TILE = 1024
+# Memory rows one tile of one sequence of an LMN parallel forward may hold:
+# a block's tile is the largest power of two T with T * banks * D <= TILE_ROWS
+# at the input's S = levels_for(L), so tiles start at multiples of T. Rows a
+# position, and T: logmem (2 banks) 18-30, 1024 for L = 256..16384; expsum
+# (k=1) 37, 512 at L = 256 (one tile), and 79, 256 at L = 3000. Measured at
+# one block, E=32, B=1, one BLAS thread (2-CPU x86): 1024 positions gave
+# logmem's fastest forward; expsum's peak at L = 4096 fell 16.8 -> 7.4 MB.
+TILE_ROWS = 1 << 15
 # Query rows per tile of the baseline's parallel forward, each row scored
-# against all L keys. Measured as TILE was: 72 ms and 9.2 MB at L = 3000
+# against all L keys. Measured as TILE_ROWS was: 72 ms and 9.2 MB at L = 3000
 # (1024 rows: 59 ms, 29.7 MB; untiled: 78 ms, 82.9 MB) and 1.74 s at
 # L = 16384 (1024 rows: 2.59 s).
 QUERY_TILE = 256
@@ -297,6 +300,10 @@ class LmnBlock(_Block):
         values, _ = attend(multi_bank_combine(mem), n, self.qkv_w, self.qkv_b)
         return self._residuals(x, values)
 
+    def _tile_length(self, L: int) -> int:
+        rows = len(self.summarizers) * (1 + sum(slot_widths(levels_for(L), self.summarizers[0].k)))
+        return 1 << max(0, (TILE_ROWS // rows).bit_length() - 1)  # a power of two, at least 1
+
     def _whole(self, n: Tensor):
         return build_pyramid(n, self.summarizers)
 
@@ -323,6 +330,9 @@ class BaselineBlock(_Block):
         COUNTER.score_macs += e * (L * t + L * (L + 1) // 2)  # per batch item, causal terms only
         y = matmul(att, v)
         return reshape(transpose(y, (0, 2, 1, 3)), (b, L, e)), att
+
+    def _tile_length(self, L: int) -> int:
+        return QUERY_TILE
 
     def _whole(self, n: Tensor):
         e = self.cfg.embed
@@ -361,14 +371,12 @@ class _ModelBase:
 
     def _parallel(self, tokens: np.ndarray) -> Tensor:
         """Each block builds its whole-sequence state from its layer-normed
-        input (``_whole``) and runs the rest tile by tile (``_tile``). A block
-        before the last joins its tiles, since the next block's state needs
-        the whole sequence; the last unembeds each tile before joining them.
-        A sequence of at most one tile runs untouched."""
+        input (``_whole``) and runs the rest in tiles of ``_tile_length``
+        (``_tile``). A block before the last joins its tiles, since the next
+        block's state needs the whole sequence; the last unembeds each tile
+        before joining them. A sequence of at most one tile runs untouched."""
         x = self._embed(tokens, 0)
         L = x.shape[1]
-        size = QUERY_TILE if self.config.variant == "baseline-attn" else TILE
-        spans = [(start, min(start + size, L)) for start in range(0, L, size)]
 
         def tile(a: Tensor, start: int, stop: int) -> Tensor:
             return a if stop - start == L else narrow(a, 1, start, stop - start)
@@ -376,8 +384,10 @@ class _ModelBase:
         for blk in self.blocks:
             n = layer_norm(x, *blk.ln1)
             whole = blk._whole(n)
+            size = blk._tile_length(L)
             outs = []
-            for start, stop in spans:
+            for start in range(0, L, size):
+                stop = min(start + size, L)
                 y = blk._tile(tile(x, start, stop), tile(n, start, stop), whole, start)
                 outs.append(self._unembed(y) if blk is self.blocks[-1] else y)
             x = outs[0] if len(outs) == 1 else concat(outs, axis=1)

@@ -142,8 +142,8 @@ def snapshot_expanded(state, x_current):
 
 
 def read_memory(table: RowTable, summarizers, start: int, stop: int) -> MemoryTensor:
-    """The [B, stop - start, banks, D, E] memory of positions start..stop-1
-    from a block's ``memory.build_pyramid`` table over its banks'
-    summarizers."""
+    """The [B, stop - start, banks, D, E] memory of positions start..stop-1,
+    D holding row 0 and the levels they occupy, from a block's
+    ``memory.build_pyramid`` table over its banks' summarizers."""
     read = parallel_expanded_memory if isinstance(summarizers[0], ExpanderSummarizer) else gather_memory
     return read(table, start, stop)

@@ -24,7 +24,7 @@ from lmn.bench import (
     time_forward,
 )
 from lmn.counters import COUNTER, OpCounter
-from lmn.model import QUERY_TILE, TILE
+from lmn.model import QUERY_TILE, TILE_ROWS
 from lmn.tensor import make_rng, no_grad
 
 
@@ -188,10 +188,10 @@ def test_sweep_writes_csv_with_footer(tmp_path):
     lines = out.read_text().splitlines()
     env = dict(line[2:].split("=", 1) for line in lines[:8])
     assert list(env) == ["numpy", "blas", "blas_threads", "OPENBLAS_NUM_THREADS",
-                         "OMP_NUM_THREADS", "cpu_count", "tile", "query_tile"]
+                         "OMP_NUM_THREADS", "cpu_count", "tile_rows", "query_tile"]
     assert env["numpy"] == np.__version__ and env["cpu_count"] == str(os.cpu_count())
-    # sweeps of different tile sizes stay apart
-    assert env["tile"] == str(TILE) and env["query_tile"] == str(QUERY_TILE)
+    # sweeps of different tile rules stay apart
+    assert env["tile_rows"] == str(TILE_ROWS) and env["query_tile"] == str(QUERY_TILE)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         assert env[var] == os.environ.get(var, "unset")
     assert env["blas"] and env["blas_threads"] == str(blas_threads())
@@ -239,6 +239,15 @@ def test_baseline_parallel_peak_grows_linearly_in_query_tiles():
     # at 4x the length; query tiles hold [QUERY_TILE, L] scores, 4x
     peaks = [peak_bytes(bench_model("baseline-attn", L), L, "parallel") for L in (2048, 8192)]
     assert peaks[1] < 6 * peaks[0]
+
+
+def test_expander_parallel_peak_is_at_most_logmems():
+    # tiles bounded by memory rows: the expander's 79 rows a position at
+    # L = 4096 get tiles of 256 positions, so its tiles hold no more rows
+    # than logmem's 1024-position tiles of 2 banks x 13 rows
+    L = 4096
+    expander = peak_bytes(bench_model("expsum", L), L, "parallel")
+    assert expander <= peak_bytes(bench_model("logmem", L), L, "parallel")
 
 
 def test_lmn_sequential_peak_nearly_length_independent():

@@ -25,13 +25,19 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | exported(tree)
+    return [f"line {line}: {name}" for name, line in sorted(imported.items(), key=lambda kv: kv[1])
+            if name not in read]
+
+
+def exported(tree: ast.Module) -> set[str]:
+    """The names a module lists in ``__all__``."""
+    names = set()
     for node in tree.body:
         if (isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            read |= set(ast.literal_eval(node.value))
-    return [f"line {line}: {name}" for name, line in sorted(imported.items(), key=lambda kv: kv[1])
-            if name not in read]
+            names |= set(ast.literal_eval(node.value))
+    return names
 
 
 def test_checker_finds_an_unused_import():
@@ -119,3 +125,35 @@ def test_every_exported_name_resolves():
     import lmn
 
     assert [name for name in lmn.__all__ if not hasattr(lmn, name)] == []
+
+
+def constants(source: str) -> list[str]:
+    """Upper-case names a module assigns at top level (``TILE_ROWS = ...``,
+    ``_SCALARS: dict = ...``)."""
+    names = []
+    for node in ast.parse(source).body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        names += [t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper()]
+    return names
+
+
+def reads(source: str) -> set[str]:
+    """Names a module reads: a loaded name, an attribute (``model.TILE_ROWS``
+    reads ``TILE_ROWS``) or an entry of ``__all__``."""
+    tree = ast.parse(source)
+    found = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return found | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)} | exported(tree)
+
+
+def test_checker_finds_a_constant_nothing_reads():
+    source = "TILE = 1024\nTILE_ROWS: int = 1 << 15\n_KEYS = ('a',)\nlower = 1\nprint(TILE_ROWS, m.X)\n"
+    assert constants(source) == ["TILE", "TILE_ROWS", "_KEYS"]
+    assert [name for name in constants(source) if name not in reads(source)] == ["TILE", "_KEYS"]
+
+
+def test_every_constant_is_read_in_the_package():
+    # a constant nothing reads is a setting nothing follows
+    sources = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
+    read = set().union(*map(reads, sources))
+    defined = [name for source in sources for name in constants(source)]
+    assert defined and [name for name in defined if name not in read] == []

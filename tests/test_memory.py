@@ -297,6 +297,26 @@ def index_select_gather(table, L):
     return transpose(reshape(data, (b, banks, L, mask.shape[1], e)), (0, 2, 1, 3, 4))
 
 
+def kept_columns(S, k, start, stop):
+    """The [D] columns a read of positions start..stop-1 keeps: row 0 and
+    every level l except those with start >> l == (stop-1) >> l and bit l
+    of start clear, the levels no position of the range occupies."""
+    kept = [True]
+    for level, w in enumerate(slot_widths(S, k)):
+        kept += [start >> level != (stop - 1) >> level or (start >> level) & 1 == 1] * w
+    return np.array(kept)
+
+
+def assert_pruned(got, valid, full, full_valid, kept):
+    """A range read (data ``got``, mask ``valid``) is the oracle's rows and
+    mask (``full``, ``full_valid``: every D column) on the kept columns,
+    and every dropped column is invalid at every position and zero."""
+    assert np.array_equal(got, full[:, :, :, kept])
+    assert np.array_equal(valid, full_valid[:, kept])
+    assert not full_valid[:, ~kept].any()
+    assert np.all(full[:, :, :, ~kept] == 0.0)
+
+
 def leaf_table(b, L, e, k, seed, banks=1):
     """A random float64 leaf row table in the shape build_pyramid gives."""
     S = levels_for(L)
@@ -319,42 +339,74 @@ def test_gather_float64_gradients(L, k):
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_gather_matches_index_select_oracle(k):
     # forward bit-equal; backward equal up to float64 summation order
+    # on the kept columns: at L = 1 the one position occupies no level
     for L, banks in itertools.product((1, 2, 3, 5, 8, 13, 16, 37, 64), (1, 3)):
         table = leaf_table(2, L, 3, k, seed=30 + L, banks=banks)
-        got = gather_memory(table, 0, L).data
-        ref = index_select_gather(table, L)
-        assert np.array_equal(got.data, ref.data)
-        target = Tensor(make_rng(31 + L).standard_normal(got.shape))
-        sum_axis(mul(got, target)).backward()
+        mem = gather_memory(table, 0, L)
+        got, ref = mem.data, index_select_gather(table, L)
+        kept = kept_columns(levels_for(L), k, 0, L)
+        assert kept.all() == (L > 1)
+        assert_pruned(got.data, mem.valid, ref.data, valid_mask(L, levels_for(L), k), kept)
+        target = make_rng(31 + L).standard_normal(got.shape)
+        sum_axis(mul(got, Tensor(target))).backward()
         grad, table.rows.grad = table.rows.grad, None
-        sum_axis(mul(ref, target)).backward()
+        full_target = np.zeros(ref.shape)
+        full_target[:, :, :, kept] = target
+        sum_axis(mul(ref, Tensor(full_target))).backward()
         assert np.abs(grad - table.rows.grad).max() <= 1e-12
+
+
+# a tile at every aligned start of an odd L, and every range of a short L
+RANGES = ((37, [(start, min(start + size, 37)) for size in (1, 2, 4, 8, 16, 32)
+                for start in range(0, 37, size)]),
+          (13, list(itertools.combinations(range(14), 2))))
 
 
 @pytest.mark.parametrize("k", [0, 2])
 def test_range_read_is_the_same_rows_as_the_oracle(k):
-    # a tile at every aligned start of an odd L, and every range of a short L:
-    # the rows of the whole-sequence oracle and of the whole mask, bit for bit
-    for L, ranges in ((37, [(start, min(start + size, 37)) for size in (1, 2, 4, 8, 16, 32)
-                            for start in range(0, 37, size)]),
-                      (13, itertools.combinations(range(14), 2))):
+    # the rows of the whole-sequence oracle and of the whole mask on the
+    # range's kept columns, bit for bit
+    for L, ranges in RANGES:
         table = leaf_table(2, L, 3, k, seed=40 + L + k)
         ref = index_select_gather(table, L).data
         valid = valid_mask(L, levels_for(L), k)
         for start, stop in ranges:
             mem = gather_memory(table, start, stop)
-            assert np.array_equal(mem.data.data, ref[:, start:stop]), (L, start, stop)
-            assert np.array_equal(mem.valid, valid[start:stop])
+            assert_pruned(mem.data.data, mem.valid, ref[:, start:stop], valid[start:stop],
+                          kept_columns(levels_for(L), k, start, stop))
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_a_range_keeps_exactly_the_levels_its_positions_occupy(k):
+    # the kept levels are those with a valid row at some position of the
+    # range in the whole-sequence mask
+    for L, ranges in RANGES:
+        S = levels_for(L)
+        table = leaf_table(1, L, 2, k, seed=45 + L + k)
+        valid = valid_mask(L, S, k)
+        for start, stop in ranges:
+            occupied = valid[start:stop].any(axis=0)
+            assert np.array_equal(kept_columns(S, k, start, stop), occupied), (L, start, stop)
+            assert np.array_equal(gather_memory(table, start, stop).valid, valid[start:stop][:, occupied])
+    # tiles of 16 of L = 37 drop levels 4 and 5, then 5, then 3 and 4
+    first_cols = list(itertools.accumulate(slot_widths(6, k), initial=1))[:-1]
+    drops = [[level for level, col in enumerate(first_cols) if not kept_columns(6, k, start, stop)[col]]
+             for start, stop in ((0, 16), (16, 32), (32, 37))]
+    assert drops == [[4, 5], [5], [3, 4]]
 
 
 @pytest.mark.parametrize("k", [0, 2])
 @pytest.mark.parametrize("start,stop", [(16, 32), (32, 37)])
 def test_range_read_float64_gradients(k, start, stop):
     # a full tile and the short last one of L = 37 in tiles of 16
+    # (the first drops level 5, the second levels 3 and 4)
     L = 37
     table = leaf_table(1, L, 2, k, seed=50 + start + k)
-    d = valid_mask(L, levels_for(L), k).shape[1]
-    target = Tensor(make_rng(51).standard_normal((1, stop - start, 1, d, 2)))
+    kept = kept_columns(levels_for(L), k, start, stop)
+    mem = gather_memory(table, start, stop)
+    assert_pruned(mem.data.data, mem.valid, index_select_gather(table, L).data[:, start:stop],
+                  valid_mask(stop, levels_for(L), k, start), kept)
+    target = Tensor(make_rng(51).standard_normal((1, stop - start, 1, int(kept.sum()), 2)))
 
     def f(_):
         return sum_axis(mul(gather_memory(table, start, stop).data, target))
@@ -404,7 +456,9 @@ def test_parallel_single_token_and_zero_input():
     with no_grad():
         par = parallel_memory(x, [summ])
         seq = sequential_memory(x, [summ])
-    assert np.array_equal(par.data.data, seq.data.data)
+    # position 0 occupies no level: the read keeps row 0 alone
+    assert_pruned(par.data.data, par.valid, seq.data.data, seq.valid, kept_columns(1, 0, 0, 1))
+    assert par.valid.shape == (1, 1)
     zero = Tensor(np.zeros((2, 8, e), dtype=np.float32))
     with no_grad():
         mem = parallel_memory(zero, [summ])
@@ -489,11 +543,13 @@ def test_one_block_tree_for_every_summarizer(name):
     with no_grad():
         for t in range(L):
             xt = Tensor(x.data[0, t:t + 1])
-            mem = snapshot(state, xt)  # the MemoryTensor of a one-position tile
+            mem = snapshot(state, xt)  # every level; a one-position tile keeps the occupied ones
             tile = gather_memory(table, t, t + 1)
+            kept = kept_columns(S, summ.k, t, t + 1)
             assert mem.data.shape == (1, 1, 1, par.valid.shape[1], e)
-            assert np.array_equal(mem.valid, tile.valid)
-            assert np.abs(mem.data.data - tile.data.data[:1]).max() <= 1e-5
+            assert np.array_equal(mem.valid[:, kept], tile.valid)
+            assert not mem.valid[:, ~kept].any() and np.all(mem.data.data[:, :, :, ~kept] == 0.0)
+            assert np.abs(mem.data.data[:, :, :, kept] - tile.data.data[:1]).max() <= 1e-5
             push_token(state, xt, [summ])
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import lmn.model
-from lmn.memory import CapacityError
+from lmn.memory import CapacityError, levels_for, slot_widths
 from lmn.model import (
     MODES,
     VARIANTS,
@@ -290,10 +290,21 @@ TILED_CONFIGS = [
 ]
 
 
-def _set_tiles(monkeypatch, tile):
-    """Tiles of ``tile`` positions for the tree and ``tile`` queries for the baseline."""
-    monkeypatch.setattr(lmn.model, "TILE", tile)
+def _set_tiles(monkeypatch, cfg, L, tile):
+    """Tiles of ``tile`` positions at length L: ``TILE_ROWS`` is the memory
+    rows of ``tile`` positions of cfg's tree, and the baseline runs ``tile``
+    queries. Returns the (start, length) of every tile any block runs."""
+    k = cfg.expansion if cfg.variant == "expsum" else 0
+    rows = cfg.banks * (1 + sum(slot_widths(levels_for(L), k)))  # per position
+    monkeypatch.setattr(lmn.model, "TILE_ROWS", tile * rows)
     monkeypatch.setattr(lmn.model, "QUERY_TILE", tile)
+    spans = []
+    for cls in (lmn.model.LmnBlock, lmn.model.BaselineBlock):
+        def recorded(self, x, n, whole, start, run=cls.__dict__["_tile"]):
+            spans.append((start, x.shape[1]))
+            return run(self, x, n, whole, start)
+        monkeypatch.setattr(cls, "_tile", recorded)
+    return spans
 
 
 def _logits_and_grads(cfg, tokens, targets, dtype):
@@ -307,30 +318,32 @@ def _logits_and_grads(cfg, tokens, targets, dtype):
 @pytest.mark.parametrize("L", [16 + 37, 2 * 16])
 def test_tiled_forward_matches_one_tile(monkeypatch, name, kw, L):
     # tiles of 16: a short last tile (L = T + 37) and whole tiles only (L = 2T),
-    # through two blocks, against the same model run as one tile
+    # through two blocks, against the same model run as one tile; at L = 53
+    # the expander's tiles drop levels 4 and 5, then 5, then 4, then 3
     cfg = ModelConfig(vocab_size=11, embed=8, max_seq_len=64, n_blocks=2, seed=6, **kw)
     rng = make_rng(10)
     tokens = rng.integers(0, cfg.vocab_size, size=(2, L))
     targets = rng.integers(0, cfg.vocab_size, size=(2, L))
     runs = {}
     for tile in (16, 64):
-        _set_tiles(monkeypatch, tile)
+        spans = _set_tiles(monkeypatch, cfg, L, tile)
         logits, _ = _logits_and_grads(cfg, tokens, targets, np.float32)
         runs[tile] = logits, _logits_and_grads(cfg, tokens, targets, np.float64)[1]
+        assert spans == [(start, min(tile, L - start)) for start in range(0, L, tile)] * 4
     (tiled, tiled_grads), (whole, whole_grads) = runs[16], runs[64]
     assert np.abs(tiled - whole).max() <= 1e-6
     for key, g in whole_grads.items():
         assert np.abs(tiled_grads[key] - g).max() <= 1e-4, key
 
 
-@pytest.mark.parametrize("name,kw", [TILED_CONFIGS[0], *TILED_CONFIGS[-2:]],
-                         ids=["logmem", "baseline-1head", "baseline-4heads"])
+@pytest.mark.parametrize("name,kw", [*TILED_CONFIGS[:3:2], *TILED_CONFIGS[-2:]],
+                         ids=["logmem", "expsum", "baseline-1head", "baseline-4heads"])
 def test_tiled_forward_is_causal_across_a_tile_boundary(monkeypatch, name, kw):
     # tiles of 16 through two blocks: the logits up to position 16 + 3, in
     # the second tile, are bit-exact whatever the tokens after it are
     cfg = ModelConfig(vocab_size=11, embed=8, max_seq_len=64, n_blocks=2, seed=6, **kw)
     model = build_model(cfg)
-    _set_tiles(monkeypatch, 16)
+    spans = _set_tiles(monkeypatch, cfg, 53, 16)
     queries = []
     attention = lmn.model.BaselineBlock.attention
 
@@ -347,7 +360,8 @@ def test_tiled_forward_is_causal_across_a_tile_boundary(monkeypatch, name, kw):
         b = model.forward(perturbed).data
     assert np.array_equal(a[:, :16 + 4], b[:, :16 + 4])
     assert not np.array_equal(a[:, 16 + 4:], b[:, 16 + 4:])
-    if cfg.variant == "baseline-attn":  # the queries ran in tiles: 16, 16, 16 and 5 per block and pass
+    assert [n for _, n in spans] == [16, 16, 16, 5] * 4  # per block and pass
+    if cfg.variant == "baseline-attn":  # the queries ran in the same tiles
         assert queries == [16, 16, 16, 5] * 4
 
 
