@@ -6,7 +6,10 @@ malloc at its defaults; each row records the reps it timed and their
 interquartile range. The first run is the counted run and the memory
 pass: it runs under ``tracemalloc``, which sees every numpy buffer, and
 "peak bytes" is its traced peak above the traced bytes at its start
-(recurrent state plus activations; pre-existing weights excluded). Untraced
+(recurrent state plus activations; pre-existing weights excluded). A
+``train`` row, which no default sweep runs, times one training step instead:
+the parallel forward, the loss and the backward from zeroed grads, so its
+peak holds the tape and the parameter grads as well. Untraced
 warm-up runs follow until ``WARM_UP_SECONDS`` have passed, at least one, so
 a machine that runs slowly for a while after an idle spell does not time
 its first reps slow. The timed reps run untraced. Sequential rows measure
@@ -34,11 +37,13 @@ from pathlib import Path
 import numpy as np
 
 from .counters import COUNTER
-from .model import QUERY_TILE, TILE_ROWS, ModelConfig, build_model, write_file
+from .model import MODES, QUERY_TILE, TILE_ROWS, ModelConfig, build_model, loss, write_file
 from .tensor import check_indexable, make_rng, no_grad
 
 WARM_UP_SECONDS = 1.0
 MIN_TIMED_SECONDS = 0.25
+# the default sweep runs MODES; a train step's tape would outgrow memory at its longest lengths
+BENCH_MODES = MODES + ("train",)
 
 
 @dataclass
@@ -117,10 +122,19 @@ def _traced_peak(run) -> int:
 
 def _forward_pass(model, L: int, mode: str, seed: int):
     """One forward pass over L seeded random tokens, as a call with no
-    arguments: the parallel forward, or the tokens stepped through the
-    recurrent state with no logits kept."""
+    arguments: the parallel forward, the tokens stepped through the
+    recurrent state with no logits kept, or (``train``) the parallel
+    forward, its loss against the tokens shifted by one and the backward."""
     check_indexable(L, 8, "the token draw")  # int64 ids
     tokens = make_rng(seed).integers(0, model.config.vocab_size, size=(1, L))
+    if mode == "train":
+        targets = np.roll(tokens, -1, axis=1)
+
+        def step():
+            model.zero_grad()
+            loss(model.forward(tokens), targets).backward()
+
+        return step
 
     def run():
         with no_grad():
@@ -144,7 +158,8 @@ def time_forward(model, L: int, mode: str, reps: int = 3, seed: int = 0) -> Benc
     after the warm-up, timed until they add up to ``MIN_TIMED_SECONDS``.
 
     mode="parallel" is the one-shot construction; mode="sequential" runs the
-    recurrent stepping path token by token, the inference configuration.
+    recurrent stepping path token by token, the inference configuration;
+    mode="train" is one training step without the optimizer.
     """
     if reps < 3:
         raise ValueError("reps must be >= 3")

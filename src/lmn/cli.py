@@ -18,7 +18,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .bench import BenchConfig, sweep
+from .bench import BENCH_MODES, BenchConfig, sweep
 from .data import Dataset, Vocab
 from .memory import CapacityError
 from .model import (MODES, ModelConfig, OutputError, build_model, config_kwargs, config_to_text,
@@ -295,7 +295,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", allow_abbrev=False, help="run the scaling sweep")
     config_flags(p_bench, ("bench",), "lengths", "variants", "embed", "banks", "seed")
-    p_bench.add_argument("--mode", choices=MODES, default=None)
+    p_bench.add_argument("--mode", choices=BENCH_MODES, default=None)
     p_bench.add_argument("--out", default="out", help="output directory")
     p_bench.set_defaults(fn=cmd_bench)
 

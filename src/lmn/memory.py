@@ -33,6 +33,7 @@ validity mask every bank shares; invalid rows are exactly zero.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -171,14 +172,23 @@ class MemoryTensor:
 def valid_mask(stop: int, n_levels: int, k: int = 0, start: int = 0) -> np.ndarray:
     """Mask [stop - start, D] of positions t = start..stop-1: row 0 always
     valid, level l's w_l rows iff bit l of t set."""
-    t = np.arange(start, stop, dtype=np.int64)
-    widths = slot_widths(n_levels, k)
-    mask = np.zeros((t.size, 1 + sum(widths)), dtype=bool)
+    return _mask_of_columns(start, stop, _column_levels(n_levels, k))
+
+
+@functools.lru_cache(maxsize=None)
+def _column_levels(n_levels: int, k: int) -> np.ndarray:
+    """[D - 1] level of each slot row after row 0, in memory order (read-only)."""
+    levels = np.repeat(np.arange(n_levels, dtype=np.int64), slot_widths(n_levels, k))
+    levels.flags.writeable = False
+    return levels
+
+
+def _mask_of_columns(start: int, stop: int, levels: np.ndarray) -> np.ndarray:
+    """Row 0 valid, then column j valid at position t iff bit levels[j] of t is set."""
+    t = np.arange(start, stop, dtype=np.int64)[:, None]
+    mask = np.empty((t.shape[0], 1 + levels.size), dtype=bool)
     mask[:, 0] = True
-    col = 1
-    for level, w in enumerate(widths):
-        mask[:, col:col + w] = (((t >> level) & 1) == 1)[:, None]
-        col += w
+    np.bitwise_and(t >> levels, 1, out=mask[:, 1:], casting="unsafe")
     return mask
 
 
@@ -257,17 +267,19 @@ def gather_memory(table: RowTable, start: int, stop: int) -> MemoryTensor:
     Levels no position occupies are cut from the memory and from its mask.
     """
     rows = table.rows
-    b, banks, _, e = rows.shape
+    shape = rows.shape
+    b, banks, _, e = shape
     widths = slot_widths(table.n_levels, table.k)
-    valid = valid_mask(stop, table.n_levels, table.k, start)
-    valid = valid[:, valid.any(axis=0)]
+    levels = _column_levels(table.n_levels, table.k)
+    # the columns of the levels some position occupies, the ones _level_reads fills
+    valid = _mask_of_columns(start, stop, levels[(start >> levels) | 1 <= (stop - 1) >> levels])
     out = np.zeros((b, stop - start, banks, valid.shape[1], e), dtype=rows.dtype)
     out[:, :, :, 0] = rows.data[:, :, start:stop].swapaxes(1, 2)
     for mem, blocks in _level_reads(out, rows.data, start, widths):
         mem[...] = blocks
 
     def bwd(g):
-        grad = np.zeros(rows.shape, dtype=g.dtype)
+        grad = np.zeros(shape, dtype=g.dtype)
         for mem, blocks in _level_reads(g, grad, start, widths):
             np.sum(mem, axis=-4, keepdims=True, out=blocks)  # each block is read by one group
         grad[:, :, start:stop] += g[:, :, :, 0].swapaxes(1, 2)

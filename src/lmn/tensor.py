@@ -1,8 +1,11 @@
 """Dense float tensors with reverse-mode automatic differentiation.
 
-Every forward op records a node on a dynamic tape (parent links plus a
-backward closure); ``backward`` replays the tape in reverse topological
-order and frees each node once its closure has returned. An op written as a
+Every forward op under grad gives its output a node on a dynamic tape
+(links to its parents' nodes plus a backward closure); ``backward`` replays
+the tape in reverse topological order and frees each node once its closure
+has returned. A node holds no array of its own: a tensor's data lives as
+long as a Python name or a backward closure holds it, so an output that no
+backward reads is freed as soon as the caller drops it. An op written as a
 composition of other ops (the k2s2 convolutions, ``embedding``) records the
 nodes of its parts and has no closure of its own. Compute precision
 is float32 by default; passing float64 arrays through the same ops gives a
@@ -11,7 +14,11 @@ is float32 by default; passing float64 arrays through the same ops gives a
 The closure contract: a backward closure returns, per parent, its incoming
 gradient, a view of it, or an array it allocated for that call, and keeps
 no reference to what it returns. ``backward`` relies on this to sum a
-node's later gradient contributions in place into a fresh array.
+node's later gradient contributions in place into a fresh array. A closure
+captures the arrays its backward reads and, for the rest, plain shapes,
+dtypes or scalars: it names an operand ``Tensor`` only to read its
+``.data``, so an operand whose values the backward does not need is not
+kept alive by the tape.
 
 Shapes follow numpy row-major conventions. Broadcasting is supported only
 with numpy's trailing-axis alignment (bias vectors against batched
@@ -64,7 +71,22 @@ def _float_array(data) -> np.ndarray:
 
 def records_grad(t: "Tensor") -> bool:
     """Whether an op taking t would be recorded on the tape right now."""
-    return _grad_enabled and t.requires_grad
+    return _grad_enabled and t._node is not None
+
+
+class _Node:
+    """A tensor's place on the tape: its parents' nodes (None for a parent
+    that records no gradient), its backward closure and its gradient. A
+    leaf (a parameter) has no closure; its gradient is the tensor's
+    ``grad``. The node holds no forward array, so the tape keeps alive only
+    what the closures capture."""
+
+    __slots__ = ("parents", "backward", "grad")
+
+    def __init__(self, parents=(), backward=None):
+        self.parents = parents
+        self.backward = backward
+        self.grad = None
 
 
 class Tensor:
@@ -73,18 +95,48 @@ class Tensor:
     Data is immutable once the tensor participates in recorded ops; only the
     ``grad`` buffer is written after the fact. Grads accumulate across
     separate graphs until ``zero_grad``, and a graph runs backward once.
+    A tensor that requires grad has a tape node (``_node``), which holds its
+    gradient and backward closure; ``requires_grad``, ``grad`` and
+    ``_backward`` read and write through it.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
         if type(data) is not np.ndarray or data.dtype not in _FLOAT_DTYPES:
             data = _float_array(data)
         self.data = data
-        self.requires_grad = requires_grad
-        self.grad = None
-        self._parents = _parents
-        self._backward = _backward
+        self._node = _Node(tuple(p._node for p in _parents), _backward) if requires_grad else None
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @requires_grad.setter
+    def requires_grad(self, value: bool):
+        if not value:
+            self._node = None
+        elif self._node is None:
+            self._node = _Node()
+
+    @property
+    def grad(self):
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value):
+        if self._node is not None:
+            self._node.grad = value
+        elif value is not None:
+            raise ContractError("grad set on a tensor that does not require grad")
+
+    @property
+    def _backward(self):
+        return None if self._node is None else self._node.backward
+
+    @_backward.setter
+    def _backward(self, fn):
+        self._node.backward = fn
 
     # -- introspection ------------------------------------------------------
 
@@ -123,8 +175,10 @@ class Tensor:
         """
         if self.data.size != 1:
             raise ContractError(f"backward requires a scalar loss, got shape {self.data.shape}")
-        order = _topo_order(self)
-        self.grad = np.ones_like(self.data)
+        if self._node is None:
+            return  # no leaf on the tape feeds it
+        order = _topo_order(self._node)
+        self._node.grad = np.ones_like(self.data)
         # A node's first contribution is adopted without copying. A second is
         # summed in place into the first only when that array is fresh: not a
         # view, not the closure's own incoming gradient (which other nodes may
@@ -135,16 +189,16 @@ class Tensor:
             node = order[i]
             order[i] = None
             incoming = node.grad
-            if node._backward is None or incoming is None:
+            if node.backward is None or incoming is None:
                 continue
-            grads = node._backward(incoming)
-            parents = node._parents
-            node.grad, node._backward, node._parents = None, _spent, ()
+            grads = node.backward(incoming)
+            parents = node.parents
+            node.grad, node.backward, node.parents = None, _spent, ()
             for parent, g in zip(parents, grads):
-                if g is None or not parent.requires_grad:
+                if g is None or parent is None:
                     continue
                 if parent.grad is None:
-                    if parent._backward is None:
+                    if parent.backward is None:
                         parent.grad = g.copy()  # leaves must own their buffers
                     else:
                         parent.grad = g
@@ -162,7 +216,7 @@ def _spent(g):
                         "run the forward again")
 
 
-def _topo_order(root: Tensor):
+def _topo_order(root: _Node):
     # Iterative post-order DFS: a deep tape would exceed the recursion limit.
     order, visited, stack = [], set(), [(root, False)]
     while stack:
@@ -174,16 +228,15 @@ def _topo_order(root: Tensor):
             continue
         visited.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in visited:
+        for p in node.parents:
+            if p is not None and id(p) not in visited:
                 stack.append((p, False))
     return order
 
 
 def _make(data, parents, backward_fn):
-    requires = _grad_enabled and any(p.requires_grad for p in parents)
-    if requires:
-        return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward_fn)
+    if _grad_enabled and any(p._node is not None for p in parents):
+        return Tensor(data, True, parents, backward_fn)
     return Tensor(data)
 
 
@@ -209,9 +262,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         out = a.data + b.data
     except ValueError:  # numpy's own broadcast error
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not align") from None
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return _make(out, (a, b), bwd)
 
@@ -223,16 +277,17 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not align") from None
 
     def bwd(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
 
     return _make(out, (a, b), bwd)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
-    out = a.data * a.dtype.type(s)
+    s = a.dtype.type(s)
+    out = a.data * s
 
     def bwd(g):
-        return (g * a.dtype.type(s),)
+        return (g * s,)
 
     return _make(out, (a,), bwd)
 
@@ -281,18 +336,20 @@ def gelu(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul: operands {a.shape} and {b.shape} must be at least 2-D")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: inner dims of {a.shape} and {b.shape} differ")
-    k = a.shape[-1]
-    if b.ndim == 2 and a.ndim > 2:
+    a_shape, b_shape = a.data.shape, b.data.shape
+    if len(a_shape) < 2 or len(b_shape) < 2:
+        raise ShapeError(f"matmul: operands {a_shape} and {b_shape} must be at least 2-D")
+    if a_shape[-1] != b_shape[-2]:
+        raise ShapeError(f"matmul: inner dims of {a_shape} and {b_shape} differ")
+    k = a_shape[-1]
+    if len(b_shape) == 2 and len(a_shape) > 2:
         # x @ weight: flatten the batch into one large GEMM
-        out = np.matmul(a.data.reshape(-1, k), b.data).reshape(*a.shape[:-1], b.shape[1])
+        n = b_shape[1]
+        out = np.matmul(a.data.reshape(-1, k), b.data).reshape(*a_shape[:-1], n)
 
         def bwd(g):
-            gflat = g.reshape(-1, b.shape[1])
-            ga = np.matmul(gflat, b.data.T).reshape(a.shape)
+            gflat = g.reshape(-1, n)
+            ga = np.matmul(gflat, b.data.T).reshape(a_shape)
             gb = np.matmul(a.data.reshape(-1, k).T, gflat)
             return ga, gb
 
@@ -303,16 +360,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
         gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        return _unbroadcast(ga, a_shape), _unbroadcast(gb, b_shape)
 
     return _make(out, (a, b), bwd)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
+    a_shape = a.data.shape
     out = a.data.reshape(shape)
 
     def bwd(g):
-        return (g.reshape(a.shape),)
+        return (g.reshape(a_shape),)
 
     return _make(out, (a,), bwd)
 
@@ -346,13 +404,14 @@ def concat(tensors, axis: int) -> Tensor:
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice [start, start+length) along an axis."""
-    idx = [slice(None)] * a.ndim
+    a_shape = a.data.shape
+    idx = [slice(None)] * len(a_shape)
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
     out = np.ascontiguousarray(a.data[idx])
 
     def bwd(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(a_shape, dtype=g.dtype)
         full[idx] = g
         return (full,)
 
@@ -407,13 +466,14 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
 
 
 def sum_axis(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    a_shape = a.data.shape
     out = a.data.sum(axis=axis, keepdims=keepdims)
 
     def bwd(g):
         if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
+            return (np.broadcast_to(g, a_shape).copy(),)
         gx = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gx, a.shape).copy(),)
+        return (np.broadcast_to(gx, a_shape).copy(),)
 
     return _make(np.asarray(out, dtype=a.dtype), (a,), bwd)
 
@@ -467,8 +527,9 @@ def affine_masked(x: Tensor, w: Tensor, b: Tensor, keep: np.ndarray) -> Tensor:
     axis is appended internally). The unfused form would materialize three
     [B, L, D, 3E]-sized buffers; this writes one.
     """
-    k = x.shape[-1]
-    y = np.matmul(x.data.reshape(-1, k), w.data).reshape(*x.shape[:-1], w.shape[1])
+    x_shape, n, b_shape = x.shape, w.shape[1], b.shape
+    k = x_shape[-1]
+    y = np.matmul(x.data.reshape(-1, k), w.data).reshape(*x_shape[:-1], n)
     maskf = np.asarray(keep, dtype=x.dtype)[..., None]
     try:
         if np.broadcast_shapes(maskf.shape, y.shape) != y.shape:
@@ -480,10 +541,10 @@ def affine_masked(x: Tensor, w: Tensor, b: Tensor, keep: np.ndarray) -> Tensor:
 
     def bwd(g):
         gm = g * maskf
-        gflat = gm.reshape(-1, w.shape[1])
-        gx = np.matmul(gflat, w.data.T).reshape(x.shape)
+        gflat = gm.reshape(-1, n)
+        gx = np.matmul(gflat, w.data.T).reshape(x_shape)
         gw = np.matmul(x.data.reshape(-1, k).T, gflat)
-        return gx, gw, _unbroadcast(gm, b.shape)
+        return gx, gw, _unbroadcast(gm, b_shape)
 
     return _make(y, (x, w, b), bwd)
 
@@ -541,9 +602,10 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean token-level cross-entropy; logits [..., V], integer targets [...]."""
     targets = np.asarray(targets)
-    if targets.shape != logits.shape[:-1]:
-        raise ShapeError(f"cross_entropy: targets {targets.shape} vs logits {logits.shape}")
-    flat = logits.data.reshape(-1, logits.shape[-1])
+    shape = logits.shape
+    if targets.shape != shape[:-1]:
+        raise ShapeError(f"cross_entropy: targets {targets.shape} vs logits {shape}")
+    flat = logits.data.reshape(-1, shape[-1])
     t = targets.reshape(-1)
     m = flat.max(axis=-1, keepdims=True)
     z = flat - m
@@ -555,7 +617,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
         p = np.exp(flat - m)
         p /= p.sum(axis=-1, keepdims=True)
         p[np.arange(n), t] -= 1.0
-        return ((g * p / n).reshape(logits.shape),)
+        return ((g * p / n).reshape(shape),)
 
     return _make(np.asarray(loss, dtype=logits.dtype), (logits,), bwd)
 
@@ -604,7 +666,7 @@ def conv_transpose1d(x: Tensor, w: Tensor) -> Tensor:
     def bwd(g):
         gx = np.zeros_like(x.data)
         gw = np.zeros_like(w.data)
-        xflat = x.data.reshape(-1, x.shape[-1])
+        xflat = x.data.reshape(-1, x.data.shape[-1])
         for k in range(K):
             gk = g[..., k:k + T, :]
             gx += np.matmul(gk, w.data[k].T)

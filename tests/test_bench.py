@@ -207,6 +207,19 @@ def test_sweep_writes_csv_with_footer(tmp_path):
     assert any(line.startswith("# slope variant=logmem mode=parallel") for line in lines)
 
 
+def test_a_train_row_is_ok_and_peaks_above_the_parallel_row(tmp_path, monkeypatch):
+    # the training step holds the tape and the grads on top of the forward
+    monkeypatch.setattr(lmn.bench, "WARM_UP_SECONDS", 0.0)
+    records = sweep([64], ["logmem", "baseline-attn"], tmp_path / "bench.csv",
+                    modes=("parallel", "train"), reps=3, embed=8)
+    assert [(r.variant, r.mode, r.status) for r in records] == [
+        ("logmem", "parallel", "ok"), ("logmem", "train", "ok"),
+        ("baseline-attn", "parallel", "ok"), ("baseline-attn", "train", "ok")]
+    for parallel, train in (records[:2], records[2:]):
+        assert train.peak_bytes > parallel.peak_bytes, (parallel, train)
+        assert train.score_macs == parallel.score_macs and train.median_seconds > 0
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_blas_threads_reads_the_count_in_effect(threads):
     # the thread count OpenBLAS took from the environment at load, read back

@@ -439,6 +439,14 @@ def test_bench_smoke(tmp_path, capsys):
     assert int(rows[0]["score_macs"]) == lmn_score_mac_closed_form(8, 8, 1)
 
 
+def test_bench_train_mode_writes_a_train_row(tmp_path, capsys):
+    code = main(["bench", "--lengths", "8", "--variants", "logmem", "--embed", "8",
+                 "--banks", "1", "--out", str(tmp_path), "--mode", "train"])
+    assert code == 0 and "modes=train" in capsys.readouterr().out
+    rows = _csv_rows(tmp_path / "bench.csv")
+    assert [(r["mode"], r["status"]) for r in rows] == [("train", "ok")]
+
+
 def test_bench_keys_steer_the_sweep_and_model_keys_do_not(tmp_path, capsys):
     p = tmp_path / "cfg.txt"
     p.write_text("model.embed=64\nmodel.banks=2\nmodel.n_heads=2\nmodel.seed=7\n"

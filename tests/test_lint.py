@@ -157,3 +157,52 @@ def test_every_constant_is_read_in_the_package():
     read = set().union(*map(reads, sources))
     defined = [name for source in sources for name in constants(source)]
     assert defined and [name for name in defined if name not in read] == []
+
+
+def pinned_operands(source: str) -> list[str]:
+    """Tensor operands that a closure nested in their op names other than to
+    read their ``.data``.
+
+    An op's operands are its parameters annotated ``Tensor`` and the names
+    it passes to ``_make`` as parents. A backward closure that needs an
+    operand's shape or dtype captures that value instead, so the tape keeps
+    alive only the arrays that backward reads.
+    """
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = fn.args
+        operands = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                    if getattr(a.annotation, "id", getattr(a.annotation, "value", None)) == "Tensor"}
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_make"
+                    and len(node.args) > 1 and isinstance(node.args[1], ast.Tuple)):
+                operands |= {e.id for e in node.args[1].elts if isinstance(e, ast.Name)}
+        closures = [node for node in ast.walk(fn)
+                    if node is not fn and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for inner in closures:
+            reads_data = {id(node.value) for node in ast.walk(inner)
+                          if isinstance(node, ast.Attribute) and node.attr == "data"}
+            found += [f"line {node.lineno}: {fn.name}.{inner.name} names {node.id}"
+                      for node in ast.walk(inner)
+                      if isinstance(node, ast.Name) and node.id in operands and id(node) not in reads_data]
+    return found
+
+
+def test_checker_finds_a_closure_that_pins_an_operand():
+    source = ("def scale(a: Tensor, s: float) -> Tensor:\n"
+              "    def bwd(g):\n        return (g * a.dtype.type(s),)\n"
+              "    return _make(a.data * s, (a,), bwd)\n"
+              "def mul(a: 'Tensor', b: Tensor) -> Tensor:\n"
+              "    def bwd(g):\n        return g * b.data, g * a.data\n"
+              "    return _make(a.data * b.data, (a, b), bwd)\n"
+              "def gather(table, n: int):\n    rows = table.rows\n"
+              "    def bwd(g):\n        return (np.zeros(rows.shape), n)\n"
+              "    return _make(out, (rows,), bwd)\n")
+    assert pinned_operands(source) == ["line 3: scale.bwd names a", "line 12: gather.bwd names rows"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_backward_closures_read_only_their_operands_data(module):
+    assert pinned_operands((SRC / module).read_text(encoding="utf-8")) == []

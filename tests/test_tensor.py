@@ -4,6 +4,7 @@ central finite differences, and the documented contracts."""
 import gc
 import itertools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -152,13 +153,13 @@ def _two_block_model(variant="logmem", dtype=np.float64, embed=8, batch=2, lengt
 def test_backward_frees_the_tape_and_keeps_parameter_grads():
     model, x, y = _two_block_model()
     loss = model_loss(model.forward(x), y)
-    reached = [n for n in T._topo_order(loss) if n._backward is not None]
+    reached = [n for n in T._topo_order(loss._node) if n.backward is not None]
     assert len(reached) > 100
     loss.backward()
     for n in reached:
-        assert n.grad is None and n._parents == ()
+        assert n.grad is None and n.parents == ()
         with pytest.raises(ContractError):
-            n._backward(np.zeros_like(n.data))
+            n.backward(np.zeros_like(loss.data))
     for name, p in model.params.items():
         assert p.grad is not None and p.grad.shape == p.shape and np.isfinite(p.grad).all(), name
 
@@ -238,15 +239,15 @@ def test_in_place_sums_never_write_a_shared_gradient():
 
 def _replayed_grads(loss, params):
     """Leaf grads by a replay that keeps every node and never sums in place."""
-    grads = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(T._topo_order(loss)):
+    grads = {id(loss._node): np.ones_like(loss.data)}
+    for node in reversed(T._topo_order(loss._node)):
         g = grads.get(id(node))
-        if node._backward is None or g is None:
+        if node.backward is None or g is None:
             continue
-        for parent, pg in zip(node._parents, node._backward(g)):
-            if pg is not None and parent.requires_grad:
+        for parent, pg in zip(node.parents, node.backward(g)):
+            if pg is not None and parent is not None:
                 grads[id(parent)] = grads[id(parent)] + pg if id(parent) in grads else pg
-    return [grads.get(id(p)) for p in params]
+    return [grads.get(id(p._node)) for p in params]
 
 
 @pytest.mark.parametrize("variant", ["logmem", "tiny-logmem", "expsum", "baseline-attn"])
@@ -278,6 +279,104 @@ def test_backward_leaves_only_parameter_grads_alive():
     # tape itself (forward arrays and intermediate grads) is over 2 MB here
     assert loss.item() > 0
     assert left <= grads + 64 * 1024, (left, grads)
+
+
+# what the tape keeps: an op's backward closure captures the arrays it reads
+# and plain shapes otherwise, so an operand that it does not read lives only
+# as long as the caller holds it; a read one lives until backward has run
+def _free_op(name, x):
+    c = Tensor(make_rng(3).standard_normal(x.shape))
+    return {"add": lambda: add(x, c), "scale": lambda: scale(x, 0.5),
+            "reshape": lambda: reshape(x, (-1,)), "transpose": lambda: transpose(x, (1, 0)),
+            "narrow": lambda: narrow(x, 1, 1, 2), "concat": lambda: concat([x, c], axis=0),
+            "masked_fill": lambda: masked_fill(x, np.eye(3, 4, dtype=bool), 0.0),
+            "sum_axis": lambda: sum_axis(x, axis=0), "softmax_last": lambda: softmax_last(x)}[name]()
+
+
+def _read_op(name, x):
+    rng = make_rng(4)
+    w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+    b = Tensor(rng.standard_normal(2), requires_grad=True)
+    return {"mul": lambda: mul(x, Tensor(rng.standard_normal(x.shape))),
+            "matmul": lambda: matmul(x, w),
+            "einsum_pair": lambda: einsum_pair("ld,de->le", x, w),
+            "gelu": lambda: gelu(x),
+            "affine_masked": lambda: affine_masked(x, w, b, np.array([True, False, True]))}[name]()
+
+
+def _dropped_input(build, op_name):
+    """A loss through one op, and a weakref to the array of the op's input, a
+    non-leaf that the caller has dropped."""
+    leaf = Tensor(make_rng(2).standard_normal((3, 4)), requires_grad=True)
+    x = scale(leaf, 2.0)
+    ref = weakref.ref(x.data)
+    loss = sum_axis(build(op_name, x))
+    del x
+    return leaf, loss, ref
+
+
+@pytest.mark.parametrize("op_name", ["add", "scale", "reshape", "transpose", "narrow", "concat",
+                                     "masked_fill", "sum_axis", "softmax_last"])
+def test_the_tape_frees_an_input_its_backward_does_not_read(op_name):
+    leaf, loss, ref = _dropped_input(_free_op, op_name)
+    assert ref() is None
+    loss.backward()
+    assert leaf.grad is not None and leaf.grad.shape == leaf.shape
+
+
+@pytest.mark.parametrize("op_name", ["mul", "matmul", "einsum_pair", "gelu", "affine_masked"])
+def test_the_tape_keeps_an_input_its_backward_reads_until_backward_runs(op_name):
+    leaf, loss, ref = _dropped_input(_read_op, op_name)
+    assert ref() is not None
+    loss.backward()
+    assert ref() is None  # the spent closure let it go
+    assert leaf.grad is not None and leaf.grad.shape == leaf.shape
+
+
+def test_softmax_keeps_its_own_output_until_backward_runs():
+    x = Tensor(make_rng(5).standard_normal((3, 4)), requires_grad=True)
+    out = softmax_last(x)
+    ref = weakref.ref(out.data)
+    loss = sum_axis(out)
+    del out
+    assert ref() is not None
+    loss.backward()
+    assert ref() is None
+
+
+def test_baseline_attention_tape_keeps_only_the_softmax_output(monkeypatch):
+    # the [B, h, L, T] score, scaled and masked arrays are gone before
+    # backward; the softmax output that its backward reads is still held
+    cfg = ModelConfig(variant="baseline-attn", vocab_size=11, embed=8, max_seq_len=16, n_heads=2, seed=4)
+    blk = build_model(cfg, dtype=np.float64).blocks[0]
+    rng = make_rng(6)
+    qkv = [Tensor(rng.standard_normal((2, 5, 8)), requires_grad=True) for _ in range(3)]
+    target = Tensor(rng.standard_normal((2, 5, 8)))
+    made = {}
+
+    def recording(name, op):
+        def wrapped(*args):
+            out = op(*args)
+            if out.shape[-2:] == (5, 5):  # a [B, h, L, T] array of the attention
+                made.setdefault(name, []).append(weakref.ref(out.data))
+            return out
+        return wrapped
+
+    for name in ("matmul", "scale", "masked_fill", "softmax_last"):
+        monkeypatch.setattr(f"lmn.model.{name}", recording(name, getattr(T, name)))
+    loss = sum_axis(mul(blk.attention(*qkv)[0], target))
+    assert {name: len(refs) for name, refs in made.items()} == {
+        "matmul": 1, "scale": 1, "masked_fill": 1, "softmax_last": 1}
+    assert [made[name][0]() is None for name in ("matmul", "scale", "masked_fill")] == [True] * 3
+    assert made["softmax_last"][0]() is not None
+    loss.backward()
+    assert all(p.grad is not None for p in qkv)
+    monkeypatch.undo()
+
+    def f(params):
+        return sum_axis(mul(blk.attention(*params)[0], target))
+
+    assert grad_check(f, qkv, eps=1e-5) <= 1e-4
 
 
 def test_cross_entropy_closed_form_grad():
