@@ -28,7 +28,6 @@ from .summarizers import (
     DsConvSummarizer,
     ExpanderSummarizer,
     LinearSummarizer,
-    read_memory,
 )
 from .attention import attend, multi_bank_combine
 from .model import ModelConfig, build_model, load_checkpoint, param_count, save_checkpoint
@@ -41,7 +40,7 @@ __all__ = [
     "CapacityError", "MemoryTensor", "RowTable", "SlotState",
     "build_pyramid", "gather_memory", "parallel_memory", "push_token",
     "sequential_memory", "slot_widths", "snapshot",
-    "DsConvSummarizer", "ExpanderSummarizer", "LinearSummarizer", "read_memory",
+    "DsConvSummarizer", "ExpanderSummarizer", "LinearSummarizer",
     "attend", "multi_bank_combine",
     "ModelConfig", "build_model", "load_checkpoint", "param_count", "save_checkpoint",
     "Dataset", "Vocab", "build_vocab", "sample_batch",

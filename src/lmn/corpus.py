@@ -199,12 +199,7 @@ def _thou_form(verb: str) -> str:
 
 
 def _end_mark(rng: np.random.Generator) -> str:
-    r = rng.random()
-    if r < 0.72:
-        return "."
-    if r < 0.88:
-        return "!"
-    return "."
+    return "!" if 0.72 <= rng.random() < 0.88 else "."
 
 
 def _wrap(text: str, width: int = 46) -> list[str]:

@@ -69,41 +69,32 @@ def slot_widths(n_levels: int, k: int = 0) -> list[int]:
 
 @dataclass
 class SlotState:
-    """Binary-counter memory state of one stream for all of a block's banks,
-    held in one row buffer.
+    """Binary-counter memory state of one stream for all of a block's banks:
+    exactly the memory a step reads, in one fixed buffer.
 
-    ``rows`` is a [banks, D + w_S, E] array, allocated at first use with the
-    dtype of the token it is given. In each bank's rows, row 0 holds the
-    current token and level l owns rows ``bounds[l]``, in snapshot order;
-    level S, the tree root that the final push of a full sequence writes,
-    lies past the D rows a snapshot reads. The banks share one count: level
-    l of every bank is occupied iff bit l of ``consumed`` is set, and the
-    rows of an empty level are zero. Single-owner and mutable: the recurrent
-    state during generation. Inference-only: the rows are plain arrays, so
-    no gradient flows through them.
+    ``rows`` is a [banks, D, E] array at the model's dtype, in snapshot
+    order: in each bank's rows, row 0 holds the current token and level l
+    owns rows ``bounds[l]``. The banks share one count: level l of every
+    bank is occupied iff bit l of ``consumed`` is set, and the rows of an
+    empty level are zero. Single-owner and mutable: the recurrent state
+    during generation. Inference-only: the rows are plain arrays, so no
+    gradient flows through them.
     """
 
     n_levels: int
-    bounds: list           # (first row, end row) of each level, the root included
-    row_level: np.ndarray  # [D] level of each snapshot row (row 0: the current token)
-    banks: int = 1
+    k: int
+    bounds: list       # (first row, end row) of each level's block
+    rows: np.ndarray   # [banks, D, E]
     consumed: int = 0
-    rows: np.ndarray | None = None
 
     @classmethod
-    def fresh(cls, n_levels: int, k: int = 0, banks: int = 1) -> "SlotState":
-        widths = slot_widths(n_levels + 1, k)  # the last is the root's
-        ends = list(itertools.accumulate(widths, initial=1))
-        row_level = [0] + [level for level, w in enumerate(widths[:-1]) for _ in range(w)]
-        return cls(n_levels, list(zip(ends[:-1], ends[1:])), np.array(row_level, dtype=np.int64), banks)
+    def fresh(cls, n_levels: int, k: int, banks: int, embed: int, dtype) -> "SlotState":
+        ends = list(itertools.accumulate(slot_widths(n_levels, k), initial=1))
+        rows = np.zeros((banks, ends[-1], embed), dtype=dtype)
+        return cls(n_levels, k, list(zip(ends[:-1], ends[1:])), rows)
 
     def occupied(self, level: int) -> bool:
         return (self.consumed >> level) & 1 == 1
-
-    def _buffer(self, x: Tensor) -> np.ndarray:
-        if self.rows is None:
-            self.rows = np.zeros((self.banks, self.bounds[-1][1], x.shape[-1]), dtype=x.dtype)
-        return self.rows
 
 
 def _check_step(state: SlotState, x: Tensor, what: str) -> None:
@@ -121,23 +112,27 @@ def push_token(state: SlotState, x: Tensor, summarizers) -> SlotState:
     The banks share the occupancy, so one chain serves them all: at each
     occupied level, each bank merges its own block, the older, with its own
     carry through its own summarizer, and the level's rows are zeroed; the
-    final carries land in the first empty level.
+    final carries land in the first empty level. The last push of a full
+    sequence carries the root past level S-1, where no position reads it,
+    so its merges are made and counted and the root is dropped, as
+    ``build_pyramid`` drops it.
     """
     _check_step(state, x, "push_token")
-    if len(summarizers) != state.banks:
-        raise ValueError(f"push_token: {len(summarizers)} summarizers for {state.banks} banks")
-    rows = state._buffer(x)
-    carries = [x] * state.banks
+    rows = state.rows
+    if len(summarizers) != len(rows):
+        raise ValueError(f"push_token: {len(summarizers)} summarizers for {len(rows)} banks")
+    carries = [x] * len(rows)
     level = 0
     while state.occupied(level):
         lo, hi = state.bounds[level]
         carries = [s.merge_pair(Tensor(r[lo:hi]), c) for s, r, c in zip(summarizers, rows, carries)]
-        COUNTER.summarizer_ops += state.banks
+        COUNTER.summarizer_ops += len(rows)
         rows[:, lo:hi] = 0.0
         level += 1
-    lo, hi = state.bounds[level]
-    for r, carry in zip(rows, carries):
-        r[lo:hi] = carry.data
+    if level < state.n_levels:
+        lo, hi = state.bounds[level]
+        for r, carry in zip(rows, carries):
+            r[lo:hi] = carry.data
     state.consumed += 1
     return state
 
@@ -147,15 +142,14 @@ def snapshot(state: SlotState, x_current: Tensor) -> MemoryTensor:
     [1, 1, banks, D, E] and their [1, D] mask: a one-position tile's
     ``gather_memory`` with the levels it does not occupy kept.
 
-    One copy of the row buffer with each bank's row 0 set to the current
-    token; empty levels are already zero.
+    Writes the current token into each bank's row 0 and returns a view of
+    the rows, no copy: the step reads it before its ``push_token``
+    rewrites them. Empty levels are already zero.
     """
     _check_step(state, x_current, "snapshot")
-    rows = state._buffer(x_current)
-    rows[:, :1] = x_current.data
-    valid = ((state.consumed >> state.row_level) & 1).astype(bool)
-    valid[0] = True
-    return MemoryTensor(Tensor(rows[None, None, :, :valid.size].copy()), valid[None])
+    state.rows[:, 0] = x_current.data
+    t = state.consumed
+    return MemoryTensor(Tensor(state.rows[None, None]), valid_mask(t + 1, state.n_levels, state.k, t))
 
 
 @dataclass
@@ -204,7 +198,7 @@ def sequential_memory(x: Tensor, summarizers) -> MemoryTensor:
     valid = valid_mask(L, n_levels, k)
     data = np.empty((b, L, banks, valid.shape[1], e), dtype=x.dtype)
     for bi in range(b):
-        state = SlotState.fresh(n_levels, k, banks)
+        state = SlotState.fresh(n_levels, k, banks, e, x.dtype)
         for t in range(L):
             xt = Tensor(x.data[bi, t:t + 1])
             data[bi, t] = snapshot(state, xt).data.data[0, 0]

@@ -33,6 +33,7 @@ from .memory import (
     CapacityError,
     SlotState,
     build_pyramid,
+    gather_memory,
     levels_for,
     slot_widths,
     snapshot,
@@ -42,8 +43,8 @@ from .summarizers import (
     DsConvSummarizer,
     ExpanderSummarizer,
     LinearSummarizer,
+    parallel_expanded_memory,
     push_token_expanded,
-    read_memory,
     snapshot_expanded,
 )
 from .tensor import (
@@ -278,16 +279,22 @@ class LmnBlock(_Block):
         self.summarizers = [_make_summarizer(cfg, params, f"{p}.bank{j}") for j in range(cfg.banks)]
 
     def fresh_state(self) -> SlotState:
-        """The one slot state of the block's banks."""
-        return SlotState.fresh(self.cfg.n_levels, self.summarizers[0].k, len(self.summarizers))
+        """The one slot state of the block's banks, at the model's dtype."""
+        return SlotState.fresh(self.cfg.n_levels, self.summarizers[0].k, len(self.summarizers),
+                               self.cfg.embed, self.qkv_w.dtype)
+
+    def _tree(self):
+        """The tree's entry points (range read, snapshot, push), or the
+        expander's named delegations to them, under which the benchmark
+        traces expander time. Looked up in the module's globals at each
+        call, so a wrapper installed after the model was built is the one called."""
+        if self.cfg.variant == "expsum":
+            return parallel_expanded_memory, snapshot_expanded, push_token_expanded
+        return gather_memory, snapshot, push_token
 
     def step(self, x: Tensor, state: SlotState) -> Tensor:
         """One position: x [1, 1, E]; snapshots, attends, then pushes (inference-only)."""
-        # the expander's named entry points into the shared tree
-        if self.cfg.variant == "expsum":
-            take, push = snapshot_expanded, push_token_expanded
-        else:
-            take, push = snapshot, push_token
+        _, take, push = self._tree()
         n = layer_norm(x, *self.ln1)
         n_flat = reshape(n, (1, self.cfg.embed))
         x = self._read(x, n, take(state, n_flat))
@@ -309,7 +316,7 @@ class LmnBlock(_Block):
 
     def _tile(self, x: Tensor, n: Tensor, table, start: int) -> Tensor:
         # the memory lives only inside the call, so one tile's is freed before the next's
-        return self._read(x, n, read_memory(table, self.summarizers, start, start + x.shape[1]))
+        return self._read(x, n, self._tree()[0](table, start, start + x.shape[1]))
 
 
 class BaselineBlock(_Block):

@@ -23,7 +23,7 @@ below, each a plain delegation: ``parallel_expanded_memory`` is its range
 read of the row table that ``build_pyramid`` returns (``gather_memory``),
 and ``push_token_expanded`` and ``snapshot_expanded`` are its steps. The
 benchmark's per-layer traces report expander time under those names, and
-``read_memory`` picks the expander's read by type.
+``model.LmnBlock`` picks them for the expander.
 """
 
 from __future__ import annotations
@@ -139,11 +139,3 @@ def push_token_expanded(state, x, summarizers):
 
 def snapshot_expanded(state, x_current):
     return snapshot(state, x_current)
-
-
-def read_memory(table: RowTable, summarizers, start: int, stop: int) -> MemoryTensor:
-    """The [B, stop - start, banks, D, E] memory of positions start..stop-1,
-    D holding row 0 and the levels they occupy, from a block's
-    ``memory.build_pyramid`` table over its banks' summarizers."""
-    read = parallel_expanded_memory if isinstance(summarizers[0], ExpanderSummarizer) else gather_memory
-    return read(table, start, stop)

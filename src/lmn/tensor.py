@@ -34,6 +34,7 @@ from contextlib import contextmanager
 import numpy as np
 
 DEFAULT_DTYPE = np.float32
+LAYER_NORM_EPS = 1e-5  # added to the variance before its square root
 
 
 class ShapeError(ValueError):
@@ -577,7 +578,7 @@ def softmax_last(a: Tensor) -> Tensor:
     return _make(y, (a,), bwd)
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize over the last axis, then apply per-feature gain and bias."""
     if gain.shape != (a.shape[-1],) or bias.shape != (a.shape[-1],):
         raise ShapeError(f"layer_norm: params {gain.shape}/{bias.shape} vs features {a.shape[-1:]}")
@@ -585,7 +586,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     n = a.shape[-1]
     centred = a.data - a.data.sum(axis=-1, keepdims=True) / n
     var = (centred * centred).sum(axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + a.dtype.type(eps))
+    inv = 1.0 / np.sqrt(var + a.dtype.type(LAYER_NORM_EPS))
     xhat = centred * inv
     out = xhat * gain.data + bias.data
 
@@ -693,8 +694,8 @@ def check_indexable(count: int, itemsize: int, what: str) -> None:
         raise MemoryError(f"{what}: {count} items of {itemsize} bytes are more than numpy can index")
 
 
-def zeros(shape, dtype=DEFAULT_DTYPE, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
+def zeros(shape, dtype=DEFAULT_DTYPE) -> Tensor:
+    return Tensor(np.zeros(shape, dtype=dtype))
 
 
 def grad_check(f, params, eps: float = 1e-3) -> float:

@@ -268,6 +268,30 @@ def test_criterion_07_scaling_trends(tmp_path):
            f"baseline {base_ratio:.1f}x (>=8); total {elapsed:.0f}s")
 
 
+def test_criterion_07_training_peak_growth():
+    # Bytes under grad, where quadratic attention costs the most. A training
+    # step's tracemalloc peak is deterministic, so the check compares growth
+    # ratios and cannot flake as a time slope can; it never compares two
+    # first-pass peaks for equality. The growth class sets the bounds: for a
+    # 4x longer sequence, a peak linear in L grows under 4x and one quadratic
+    # in L grows past 8x. The tree reads its memory in tiles of at most 1024
+    # positions here: what one tile allocates does not grow with L, and the
+    # tape keeps per tile only arrays of its T positions (banks * D rows
+    # each at most, D = 1 + log2 L), so the tree's peak grows with the number
+    # of tiles, near linearly. The baseline's tape keeps the [L, L] attention
+    # weights of its query tiles, quadratic in L.
+    peaks = {}
+    for variant in ("logmem", "baseline-attn"):
+        for L in (1024, 4096):
+            peaks[(variant, L)] = peak_bytes(bench_model(variant, L, embed=32, banks=2), L, "train")
+    lmn_ratio = peaks[("logmem", 4096)] / peaks[("logmem", 1024)]
+    base_ratio = peaks[("baseline-attn", 4096)] / peaks[("baseline-attn", 1024)]
+    assert lmn_ratio < 4.0, peaks
+    assert base_ratio >= 8.0, peaks
+    report("7 training peak growth",
+           f"train peak ratios 1024->4096: LMN {lmn_ratio:.2f}x (<4), baseline {base_ratio:.1f}x (>=8)")
+
+
 def _criterion_08_final_val(ds, variant, kw, seed):
     cfg = ModelConfig(variant=variant, vocab_size=len(ds.vocab), embed=32,
                       max_seq_len=256, n_blocks=1, seed=seed, **kw)

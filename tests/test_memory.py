@@ -66,7 +66,7 @@ def test_levels_for_is_exact_at_any_length(L, S):
 def test_push_token_first_three_examples():
     e = 3
     summ = make_summ(e)
-    state = SlotState.fresh(3)
+    state = SlotState.fresh(3, 0, 1, e, np.float32)
     x0 = Tensor(np.arange(e, dtype=np.float32).reshape(1, e))
     push_token(state, x0, [summ])
     assert state.consumed == 1
@@ -85,7 +85,7 @@ def test_push_token_carry_chain_t3():
     summ = make_summ(e)
     rng = make_rng(2)
     xs = [Tensor(rng.standard_normal((1, e)).astype(np.float32)) for _ in range(4)]
-    state = SlotState.fresh(3)
+    state = SlotState.fresh(3, 0, 1, e, np.float32)
     for x in xs:
         push_token(state, x, [summ])
     assert state.consumed == 4
@@ -97,19 +97,26 @@ def test_push_token_carry_chain_t3():
 
 
 def test_push_overflow_raises_capacity():
-    summ = make_summ(2)
-    state = SlotState.fresh(1)
-    x = Tensor(np.ones((1, 2), dtype=np.float32))
-    push_token(state, x, [summ])
-    push_token(state, x, [summ])  # fills level 1 (the root)
+    # the last push of a full sequence carries the root past level S-1: its
+    # merges are made and counted, the root is dropped, and every level empties
+    S, banks, e = 3, 2, 2
+    summs = [make_summ(e, seed) for seed in range(banks)]
+    state = SlotState.fresh(S, 0, banks, e, np.float32)
+    x = Tensor(np.ones((1, e), dtype=np.float32))
+    COUNTER.reset()
+    for _ in range(1 << S):
+        push_token(state, x, summs)
+    assert state.rows.shape == (banks, 1 + S, e)
+    assert np.all(state.rows[:, 1:] == 0.0)
+    assert COUNTER.summarizer_ops == banks * ((1 << S) - 1)
     with pytest.raises(CapacityError):
-        push_token(state, x, [summ])
+        push_token(state, x, summs)
 
 
 def test_push_token_refuses_a_summarizer_count_that_is_not_the_banks():
     # zip would run the chain for the shorter of the two, silently
     summ = make_summ(2)
-    state = SlotState.fresh(3, 0, 2)
+    state = SlotState.fresh(3, 0, 2, 2, np.float32)
     with pytest.raises(ValueError, match="1 summarizers for 2 banks"):
         push_token(state, Tensor(np.ones((1, 2), dtype=np.float32)), [summ])
     assert state.consumed == 0
@@ -123,7 +130,7 @@ def test_push_token_refuses_a_summarizer_count_that_is_not_the_banks():
 def test_snapshot_validity_patterns(t, expect_valid):
     e = 2
     summ = make_summ(e)
-    state = SlotState.fresh(3)
+    state = SlotState.fresh(3, 0, 1, e, np.float32)
     rng = make_rng(3)
     for _ in range(t):
         push_token(state, Tensor(rng.standard_normal((1, e)).astype(np.float32)), [summ])
@@ -143,7 +150,7 @@ def test_snapshot_t5_contents():
     summ = make_summ(e)
     rng = make_rng(4)
     xs = [Tensor(rng.standard_normal((1, e)).astype(np.float32)) for _ in range(6)]
-    state = SlotState.fresh(3)
+    state = SlotState.fresh(3, 0, 1, e, np.float32)
     for x in xs[:5]:
         push_token(state, x, [summ])
     row = snapshot(state, xs[5]).data.data[0, 0, 0]
@@ -539,7 +546,7 @@ def test_one_block_tree_for_every_summarizer(name):
     assert np.abs(par.data.data - seq.data.data).max() <= 1e-5
     assert (table.n_levels, table.k) == (S, summ.k)
     assert table.rows.shape == (b, 1, sum((16 >> level) * (1 + level * summ.k) for level in range(S)), e)
-    state = SlotState.fresh(S, summ.k)
+    state = SlotState.fresh(S, summ.k, 1, e, np.float32)
     with no_grad():
         for t in range(L):
             xt = Tensor(x.data[0, t:t + 1])
@@ -554,26 +561,25 @@ def test_one_block_tree_for_every_summarizer(name):
 
 
 @pytest.mark.parametrize("name", ["linear", "expander-k1"])
-def test_snapshot_and_state_share_no_memory(name):
-    # a snapshot is a copy: the carry chain that zeroes and rewrites the
-    # rows it was taken from leaves it alone, and so does a later write
-    # to the pushed token
-    e = 3
+def test_snapshot_is_a_view_of_the_state_rows(name):
+    # a snapshot copies nothing: it is the state's own [banks, D, E] rows,
+    # each bank's row 0 set to the current token; a step reads it before
+    # its push rewrites them (criterion 10 and verify's mode-equivalence
+    # check that order end to end)
+    e, S = 3, 3
     rng = make_rng(19)
     summ = make_summ(e, 19, **SUMMARIZERS[name])
-    state = SlotState.fresh(3, summ.k)
+    state = SlotState.fresh(S, summ.k, 1, e, np.float32)
+    assert state.rows.shape == (1, 1 + sum(slot_widths(S, summ.k)), e)
     with no_grad():
         for _ in range(3):
             push_token(state, Tensor(rng.standard_normal((1, e)).astype(np.float32)), [summ])
         x = Tensor(rng.standard_normal((1, e)).astype(np.float32))
         mem = snapshot(state, x)
-        kept_row, kept_valid = mem.data.data.copy(), mem.valid.copy()
-        push_token(state, x, [summ])  # t = 3 -> 4: merges levels 0 and 1 into level 2
-        assert np.array_equal(mem.data.data, kept_row) and np.array_equal(mem.valid, kept_valid)
-        after = snapshot(state, x).data.data
-        x.data[:] = 7.0
-        again = snapshot(state, Tensor(after[0, 0, 0, :1].copy())).data.data
-    assert np.array_equal(again, after)
+    assert np.shares_memory(mem.data.data, state.rows)
+    assert mem.data.shape == (1, 1) + state.rows.shape
+    assert np.array_equal(state.rows[:, 0], x.data)
+    assert np.array_equal(mem.valid, valid_mask(4, S, summ.k, 3))
 
 
 def bank_summs(name, banks, e, seed):
@@ -613,8 +619,8 @@ def test_bank_slot_state_snapshot_is_the_one_bank_snapshots_joined(name, banks):
     rng = make_rng(71)
     xs = [Tensor(rng.standard_normal((1, e)).astype(np.float32)) for _ in range(17)]
     for T in (0, 1, 5, 15, 16):
-        state = SlotState.fresh(S, summs[0].k, banks)
-        singles = [SlotState.fresh(S, s.k) for s in summs]
+        state = SlotState.fresh(S, summs[0].k, banks, e, np.float32)
+        singles = [SlotState.fresh(S, s.k, 1, e, np.float32) for s in summs]
         with no_grad():
             COUNTER.reset()
             for x in xs[:T]:

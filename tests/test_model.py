@@ -143,6 +143,7 @@ def test_forward_rejects_bad_tokens():
     ("logmem-2block", dict(variant="logmem", banks=2, n_blocks=2)),
     ("baseline", dict(variant="baseline-attn", n_heads=4)),
     ("baseline-2block", dict(variant="baseline-attn", n_heads=4, n_blocks=2)),
+    ("expsum-float64", dict(variant="expsum", expansion=1, dtype=np.float64)),
 ])
 def test_generation_matches_teacher_forcing(name, kw):
     kw = dict(kw)
@@ -167,6 +168,19 @@ def test_generation_matches_teacher_forcing(name, kw):
             short.step(state, int(t))
         with pytest.raises(CapacityError, match="sequence length 21 exceeds max_seq_len 20"):
             short.step(state, int(tokens[0, 20]))
+
+
+@pytest.mark.parametrize("kw", [dict(variant="logmem", banks=2), dict(variant="expsum", expansion=1)])
+def test_slot_state_is_the_step_memory_at_the_model_dtype(kw):
+    # one fixed [banks, D, E] buffer per block, allocated at the model's
+    # dtype before any token is seen: a float64 model steps in float64
+    cfg = small_cfg(kw, n_blocks=2)
+    k = cfg.expansion if cfg.variant == "expsum" else 0
+    for dtype in (np.float32, np.float64):
+        for st in build_model(cfg, dtype).start_state():
+            assert st.rows.dtype == dtype and st.consumed == 0
+            assert st.rows.shape == (cfg.banks, 1 + sum(slot_widths(cfg.n_levels, k)), cfg.embed)
+            assert not st.rows.any()
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

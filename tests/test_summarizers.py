@@ -116,7 +116,7 @@ def test_expand_merge_width_mismatch_errors():
 def test_expander_block_widths_follow_formula():
     e = 4
     es = expander(e, 5, 1)
-    state = SlotState.fresh(4, 1)
+    state = SlotState.fresh(4, 1, 1, e, np.float32)
     rng = make_rng(6)
     for _ in range(12):
         push_token(state, Tensor(rng.standard_normal((1, e)).astype(np.float32)), [es])
@@ -129,14 +129,14 @@ def test_snapshot_expanded_valid_rows():
     e = 4
     es = expander(e, 7, 1)
     rng = make_rng(8)
-    state = SlotState.fresh(3, 1)
+    state = SlotState.fresh(3, 1, 1, e, np.float32)
     for _ in range(5):
         push_token(state, Tensor(rng.standard_normal((1, e)).astype(np.float32)), [es])
     mem = snapshot(state, Tensor(rng.standard_normal((1, e)).astype(np.float32)))
     # t=5 = 101b with widths 1+l: 1 (current) + w0 + w2 = 5 valid rows
     assert mem.valid.sum() == 5
     assert mem.data.shape == (1, 1, 1, 1 + 1 + 2 + 3, e)
-    state0 = SlotState.fresh(3, 1)
+    state0 = SlotState.fresh(3, 1, 1, e, np.float32)
     assert snapshot(state0, Tensor(np.zeros((1, e), dtype=np.float32))).valid.sum() == 1
 
 
