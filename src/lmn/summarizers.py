@@ -4,10 +4,12 @@ Every summarizer has an expansion factor ``k`` and one contract: it merges
 two width-w blocks, the older first, into one width-(w+k) block, either one
 pair at a time (``merge_pair([*, w, E], [*, w, E]) -> [*, w+k, E]``) or
 every adjacent pair of a pyramid level at once
-(``merge_level([B, n, w, E]) -> [B, n/2, w+k, E]``). The plain linear map
-and the depthwise-separable convolution keep every block one row wide
-(k = 0); the expander summarizer widens blocks by k rows per merge, so a
-level-l block holds w_l = 1 + l*k rows and deeper levels keep more detail.
+(``merge_level([B, n, w, E]) -> [B, n/2, w+k, E]``). The k = 0 summarizers
+keep every block one row wide and are one linear merge, a [2E, E] weight
+applied to the concatenated pair: the linear summarizer holds that weight,
+and the depthwise-separable convolution builds it as depthwise x pointwise.
+The expander summarizer widens blocks by k rows per merge, so a level-l
+block holds w_l = 1 + l*k rows and deeper levels keep more detail.
 
 A summarizer holds the tensors it is given; they come from the model's
 parameter schema (``model.param_schema`` -> ``init_params`` ->
@@ -40,9 +42,9 @@ from .tensor import (
     Tensor,
     add,
     concat,
-    conv1d_depthwise_k2s2,
     conv1d_k2s2,
     conv_transpose1d,
+    einsum_pair,
     matmul,
     reshape,
 )
@@ -56,7 +58,6 @@ class LinearSummarizer:
     def __init__(self, weight: Tensor, bias: Tensor | None = None):
         self.weight = weight
         self.bias = bias
-        self.embed = weight.shape[1]
 
     def merge_pair(self, a: Tensor, b: Tensor) -> Tensor:
         """[*, 1, E] x [*, 1, E] -> [*, 1, E]; a is the older block."""
@@ -70,29 +71,29 @@ class LinearSummarizer:
         return add(y, self.bias) if self.bias is not None else y
 
 
-class DsConvSummarizer:
-    """Depthwise kernel-2 stride-2 over the pair axis, then pointwise mix."""
+class DsConvSummarizer(LinearSummarizer):
+    """Depthwise kernel-2 stride-2 over the pair axis, then pointwise mix.
 
-    k = 0
+    That is the linear merge with a factored weight: depthwise d [E, 2] and
+    pointwise P [E, E] give ``weight = [diag(d[:, 0]) P; diag(d[:, 1]) P]``.
+    The weight is rebuilt from d and P on every merge, so gradients reach
+    both factors and each merge reads their current data. The merges are
+    bound here too, because the benchmark's tracer wraps them by this
+    class's name.
+    """
+
+    merge_pair = LinearSummarizer.merge_pair
+    merge_level = LinearSummarizer.merge_level
 
     def __init__(self, depthwise: Tensor, pointwise: Tensor, bias: Tensor | None = None):
         self.depthwise = depthwise  # [E, 2]
         self.pointwise = pointwise  # [E, E]
         self.bias = bias
-        self.embed = pointwise.shape[0]
 
-    def merge_level(self, x: Tensor) -> Tensor:
-        """[B, n, 1, E] -> [B, n/2, 1, E]: depthwise over each pair, then pointwise."""
-        b, n, _, e = x.shape
-        return self._merge(reshape(x, (b, n // 2, 2, e)))
-
-    def merge_pair(self, a: Tensor, b: Tensor) -> Tensor:
-        """[*, 1, E] x [*, 1, E] -> [*, 1, E]; a is the older block."""
-        return self._merge(concat([a, b], axis=-2))
-
-    def _merge(self, pair: Tensor) -> Tensor:
-        y = matmul(conv1d_depthwise_k2s2(pair, self.depthwise), self.pointwise)
-        return add(y, self.bias) if self.bias is not None else y
+    @property
+    def weight(self) -> Tensor:
+        e = self.pointwise.shape[0]
+        return reshape(einsum_pair("ec,ef->cef", self.depthwise, self.pointwise), (2 * e, e))
 
 
 class ExpanderSummarizer:
@@ -107,7 +108,6 @@ class ExpanderSummarizer:
         self.conv_w = conv_w      # [2, E, E]
         self.expand_w = expand_w  # [k+1, E, E]
         self.k = k
-        self.embed = conv_w.shape[1]
 
     def merge_level(self, x: Tensor) -> Tensor:
         """[B, n, w, E] -> [B, n/2, w+k, E], merging adjacent (older, newer) blocks."""

@@ -6,7 +6,7 @@ the tape in reverse topological order and frees each node once its closure
 has returned. A node holds no array of its own: a tensor's data lives as
 long as a Python name or a backward closure holds it, so an output that no
 backward reads is freed as soon as the caller drops it. An op written as a
-composition of other ops (the k2s2 convolutions, ``embedding``) records the
+composition of other ops (the k2s2 convolution, ``embedding``) records the
 nodes of its parts and has no closure of its own. Compute precision
 is float32 by default; passing float64 arrays through the same ops gives a
 64-bit mode used for tight gradient checks.
@@ -97,8 +97,8 @@ class Tensor:
     ``grad`` buffer is written after the fact. Grads accumulate across
     separate graphs until ``zero_grad``, and a graph runs backward once.
     A tensor that requires grad has a tape node (``_node``), which holds its
-    gradient and backward closure; ``requires_grad``, ``grad`` and
-    ``_backward`` read and write through it.
+    gradient and backward closure; ``requires_grad`` reads it, and ``grad``
+    and ``_backward`` read and write through it.
     """
 
     __slots__ = ("data", "_node")
@@ -112,13 +112,6 @@ class Tensor:
     @property
     def requires_grad(self) -> bool:
         return self._node is not None
-
-    @requires_grad.setter
-    def requires_grad(self, value: bool):
-        if not value:
-            self._node = None
-        elif self._node is None:
-            self._node = _Node()
 
     @property
     def grad(self):
@@ -639,19 +632,6 @@ def conv1d_k2s2(x: Tensor, w: Tensor) -> Tensor:
         raise ShapeError(f"conv1d_k2s2: weight {w.shape} vs input {x.shape}")
     *lead, t, c = x.shape
     return matmul(reshape(x, (*lead, t // 2, 2 * c)), reshape(w, (2 * c, w.shape[2])))
-
-
-def conv1d_depthwise_k2s2(x: Tensor, w: Tensor) -> Tensor:
-    """Per-channel kernel-2 stride-2 convolution: x [..., T, C], w [C, 2].
-
-    Each pair (x[2j], x[2j+1]) maps to w[:, 0] * x[2j] + w[:, 1] * x[2j+1].
-    """
-    if x.shape[-2] % 2 != 0:
-        raise ShapeError(f"conv1d_depthwise_k2s2: position axis of {x.shape} must be even")
-    if w.shape != (x.shape[-1], 2):
-        raise ShapeError(f"conv1d_depthwise_k2s2: weight {w.shape} vs input {x.shape}")
-    *lead, t, c = x.shape
-    return sum_axis(mul(reshape(x, (*lead, t // 2, 2, c)), transpose(w, (1, 0))), axis=-2)
 
 
 def conv_transpose1d(x: Tensor, w: Tensor) -> Tensor:

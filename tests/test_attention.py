@@ -255,13 +255,13 @@ def test_score_mac_counter_counts_valid_levels_only():
     assert COUNTER.score_macs == e * int(mem.valid.sum())
 
 
-def two_bank_memory(L=13, e=4, seed=70, dtype=np.float32):
+def two_bank_memory(L=13, e=4, seed=70, dtype=np.float32, requires_grad=False):
     rng = make_rng(seed)
     _, banks = block_layers(e, seed, banks=2)
     x = Tensor(rng.standard_normal((2, L, e)).astype(np.float32))
     with no_grad():
         mem = multi_bank_combine(parallel_memory(x, banks))
-    return MemoryTensor(Tensor(mem.data.data.astype(dtype)), mem.valid)
+    return MemoryTensor(Tensor(mem.data.data.astype(dtype), requires_grad=requires_grad), mem.valid)
 
 
 def test_attend_equals_unfused_chain():
@@ -279,8 +279,7 @@ def attend_loss(mem, current, weight, bias, seed=73):
 
 
 def test_attend_float64_gradients():
-    mem = two_bank_memory(L=13, e=3, seed=74, dtype=np.float64)
-    mem.data.requires_grad = True
+    mem = two_bank_memory(L=13, e=3, seed=74, dtype=np.float64, requires_grad=True)
     current = own_rows(mem, requires_grad=True)
     weight, bias = block_layers(3, 75, np.float64)[0]
     params = [weight, bias, mem.data, current]

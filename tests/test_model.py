@@ -462,13 +462,23 @@ def test_config_invariants():
         ModelConfig(variant="baseline-attn", embed=30, n_heads=4)
 
 
-def test_checkpoint_round_trip_bit_exact(tmp_path):
-    cfg = small_cfg(dict(variant="expsum", expansion=1), seed=21)
+@pytest.mark.parametrize("kw,bank_tensors", [
+    pytest.param(dict(variant="logmem", banks=2), ("weight", "bias"), id="linear"),
+    pytest.param(dict(variant="logmem", banks=2, summarizer="dsconv"),
+                 ("depthwise", "pointwise", "bias"), id="dsconv"),
+    pytest.param(dict(variant="logmem", banks=2, summarizer="dsconv", summarizer_bias=False),
+                 ("depthwise", "pointwise"), id="dsconv-nobias"),
+    pytest.param(dict(variant="expsum", expansion=1), ("conv", "expand"), id="expsum"),
+])
+def test_checkpoint_round_trip_bit_exact(tmp_path, kw, bank_tensors):
+    cfg = small_cfg(kw, seed=21)
     model = build_model(cfg)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, model)
     loaded = load_checkpoint(path)
     assert loaded.config == cfg
+    assert [n for n in loaded.params if ".bank" in n] == [
+        f"block0.bank{j}.{t}" for j in range(cfg.banks) for t in bank_tensors]
     for name, p in model.params.items():
         assert np.array_equal(loaded.params[name].data, p.data), name
     tokens = make_rng(11).integers(0, cfg.vocab_size, size=(1, 8))

@@ -58,17 +58,24 @@ def test_linear_summarizer_matches_naive_loop():
 
 
 def test_dsconv_and_linear_agree_under_constructed_weights():
-    # depthwise [k0, k1] + pointwise P encodes the linear map [P^T*k0 | P^T*k1]
+    # depthwise d [E, 2] and pointwise P encode the linear weight
+    # [diag(d[:, 0]) P; diag(d[:, 1]) P], built here in numpy alone
     e = 6
     rng = make_rng(2)
-    ds = block_layers(e, 2, summarizer="dsconv")[1][0]
-    dw, pw = ds.depthwise.data, ds.pointwise.data
-    lin = LinearSummarizer(Tensor(np.concatenate([dw[:, :1] * pw, dw[:, 1:] * pw])), ds.bias)
-    a = Tensor(rng.standard_normal((1, e)).astype(np.float32))
-    b = Tensor(rng.standard_normal((1, e)).astype(np.float32))
-    assert np.allclose(ds.merge_pair(a, b).data, lin.merge_pair(a, b).data, atol=1e-5)
-    x = Tensor(rng.standard_normal((2, 8, 1, e)).astype(np.float32))
-    assert np.allclose(ds.merge_level(x).data, lin.merge_level(x).data, atol=1e-5)
+    a = Tensor(rng.standard_normal((1, e)))
+    b = Tensor(rng.standard_normal((1, e)))
+    x = Tensor(rng.standard_normal((2, 8, 1, e)))
+    for bias in (True, False):
+        ds = block_layers(e, 2, np.float64, summarizer="dsconv", summarizer_bias=bias)[1][0]
+        assert (ds.bias is not None) == bias
+        ds.merge_pair(a, b)
+        # AdamW rebinds p.data: the next merge must read the new factors
+        ds.depthwise.data = rng.standard_normal((e, 2))
+        ds.pointwise.data = rng.standard_normal((e, e))
+        dw, pw = ds.depthwise.data, ds.pointwise.data
+        lin = LinearSummarizer(Tensor(np.concatenate([dw[:, :1] * pw, dw[:, 1:] * pw])), ds.bias)
+        assert np.abs(ds.merge_pair(a, b).data - lin.merge_pair(a, b).data).max() <= 1e-12
+        assert np.abs(ds.merge_level(x).data - lin.merge_level(x).data).max() <= 1e-12
 
 
 @pytest.mark.parametrize("S,k,expect_widths,expect_total", [

@@ -18,7 +18,6 @@ from lmn.tensor import (
     affine_masked,
     concat,
     einsum_pair,
-    conv1d_depthwise_k2s2,
     conv1d_k2s2,
     conv_transpose1d,
     cross_entropy,
@@ -391,7 +390,7 @@ def test_cross_entropy_closed_form_grad():
     "add", "scale", "mul", "matmul2d", "matmul_batched_weight", "matmul_batched_pair",
     "concat", "narrow", "index_select", "reshape", "transpose", "softmax",
     "layernorm", "gelu", "embedding", "cross_entropy", "conv_full",
-    "conv_depthwise", "conv_transpose", "masked_fill", "sum_axis",
+    "conv_transpose", "masked_fill", "sum_axis",
     "einsum_pair", "affine_masked",
 ])
 def test_op_gradients_match_finite_differences(op_name):
@@ -423,8 +422,6 @@ def test_op_gradients_match_finite_differences(op_name):
         "cross_entropy": lambda: ((mk(4, 5),),
                                   lambda a: cross_entropy(a, np.array([0, 1, 4, 2]))),
         "conv_full": lambda: ((mk(2, 6, 3), mk(2, 3, 4)), lambda x, w: conv1d_k2s2(x, w)),
-        "conv_depthwise": lambda: ((mk(2, 6, 3), mk(3, 2)),
-                                   lambda x, w: conv1d_depthwise_k2s2(x, w)),
         "conv_transpose": lambda: ((mk(2, 4, 3), mk(2, 3, 5)),
                                    lambda x, w: conv_transpose1d(x, w)),
         "masked_fill": lambda: ((mk(3, 4),),
